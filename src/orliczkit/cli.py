@@ -48,21 +48,16 @@ def _load_field_args(args):
     else:
         if args.const is None or args.domain is None or args.nodes is None:
             raise InputError("need --function FILE or --const C with --domain/--nodes")
-        dim = len(args.nodes)
-        extents = [(args.domain[2 * k], args.domain[2 * k + 1]) for k in range(dim)]
-        grid = make_grid(dim, extents, args.nodes)
+        if len(args.domain) != 2 * len(args.nodes):
+            raise InputError("--domain needs one 'lo hi' pair per --nodes entry")
+        grid = make_grid(len(args.nodes), np.reshape(args.domain, (-1, 2)), args.nodes)
         u = GridFunction.constant(grid, args.const)
     return family, u
 
 
 def _cmd_value(args) -> int:
     family, u = _load_field_args(args)
-    if args.command == "norm":
-        value = luxemburg_norm(family, u)
-    elif args.command == "modular":
-        value = modular(family, u)
-    else:
-        value = conjugate_norm(family, u)
+    value = args.evaluate(family, u)
     print(_fmt(value))
     if args.csv:
         with open(args.csv, "a") as fh:
@@ -190,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orliczkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("norm", "modular", "conjugate"):
+    for name, evaluate in (("norm", luxemburg_norm), ("modular", modular),
+                           ("conjugate", conjugate_norm)):
         p = sub.add_parser(name, help=f"evaluate the {name} of a field")
         p.add_argument("--family", required=True, help="family descriptor file")
         p.add_argument("--function", help="solution-format field file")
@@ -200,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=int, nargs="+", help="nodes per axis")
         p.add_argument("--csv", help="append 'command,value' to this CSV")
         p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=_cmd_value)
+        p.set_defaults(func=_cmd_value, evaluate=evaluate)
 
     p = sub.add_parser("solve", help="minimize the energy from a config file")
     p.add_argument("--config", required=True)

@@ -44,23 +44,32 @@ def read_kv_file(path) -> dict:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
 
 
+def _floats(kv: dict, key: str, default: str = "") -> list:
+    return [float(v) for v in kv.get(key, default).split()]
+
+
 def exponent_from_kv(kv: dict, prefix: str) -> ExponentField:
+    """Exponent field from ``<prefix>kind`` plus ``x1``/``values`` (tabulated)
+    or ``coeffs`` (1 constant, 2 affine) and ``x1_range`` (affine, ``0 1``)."""
     kind = kv.get(prefix + "kind")
     if kind is None:
         raise InputError(f"missing '{prefix}kind'")
     if kind == "tabulated":
-        return ExponentField.tabulated(
-            np.array([float(v) for v in kv.get(prefix + "x1", "").split()]),
-            np.array([float(v) for v in kv.get(prefix + "values", "").split()]))
-    coeffs = [float(v) for v in kv.get(prefix + "coeffs", "").split()]
-    if not coeffs:
-        raise InputError(f"missing '{prefix}coeffs'")
+        return ExponentField.tabulated(np.array(_floats(kv, prefix + "x1")),
+                                       np.array(_floats(kv, prefix + "values")))
+    n_coeffs = {"constant": 1, "affine": 2}.get(kind)
+    if n_coeffs is None:
+        raise InputError(f"unknown exponent kind {kind!r}")
+    coeffs = _floats(kv, prefix + "coeffs")
+    if len(coeffs) != n_coeffs:
+        raise InputError(f"'{prefix}coeffs' of a {kind} exponent needs "
+                         f"{n_coeffs} value(s), got {len(coeffs)}")
     if kind == "constant":
         return ExponentField.constant(coeffs[0])
-    if kind == "affine":
-        rng = [float(v) for v in kv.get(prefix + "x1_range", "0 1").split()]
-        return ExponentField.affine(coeffs[0], coeffs[1], tuple(rng))
-    raise InputError(f"unknown exponent kind {kind!r}")
+    rng = _floats(kv, prefix + "x1_range", "0 1")
+    if len(rng) != 2:
+        raise InputError(f"'{prefix}x1_range' needs 2 values, got {len(rng)}")
+    return ExponentField.affine(coeffs[0], coeffs[1], tuple(rng))
 
 
 def reaction_from_kv(kv: dict, prefix: str = "reaction.") -> ReactionFamily:

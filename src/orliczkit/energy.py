@@ -17,7 +17,8 @@ it to rounding.  The nodal residual divides each partial derivative by its
 quadrature weight, making the stationarity defect comparable across grids;
 its zeros are the discrete weak solutions.
 
-Three reaction families are built in (q = q(x) is an exponent field):
+Three reaction families are built in, one entry each of the table
+``_REACTIONS`` (q = q(x) is an exponent field):
 
 * ``power``      g = q|t|^{q-2} t                    G = |t|^q          (q >= 2)
 * ``power-log``  G = |t|^q + log(1+t^2)|t|^{q-2},    g = dG/dt          (q >= 4)
@@ -25,23 +26,21 @@ Three reaction families are built in (q = q(x) is an exponent field):
 
 Envelope constants C0, C1, C2 with |g| <= C0|t|^{q-1} and
 C1|t|^q <= G <= C2|t|^q are analytic for ``power`` and certified by dense
-sampling over |t| in [1e-3, 10] for the other two (recorded on the
-descriptor; the sin family genuinely degenerates as t -> 0^- so a global
-positive C1 does not exist for it).
+sampling over |t| in [1e-3, 10] for the other two, before the frozen
+descriptor is built (the sin family genuinely degenerates as t -> 0^- so a
+global positive C1 does not exist for it).
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError
 from .exponents import ExponentField
 from .grid import GridFunction, gradient, gradient_adjoint, quad_weights
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ReactionFamily", "power_reaction", "power_log_reaction", "power_sin_reaction",
@@ -53,7 +52,36 @@ __all__ = [
 CERTIFICATION_T_RANGE = (1e-3, 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
+class _ReactionKernel:
+    """g and G of one reaction kind as f(q, |t|, t), and the smallest q-."""
+
+    g: Callable
+    G: Callable
+    q_min: float
+
+
+_REACTIONS = {
+    "power": _ReactionKernel(
+        g=lambda q, at, t: q * at ** (q - 2.0) * t,
+        G=lambda q, at, t: at ** q,
+        q_min=2.0),
+    "power-log": _ReactionKernel(
+        g=lambda q, at, t: (q * at ** (q - 2.0) * t
+                            + (q - 2.0) * np.log1p(t * t) * at ** (q - 4.0) * t
+                            + 2.0 * t / (1.0 + t * t) * at ** (q - 2.0)),
+        G=lambda q, at, t: at ** q + np.log1p(t * t) * at ** (q - 2.0),
+        q_min=4.0),
+    "power-sin": _ReactionKernel(
+        g=lambda q, at, t: (q * at ** (q - 2.0) * t
+                            + (q - 1.0) * np.sin(np.sin(t)) * at ** (q - 3.0) * t
+                            + np.cos(np.sin(t)) * np.cos(t) * at ** (q - 1.0)),
+        G=lambda q, at, t: at ** q + np.sin(np.sin(t)) * at ** (q - 1.0),
+        q_min=3.0),
+}
+
+
+@dataclass(frozen=True)
 class ReactionFamily:
     """A nonlinearity g with primitive G and growth-envelope constants."""
 
@@ -64,74 +92,58 @@ class ReactionFamily:
     C2: float
 
     def g(self, x1, t):
-        x1 = np.asarray(x1, dtype=float)
-        t = np.asarray(t, dtype=float)
-        q = self.q(x1)
-        at = np.abs(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lead = q * at ** (q - 2.0) * t
-            if self.example_id == "power":
-                out = lead
-            elif self.example_id == "power-log":
-                out = (lead
-                       + (q - 2.0) * np.log1p(t * t) * at ** (q - 4.0) * t
-                       + 2.0 * t / (1.0 + t * t) * at ** (q - 2.0))
-            else:  # power-sin
-                st = np.sin(np.sin(t))
-                out = (lead
-                       + (q - 1.0) * st * at ** (q - 3.0) * t
-                       + np.cos(np.sin(t)) * np.cos(t) * at ** (q - 1.0))
-        out = np.where(at == 0.0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return self._eval(_REACTIONS[self.example_id].g, x1, t)
 
     def G(self, x1, t):
+        return self._eval(_REACTIONS[self.example_id].G, x1, t)
+
+    def _eval(self, formula, x1, t):
         x1 = np.asarray(x1, dtype=float)
         t = np.asarray(t, dtype=float)
         q = self.q(x1)
         at = np.abs(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = at ** q
-            if self.example_id == "power-log":
-                out = out + np.log1p(t * t) * at ** (q - 2.0)
-            elif self.example_id == "power-sin":
-                out = out + np.sin(np.sin(t)) * at ** (q - 1.0)
+            out = formula(q, at, t)
         out = np.where(at == 0.0, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
 
-def _certify_constants(reaction: ReactionFamily) -> ReactionFamily:
-    """Envelope constants by dense sampling over the certification window."""
+def _checked_q(example_id, q):
+    q_min = _REACTIONS[example_id].q_min
+    if q.p_minus < q_min:
+        raise InputError(f"{example_id} reaction requires q(x) >= {q_min:g}")
+    return q
+
+
+def _certified(example_id, q):
+    """Reaction whose envelope constants come from dense sampling over the
+    certification window."""
+    reaction = ReactionFamily(example_id, _checked_q(example_id, q), 0.0, 0.0, 0.0)
     lo, hi = CERTIFICATION_T_RANGE
     t = np.concatenate([-np.geomspace(lo, hi, 2500)[::-1], np.geomspace(lo, hi, 2500)])
-    xs = reaction.q.sample_points(21)
+    xs = q.sample_points(21)
     tt = t[None, :]
-    qq = reaction.q(xs)[:, None]
+    qq = q(xs)[:, None]
     at = np.abs(tt)
     ratio_G = np.asarray(reaction.G(xs[:, None], tt)) / at ** qq
     ratio_g = np.abs(np.asarray(reaction.g(xs[:, None], tt))) / at ** (qq - 1.0)
     pad = 1e-3
-    reaction.C0 = float(np.max(ratio_g)) * (1.0 + pad)
-    reaction.C1 = max(float(np.min(ratio_G)) * (1.0 - pad), 0.0)
-    reaction.C2 = float(np.max(ratio_G)) * (1.0 + pad)
-    return reaction
+    return replace(reaction,
+                   C0=float(np.max(ratio_g)) * (1.0 + pad),
+                   C1=max(float(np.min(ratio_G)) * (1.0 - pad), 0.0),
+                   C2=float(np.max(ratio_G)) * (1.0 + pad))
 
 
 def power_reaction(q: ExponentField) -> ReactionFamily:
-    if q.p_minus < 2.0:
-        raise InputError("power reaction requires q(x) >= 2")
-    return ReactionFamily("power", q, C0=q.p_plus, C1=1.0, C2=1.0)
+    return ReactionFamily("power", _checked_q("power", q), C0=q.p_plus, C1=1.0, C2=1.0)
 
 
 def power_log_reaction(q: ExponentField) -> ReactionFamily:
-    if q.p_minus < 4.0:
-        raise InputError("power-log reaction requires q(x) >= 4")
-    return _certify_constants(ReactionFamily("power-log", q, 0.0, 0.0, 0.0))
+    return _certified("power-log", q)
 
 
 def power_sin_reaction(q: ExponentField) -> ReactionFamily:
-    if q.p_minus < 3.0:
-        raise InputError("power-sin reaction requires q(x) >= 3")
-    return _certify_constants(ReactionFamily("power-sin", q, 0.0, 0.0, 0.0))
+    return _certified("power-sin", q)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +162,6 @@ class EnergyConfig:
         if not self.lam > 0.0:
             raise InputError("lam must be positive")
 
-    def check_subcritical(self, grid) -> None:
-        # the q+ < N p- / (N - p-) restriction is embedding-driven and only
-        # meaningful from dimension 3 on; desk-scale grids are 1d/2d
-        if grid.dim < 3:
-            logger.debug("subcritical exponent check skipped (dim=%d < 3)", grid.dim)
-
 
 def _a_times(family, x1, mag, vec):
     """a(x,mag) * vec with a(x,s) = phi(x,s)/s and a(x,0)*0 := 0."""
@@ -168,7 +174,7 @@ def energy(config: EnergyConfig, u: GridFunction) -> float:
     """J(u); equals 0 at u = 0."""
     from .spaces import sobolev_modular
     w = quad_weights(u.grid)
-    x1 = u.grid.coords_first()
+    x1 = u.grid.coords_first
     reaction_term = float(np.sum(w * np.asarray(config.reaction.G(x1, u.values))))
     return sobolev_modular(config.family, u) - config.lam * reaction_term
 
@@ -179,7 +185,7 @@ def directional_derivative(config: EnergyConfig, u: GridFunction,
     fam = config.family
     grid = u.grid
     w = quad_weights(grid)
-    x1 = grid.coords_first()
+    x1 = grid.coords_first
     gu = gradient(u)
     gv = gradient(v)
     gmag = np.sqrt(np.sum(gu * gu, axis=0))
@@ -199,7 +205,7 @@ def residual(config: EnergyConfig, u: GridFunction) -> GridFunction:
     fam = config.family
     grid = u.grid
     w = quad_weights(grid)
-    x1 = grid.coords_first()
+    x1 = grid.coords_first
     gu = gradient(u)
     gmag = np.sqrt(np.sum(gu * gu, axis=0))
     flux = _a_times(fam, x1, gmag, gu)

@@ -124,18 +124,6 @@ class ExponentField:
             "x1_range": list(self.x1_range),
         }
 
-    @staticmethod
-    def from_spec(spec: dict) -> "ExponentField":
-        kind = spec.get("kind")
-        if kind == "constant":
-            return ExponentField.constant(spec["coeffs"][0])
-        if kind == "affine":
-            a, b = spec["coeffs"]
-            return ExponentField.affine(a, b, tuple(spec.get("x1_range", (0.0, 1.0))))
-        if kind == "tabulated":
-            return ExponentField.tabulated(np.asarray(spec["x1"]), np.asarray(spec["values"]))
-        raise InputError(f"unknown exponent kind {kind!r}")
-
     def __eq__(self, other):
         if not isinstance(other, ExponentField):
             return NotImplemented

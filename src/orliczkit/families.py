@@ -7,7 +7,9 @@ exponent bounds
     1 < phi0 <= t*phi(x,t)/Phi(x,t) <= phi_sup < inf,
 
 and a lower growth constant M_lower with M_lower*|t|^p(x) <= Phi(x,t) on the
-sampling window.  Three named families are built in:
+sampling window.  Three named families are built in, each one entry of the
+kernel table ``_KERNELS`` (formulas for phi and Phi, the closed-form phi_inv
+where one exists, the smallest admissible p- and the phi0 rule):
 
 * ``power``        phi = p(x)|t|^{p(x)-2} t                 Phi = |t|^{p(x)}
 * ``log-quotient`` phi = p(x)|t|^{p(x)-2} t / log(1+|t|)
@@ -20,24 +22,31 @@ sampling window.  Three named families are built in:
 For ``power`` the bounds are phi0 = p-, phi_sup = p+; for ``log-quotient``
 phi0 = p- - 1, phi_sup = p+; for ``log-weight`` phi0 = p- is exact while
 phi_sup exists but has no closed form and is estimated numerically (stored
-with a small safe-side pad).  Custom families supply phi as a callable and
-get Phi by adaptive quadrature.
+with a small safe-side pad).  Custom families fill the same kernel slots
+from a user-supplied phi callable and get Phi by adaptive quadrature unless
+a Phi callable is given too.
 
-The non-elementary correction integrals of the two log families are evaluated
-with substitutions that remove the endpoint singularity followed by panel
-Gauss-Legendre; see _quadrature.  Everything is vectorized over broadcastable
-(x, t) arrays and free of mutable state.
+Descriptors are frozen: a factory builds a provisional descriptor, estimates
+the constants that need phi/Phi on it, and returns a new descriptor through
+``dataclasses.replace``.  The non-elementary correction integrals of the two
+log families are evaluated with substitutions that remove the endpoint
+singularity followed by panel Gauss-Legendre; see _quadrature.  Everything
+is vectorized over broadcastable (x, t) arrays and free of mutable state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
 
 from ._quadrature import gauss01, panel_gauss
+from .config import exponent_from_kv, parse_kv_text
 from .errors import DomainError, InputError, NumericsError
 from .exponents import ExponentField
 
@@ -47,16 +56,17 @@ __all__ = [
     "StructureReport", "ConditionCheck", "family_to_text", "family_from_text",
 ]
 
-_FAMILY_IDS = ("power", "log-quotient", "log-weight", "custom")
-
-
-def _check_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-
 
 def _as_array(v):
     return np.asarray(v, dtype=float)
+
+
+def _finite_args(x1, t, name):
+    x1, t = _as_array(x1), _as_array(t)
+    for label, arr in (("x", x1), (name, t)):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{label} must be finite")
+    return x1, t
 
 
 def _maybe_scalar(out):
@@ -138,31 +148,116 @@ def _corr_log_weight(T, p, kappa):
 
 
 # ---------------------------------------------------------------------------
+# kernel formulas f(family, x1, t) of the built-in kinds
+# ---------------------------------------------------------------------------
+
+def _power_phi(fam, x1, t):
+    p = fam.p(x1)
+    return p * np.abs(t) ** (p - 2.0) * t
+
+
+def _power_Phi(fam, x1, t):
+    return np.abs(t) ** fam.p(x1)
+
+
+def _power_phi_inv(fam, x1, s):
+    p = fam.p(x1)
+    return (s / p) ** (1.0 / (p - 1.0))
+
+
+def _log_quotient_phi(fam, x1, t):
+    p = fam.p(x1)
+    at = np.abs(t)
+    return np.where(at == 0.0, 0.0, p * at ** (p - 2.0) * t / np.log1p(at))
+
+
+def _log_quotient_Phi(fam, x1, t):
+    p = fam.p(x1)
+    at = np.abs(t)
+    V = np.log1p(at)
+    lead = np.where(at == 0.0, 0.0, at ** p / np.where(V > 0, V, 1.0))
+    return lead + _corr_log_quotient(V, p)
+
+
+def _log_weight_phi(fam, x1, t):
+    p = fam.p(x1)
+    at = np.abs(t)
+    return p * np.log(1.0 + fam.alpha + at) * at ** (p - 2.0) * t
+
+
+def _log_weight_Phi(fam, x1, t):
+    p = fam.p(x1)
+    at = np.abs(t)
+    kappa = 1.0 + fam.alpha
+    return np.log(kappa + at) * at ** p - _corr_log_weight(at, p, kappa)
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """Formulas of one family kind, each called as f(family, x1, t).
+
+    phi_inv is the closed-form inverse of phi (None: log-space bisection).
+    The remaining slots describe built-in kinds only: the smallest
+    admissible p-, the rule phi0 = p- - phi0_drop, the constants estimated
+    numerically (helpers applied in order), whether alpha enters the
+    formulas, and whether the companion bound Phi >= t^{p(x)-1} holds.
+    """
+
+    phi: Callable
+    Phi: Callable
+    phi_inv: Callable | None = None
+    p_min: float = 1.0
+    phi0_drop: float = 0.0
+    estimates: tuple = ()
+    uses_alpha: bool = False
+    shifted_lower_bound: bool = False
+
+
+def _quad_Phi(phi_fn, fam, x1, t):
+    """Phi of a custom family by adaptive quadrature of phi_fn, elementwise."""
+    x1b, tb = np.broadcast_arrays(x1, np.abs(t))
+    out = np.empty(x1b.shape)
+    flat_x, flat_t, flat_o = x1b.ravel(), tb.ravel(), out.ravel()
+    for i in range(flat_o.size):
+        with warnings.catch_warnings():
+            # the explicit error-estimate check below decides convergence
+            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+            val, err = scipy.integrate.quad(
+                lambda s, xi=flat_x[i]: phi_fn(np.asarray(xi), np.asarray(s)),
+                0.0, flat_t[i], epsabs=1e-12, epsrel=1e-12, limit=200)
+        if err > 1e-10 * (1.0 + abs(val)):
+            raise NumericsError(
+                f"quadrature for Phi did not converge at t={flat_t[i]:g} "
+                f"(error estimate {err:g})")
+        flat_o[i] = val
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the family type
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class MusielakFamily:
     """A concrete Phi/phi pair with exponent field and structure constants.
 
-    Instances are immutable in practice (nothing mutates them after
-    construction) and all evaluation methods are pure, so they are safe to
-    share across threads.
+    Instances are frozen dataclasses: assigning a field raises
+    ``dataclasses.FrozenInstanceError``, and a changed constant means a new
+    descriptor from ``dataclasses.replace``.  All evaluation methods are
+    pure, so instances are safe to share across threads.
     """
 
-    def __init__(self, family_id, p=None, alpha=None, phi0=None, phi_sup=None,
-                 M_lower=0.0, estimated=(), phi_fn=None, Phi_fn=None, label=None):
-        if family_id not in _FAMILY_IDS:
-            raise InputError(f"unknown family id {family_id!r}")
-        self.family_id = family_id
-        self.p = p
-        self.alpha = None if alpha is None else float(alpha)
-        self.phi0 = float(phi0)
-        self.phi_sup = float(phi_sup)
-        self.M_lower = float(M_lower)
-        self.estimated = frozenset(estimated)
-        self._phi_fn = phi_fn
-        self._Phi_fn = Phi_fn
-        self.label = label or family_id
+    family_id: str
+    kernel: _Kernel
+    p: ExponentField | None
+    phi0: float
+    phi_sup: float
+    M_lower: float = 0.0
+    estimated: frozenset = frozenset()
+    alpha: float | None = None
+    label: str = ""
+
+    def __post_init__(self):
         if not (1.0 < self.phi0 <= self.phi_sup):
             raise InputError("need 1 < phi0 <= phi_sup")
         if self.M_lower < 0.0:
@@ -172,87 +267,28 @@ class MusielakFamily:
         return (f"MusielakFamily({self.label!r}, phi0={self.phi0:g}, "
                 f"phi_sup={self.phi_sup:g})")
 
-    @property
-    def kappa(self):
-        """1 + alpha, the shift inside the log-weight family's logarithm."""
-        return 1.0 + self.alpha if self.alpha is not None else None
-
     # -- pointwise operations ------------------------------------------
 
     def phi(self, x1, t):
         """phi(x,t); odd in t, phi(x,0) = 0."""
-        x1, t = _as_array(x1), _as_array(t)
-        _check_finite("x", x1)
-        _check_finite("t", t)
-        if self.family_id == "custom":
-            return _maybe_scalar(self._phi_fn(x1, t))
-        p = self.p(x1)
-        at = np.abs(t)
+        x1, t = _finite_args(x1, t, "t")
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.family_id == "power":
-                out = p * at ** (p - 2.0) * t
-            elif self.family_id == "log-quotient":
-                out = p * at ** (p - 2.0) * t / np.log1p(at)
-                out = np.where(at == 0.0, 0.0, out)
-            else:  # log-weight
-                out = p * np.log(self.kappa + at) * at ** (p - 2.0) * t
-        return _maybe_scalar(out)
+            return _maybe_scalar(self.kernel.phi(self, x1, t))
 
     def Phi(self, x1, t):
         """Phi(x,t) = integral of phi from 0 to |t| (even extension)."""
-        x1, t = _as_array(x1), _as_array(t)
-        _check_finite("x", x1)
-        _check_finite("t", t)
-        if self.family_id == "custom":
-            return _maybe_scalar(self._Phi_custom(x1, t))
-        p = self.p(x1)
-        at = np.abs(t)
+        x1, t = _finite_args(x1, t, "t")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.family_id == "power":
-                out = at ** p
-            elif self.family_id == "log-quotient":
-                V = np.log1p(at)
-                lead = np.where(at == 0.0, 0.0, at ** p / np.where(V > 0, V, 1.0))
-                out = lead + _corr_log_quotient(V, p)
-            else:
-                out = np.log(self.kappa + at) * at ** p - _corr_log_weight(at, p, self.kappa)
-        return _maybe_scalar(out)
-
-    def _Phi_custom(self, x1, t):
-        if self._Phi_fn is not None:
-            return self._Phi_fn(x1, t)
-        import warnings
-        x1b, tb = np.broadcast_arrays(x1, np.abs(t))
-        out = np.empty(x1b.shape)
-        flat_x, flat_t, flat_o = x1b.ravel(), tb.ravel(), out.ravel()
-        for i in range(flat_o.size):
-            with warnings.catch_warnings():
-                # the explicit error-estimate check below decides convergence
-                warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-                val, err = scipy.integrate.quad(
-                    lambda s, xi=flat_x[i]: self._phi_fn(np.asarray(xi), np.asarray(s)),
-                    0.0, flat_t[i], epsabs=1e-12, epsrel=1e-12, limit=200)
-            if err > 1e-10 * (1.0 + abs(val)):
-                raise NumericsError(
-                    f"quadrature for Phi did not converge at t={flat_t[i]:g} "
-                    f"(error estimate {err:g})")
-            flat_o[i] = val
-        return out
+            return _maybe_scalar(self.kernel.Phi(self, x1, t))
 
     def phi_inv(self, x1, s):
         """Inverse of phi(x,.) on [0,inf); monotone in s, phi_inv(x,0)=0."""
-        x1, s = _as_array(x1), _as_array(s)
-        _check_finite("x", x1)
-        _check_finite("s", s)
+        x1, s = _finite_args(x1, s, "s")
         if np.any(s < 0.0):
             raise InputError("phi_inv expects s >= 0")
-        if self.family_id == "power":
-            p = self.p(x1)
-            out = (s / p) ** (1.0 / (p - 1.0))
-            return _maybe_scalar(np.broadcast_arrays(out, s)[0])
-        x1b, sb = np.broadcast_arrays(x1, s)
-        out = self._phi_inv_bisect(x1b, sb)
-        return _maybe_scalar(out)
+        if self.kernel.phi_inv is not None:
+            return _maybe_scalar(np.broadcast_arrays(self.kernel.phi_inv(self, x1, s), s)[0])
+        return _maybe_scalar(self._phi_inv_bisect(*np.broadcast_arrays(x1, s)))
 
     def _phi_inv_bisect(self, x1, s):
         # log-space bisection; phi is a strictly increasing bijection of R+
@@ -278,7 +314,7 @@ class MusielakFamily:
         """Conjugate Young function: sup_{t>0} (s t - Phi(x,t)), attained
         at t = phi_inv(x,s) by strict monotonicity of phi."""
         x1, s = _as_array(x1), _as_array(s)
-        if np.any(_as_array(s) < 0.0):
+        if np.any(s < 0.0):
             raise InputError("conjugate expects s >= 0")
         t_star = np.asarray(self.phi_inv(x1, s))
         val = s * t_star - np.asarray(self.Phi(x1, t_star))
@@ -294,12 +330,25 @@ class MusielakFamily:
 # factories
 # ---------------------------------------------------------------------------
 
+def _builtin(family_id, p, alpha=None):
+    """Descriptor of a built-in kind, with its estimated constants filled in."""
+    kernel = _KERNELS[family_id]
+    if p.p_minus < kernel.p_min:
+        raise InputError(f"{family_id} family requires p(x) >= {kernel.p_min:g}")
+    if kernel.uses_alpha and not (alpha is not None and alpha > 0.0):
+        raise InputError(f"{family_id} family requires alpha > 0")
+    fam = MusielakFamily(family_id, kernel, p, phi0=p.p_minus - kernel.phi0_drop,
+                         phi_sup=p.p_plus, M_lower=1.0,
+                         alpha=float(alpha) if kernel.uses_alpha else None,
+                         label=family_id)
+    for estimate in kernel.estimates:
+        fam = estimate(fam)
+    return fam
+
+
 def power_family(p: ExponentField) -> MusielakFamily:
     """Family with Phi(x,t) = |t|^{p(x)}; needs p- >= 2."""
-    if p.p_minus < 2.0:
-        raise InputError("power family requires p(x) >= 2")
-    return MusielakFamily("power", p=p, phi0=p.p_minus, phi_sup=p.p_plus,
-                          M_lower=1.0, label="power")
+    return _builtin("power", p)
 
 
 def log_quotient_family(p: ExponentField) -> MusielakFamily:
@@ -309,13 +358,7 @@ def log_quotient_family(p: ExponentField) -> MusielakFamily:
     limits t->0 and t->inf).  M_lower is a window estimate only: the true
     inf of Phi/t^p over all t is 0 because of the 1/log factor at infinity.
     """
-    if p.p_minus < 3.0:
-        raise InputError("log-quotient family requires p(x) >= 3")
-    fam = MusielakFamily("log-quotient", p=p, phi0=p.p_minus - 1.0,
-                         phi_sup=p.p_plus, M_lower=0.0,
-                         estimated=("M_lower",), label="log-quotient")
-    fam.M_lower = _estimate_m_lower(fam)
-    return fam
+    return _builtin("log-quotient", p)
 
 
 def log_weight_family(p: ExponentField, alpha: float) -> MusielakFamily:
@@ -325,17 +368,7 @@ def log_weight_family(p: ExponentField, alpha: float) -> MusielakFamily:
     (interior maximum), padded by a relative 1e-8 so inequalities tested
     against it stay on the safe side.
     """
-    if p.p_minus < 2.0:
-        raise InputError("log-weight family requires p(x) >= 2")
-    if not alpha > 0.0:
-        raise InputError("log-weight family requires alpha > 0")
-    fam = MusielakFamily("log-weight", p=p, alpha=alpha, phi0=p.p_minus,
-                         phi_sup=p.p_plus + 1.0,  # placeholder, refined below
-                         M_lower=0.0, estimated=("phi_sup", "M_lower"),
-                         label="log-weight")
-    fam.phi_sup = _refine_sup_ratio(fam) * (1.0 + 1e-8)
-    fam.M_lower = _estimate_m_lower(fam)
-    return fam
+    return _builtin("log-weight", p, alpha)
 
 
 def custom_family(phi_fn, Phi_fn=None, p: ExponentField | None = None,
@@ -346,30 +379,24 @@ def custom_family(phi_fn, Phi_fn=None, p: ExponentField | None = None,
     bounds are taken as declared or estimated by sampling t in [1e-4, 1e4];
     estimates are recorded as such.
     """
-    estimated = []
-    fam = MusielakFamily("custom", p=p, phi0=phi0 or 2.0, phi_sup=phi_sup or 2.0,
-                         M_lower=0.0, phi_fn=phi_fn, Phi_fn=Phi_fn, label=label)
-    if phi0 is None or phi_sup is None:
-        lo, hi = _sampled_ratio_bounds(fam)
-        if phi0 is None:
-            fam.phi0, estimated = lo, estimated + ["phi0"]
-        else:
-            fam.phi0 = float(phi0)
-        if phi_sup is None:
-            fam.phi_sup, estimated = hi, estimated + ["phi_sup"]
-        else:
-            fam.phi_sup = float(phi_sup)
-    else:
-        fam.phi0, fam.phi_sup = float(phi0), float(phi_sup)
-    if M_lower is None and p is not None:
-        fam.M_lower = _estimate_m_lower(fam)
-        estimated.append("M_lower")
-    elif M_lower is not None:
-        fam.M_lower = float(M_lower)
-    fam.estimated = frozenset(estimated)
-    if not (1.0 < fam.phi0 <= fam.phi_sup):
+    kernel = _Kernel(phi=lambda fam, x1, t: phi_fn(x1, t),
+                     Phi=(functools.partial(_quad_Phi, phi_fn) if Phi_fn is None
+                          else lambda fam, x1, t: Phi_fn(x1, t)))
+    fam = MusielakFamily("custom", kernel, p, phi0=2.0, phi_sup=2.0, label=label)
+    estimated = frozenset(name for name, value in (("phi0", phi0), ("phi_sup", phi_sup))
+                          if value is None)
+    if estimated:
+        lo, hi = exponent_bounds(fam, np.geomspace(1e-4, 1e4, 161))
+        phi0 = lo if phi0 is None else phi0
+        phi_sup = hi if phi_sup is None else phi_sup
+    if not (1.0 < phi0 <= phi_sup):
         raise InputError("custom family: need 1 < phi0 <= phi_sup "
                          "(declare them if the sampled estimates are unusable)")
+    fam = replace(fam, phi0=float(phi0), phi_sup=float(phi_sup),
+                  M_lower=0.0 if M_lower is None else float(M_lower),
+                  estimated=estimated)
+    if M_lower is None and p is not None:
+        fam = _with_m_lower(fam)
     return fam
 
 
@@ -377,10 +404,14 @@ def custom_family(phi_fn, Phi_fn=None, p: ExponentField | None = None,
 # estimation helpers
 # ---------------------------------------------------------------------------
 
-def _x_samples(family, n=33):
+def sample_x1(family, n=33, rng=None):
+    """First-coordinate samples: the exponent field's representative points,
+    or with ``rng`` n uniform draws over its x1 range; x1 = 0 without a field."""
     if family.p is None:
-        return np.array([0.0])
-    return family.p.sample_points(n)
+        return np.zeros(1 if rng is None else n)
+    if rng is None:
+        return family.p.sample_points(n)
+    return rng.uniform(*family.p.x1_range, n)
 
 
 def _ratio(family, x1, t):
@@ -389,13 +420,6 @@ def _ratio(family, x1, t):
     if np.any(Phi <= 0.0):
         raise NumericsError("Phi(x,t) <= 0 encountered for t > 0")
     return t * phi / Phi
-
-
-def _sampled_ratio_bounds(family, t_lo=1e-4, t_hi=1e4, nt=161):
-    ts = np.geomspace(t_lo, t_hi, nt)
-    xs = _x_samples(family)
-    r = _ratio(family, xs[:, None], ts[None, :])
-    return float(np.min(r)), float(np.max(r))
 
 
 def _golden_max(f, a, b, iters=70):
@@ -416,28 +440,74 @@ def _golden_max(f, a, b, iters=70):
     return max(fc, fd)
 
 
-def _refine_sup_ratio(family):
-    """Numerical sup of t*phi/Phi; coarse log grid plus golden polish."""
+def _with_refined_sup(family):
+    """family with phi_sup = numerical sup of t*phi/Phi (coarse log grid plus
+    golden polish), padded by a relative 1e-8 and recorded as estimated."""
     ts = np.geomspace(1e-6, 1e8, 281)
     best = 0.0
-    for x in _x_samples(family, n=21):
+    for x in sample_x1(family, n=21):
         r = _ratio(family, x, ts)
         k = int(np.argmax(r))
         best = max(best, float(r[k]))
         a = math.log(ts[max(k - 1, 0)])
         b = math.log(ts[min(k + 1, ts.size - 1)])
         best = max(best, _golden_max(lambda lt, xx=x: float(_ratio(family, xx, math.exp(lt))), a, b))
-    return best
+    return replace(family, phi_sup=best * (1.0 + 1e-8),
+                   estimated=family.estimated | {"phi_sup"})
 
 
-def _estimate_m_lower(family, t_lo=1e-4, t_hi=1e4, nt=181):
-    """inf over the sampling window of Phi(x,t)/t^{p(x)}, shaved slightly."""
+def _with_m_lower(family, t_lo=1e-4, t_hi=1e4, nt=181):
+    """family with M_lower = inf over the sampling window of Phi(x,t)/t^{p(x)},
+    shaved slightly and recorded as estimated."""
     ts = np.geomspace(t_lo, t_hi, nt)
-    xs = _x_samples(family)
+    xs = sample_x1(family)
     p = family.p(xs)[:, None]
     Phi = np.asarray(family.Phi(xs[:, None], ts[None, :]))
     ratio = Phi / ts[None, :] ** p
-    return max(0.0, float(np.min(ratio)) * (1.0 - 1e-6))
+    return replace(family, M_lower=max(0.0, float(np.min(ratio)) * (1.0 - 1e-6)),
+                   estimated=family.estimated | {"M_lower"})
+
+
+_KERNELS = {
+    "power": _Kernel(_power_phi, _power_Phi, _power_phi_inv, p_min=2.0),
+    "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi, p_min=3.0,
+                            phi0_drop=1.0, estimates=(_with_m_lower,),
+                            shifted_lower_bound=True),
+    "log-weight": _Kernel(_log_weight_phi, _log_weight_Phi, p_min=2.0,
+                          estimates=(_with_refined_sup, _with_m_lower),
+                          uses_alpha=True),
+}
+
+
+# ---------------------------------------------------------------------------
+# structural margins: signed distance to each inequality (negative = violated)
+# ---------------------------------------------------------------------------
+
+def phi_odd_margin(family, x, t):
+    """-|phi(x,t) + phi(x,-t)| on broadcastable sample arrays."""
+    return -np.abs(np.asarray(family.phi(x, t)) + np.asarray(family.phi(x, -t)))
+
+
+def delta2_margin(family, x, t):
+    """Relative slack of Phi(x,2t) <= 2^{phi_sup} Phi(x,t)."""
+    bound = 2.0 ** family.phi_sup * np.asarray(family.Phi(x, t))
+    Phi2 = np.asarray(family.Phi(x, 2.0 * t))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (bound - Phi2) / np.where(bound > 0, bound, 1.0)
+
+
+def sqrt_convexity_margin(family, xs, tau):
+    """Scaled second differences of tau -> Phi(x, sqrt(tau)) along a sorted
+    tau grid, shape (xs.size, tau.size - 2); convexity makes them >= 0."""
+    psi = np.asarray(family.Phi(xs[:, None], np.sqrt(tau)[None, :]))
+    d2 = psi[:, 2:] - 2.0 * psi[:, 1:-1] + psi[:, :-2]
+    return d2 / (1.0 + np.abs(psi[:, 1:-1]))
+
+
+def growth_lower_margin(family, x, t):
+    """Scaled slack of M_lower * t^{p(x)} <= Phi(x,t); needs an exponent field."""
+    Phi = np.asarray(family.Phi(x, t))
+    return (Phi - family.M_lower * t ** family.p(x)) / (1.0 + np.abs(Phi))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +519,7 @@ def exponent_bounds(family, t_grid, x_grid=None):
     ts = _as_array(t_grid)
     if ts.size == 0 or np.any(ts <= 0.0):
         raise InputError("t_grid must be nonempty with all t > 0")
-    xs = _as_array(x_grid) if x_grid is not None else _x_samples(family)
+    xs = _as_array(x_grid) if x_grid is not None else sample_x1(family)
     r = _ratio(family, xs[:, None], ts[None, :])
     return float(np.min(r)), float(np.max(r))
 
@@ -493,20 +563,15 @@ def check_structure(family, x_samples=None, t_samples=None, tol=1e-8,
     and the power-law lower bound M_lower |t|^{p(x)} <= Phi(x,t).  Failures
     populate the report with located witnesses; nothing raises.
     """
-    xs = _as_array(x_samples) if x_samples is not None else _x_samples(family)
+    xs = _as_array(x_samples) if x_samples is not None else sample_x1(family)
     ts = _as_array(t_samples) if t_samples is not None else np.geomspace(1e-4, 1e3, 160)
-    checks = []
-
-    # oddness: phi(x,-t) = -phi(x,t) exactly
-    phi_p = np.asarray(family.phi(xs[:, None], ts[None, :]))
-    phi_m = np.asarray(family.phi(xs[:, None], -ts[None, :]))
-    checks.append(_worst("phi_odd", -np.abs(phi_p + phi_m), xs, ts, tol))
+    X, T = xs[:, None], ts[None, :]
+    checks = [_worst("phi_odd", phi_odd_margin(family, X, T), xs, ts, tol)]
 
     # monotonicity of phi across a symmetric grid through 0
     t_sym = np.concatenate([-ts[::-1], [0.0], ts])
-    phi_sym = np.asarray(family.phi(xs[:, None], t_sym[None, :]))
-    diffs = np.diff(phi_sym, axis=1)
-    checks.append(_worst("phi_monotone", diffs, xs, t_sym[:-1], tol))
+    phi_sym = np.asarray(family.phi(X, t_sym[None, :]))
+    checks.append(_worst("phi_monotone", np.diff(phi_sym, axis=1), xs, t_sym[:-1], tol))
 
     # Phi at zero, positivity, monotonicity
     Phi0 = np.asarray(family.Phi(xs, np.zeros_like(xs)))
@@ -514,34 +579,22 @@ def check_structure(family, x_samples=None, t_samples=None, tol=1e-8,
     m0 = -float(np.abs(Phi0[iz]))
     checks.append(ConditionCheck("Phi_zero", m0 >= -tol, m0, {"x": float(xs[iz])}))
 
-    Phi = np.asarray(family.Phi(xs[:, None], ts[None, :]))
+    Phi = np.asarray(family.Phi(X, T))
     checks.append(_worst("Phi_positive", Phi, xs, ts, tol))
     checks.append(_worst("Phi_monotone", np.diff(Phi, axis=1), xs, ts[:-1], tol))
+    checks.append(_worst("delta2_explicit_constant", delta2_margin(family, X, T),
+                         xs, ts, delta2_rel_tol))
 
-    # doubling condition with the explicit constant 2^{phi_sup}
-    Phi2 = np.asarray(family.Phi(xs[:, None], 2.0 * ts[None, :]))
-    bound = 2.0 ** family.phi_sup * Phi
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = (bound - Phi2) / np.where(bound > 0, bound, 1.0)
-    checks.append(_worst("delta2_explicit_constant", rel, xs, ts, delta2_rel_tol))
-
-    # convexity of tau -> Phi(x, sqrt(tau)): nonnegative second differences
     tau = np.linspace(0.0, float(np.max(ts)) ** 2, 201)
-    psi = np.asarray(family.Phi(xs[:, None], np.sqrt(tau)[None, :]))
-    d2 = psi[:, 2:] - 2.0 * psi[:, 1:-1] + psi[:, :-2]
-    scale = 1.0 + np.abs(psi[:, 1:-1])
-    checks.append(_worst("sqrt_convexity", d2 / scale, xs, tau[1:-1], tol))
+    checks.append(_worst("sqrt_convexity", sqrt_convexity_margin(family, xs, tau),
+                         xs, tau[1:-1], tol))
 
-    # growth bound M_lower * t^{p(x)} <= Phi(x,t)
     if family.p is not None:
-        p = family.p(xs)[:, None]
-        lower = family.M_lower * ts[None, :] ** p
-        margin = (Phi - lower) / (1.0 + np.abs(Phi))
-        checks.append(_worst("growth_lower", margin, xs, ts, tol))
-        if family.family_id == "log-quotient":
+        checks.append(_worst("growth_lower", growth_lower_margin(family, X, T),
+                             xs, ts, tol))
+        if family.kernel.shifted_lower_bound:
             # the companion bound Phi >= t^{p(x)-1} printed for this family
-            lower1 = ts[None, :] ** (p - 1.0)
-            margin1 = (Phi - lower1) / (1.0 + np.abs(Phi))
+            margin1 = (Phi - T ** (family.p(xs)[:, None] - 1.0)) / (1.0 + np.abs(Phi))
             checks.append(_worst("growth_lower_shifted", margin1, xs, ts, tol))
 
     return StructureReport(family.label, checks, all(c.passed for c in checks))
@@ -557,17 +610,12 @@ def _fmt_field(family, name):
 
 def family_to_text(family: MusielakFamily) -> str:
     """Serialize a standard family descriptor to key-value text."""
-    if family.family_id == "custom":
+    if family.family_id not in _KERNELS:
         raise InputError("custom families (callable-backed) are not serializable")
-    lines = [f"family = {family.family_id}"]
     spec = family.p.to_spec()
-    lines.append(f"p.kind = {spec['kind']}")
-    if spec["kind"] == "tabulated":
-        lines.append("p.x1 = " + " ".join(repr(v) for v in spec["x1"]))
-        lines.append("p.values = " + " ".join(repr(v) for v in spec["values"]))
-    else:
-        lines.append("p.coeffs = " + " ".join(repr(v) for v in spec["coeffs"]))
-        lines.append("p.x1_range = " + " ".join(repr(v) for v in spec["x1_range"]))
+    lines = [f"family = {family.family_id}", f"p.kind = {spec.pop('kind')}"]
+    lines += [f"p.{key} = " + " ".join(repr(v) for v in values)
+              for key, values in spec.items()]
     if family.alpha is not None:
         lines.append(f"alpha = {family.alpha!r}")
     for name in ("phi0", "phi_sup", "M_lower"):
@@ -577,53 +625,23 @@ def family_to_text(family: MusielakFamily) -> str:
 
 def family_from_text(text: str) -> MusielakFamily:
     """Rebuild a family from key-value text produced by family_to_text."""
-    from .config import parse_kv_text  # local import; config also imports us
-    kv = parse_kv_text(text)
-    return family_from_kv(kv)
+    return family_from_kv(parse_kv_text(text))
 
 
 def family_from_kv(kv: dict, prefix: str = "") -> MusielakFamily:
-    def get(key, default=None):
-        return kv.get(prefix + key, default)
-
-    fid = get("family")
+    """Built-in family from descriptor keys under ``prefix``; a declared
+    phi0/phi_sup/M_lower number overrides, the word ``estimate`` recomputes."""
+    fid = kv.get(prefix + "family")
     if fid is None:
         raise InputError("family descriptor missing 'family' key")
-    kind = get("p.kind")
-    if kind is None:
-        raise InputError("family descriptor missing 'p.kind'")
-    if kind == "tabulated":
-        p = ExponentField.tabulated(
-            np.array([float(v) for v in get("p.x1", "").split()]),
-            np.array([float(v) for v in get("p.values", "").split()]))
-    else:
-        coeffs = [float(v) for v in get("p.coeffs", "").split()]
-        if kind == "constant":
-            p = ExponentField.constant(coeffs[0])
-        elif kind == "affine":
-            rng = [float(v) for v in get("p.x1_range", "0 1").split()]
-            p = ExponentField.affine(coeffs[0], coeffs[1], tuple(rng))
-        else:
-            raise InputError(f"unknown exponent kind {kind!r}")
-
-    if fid == "power":
-        fam = power_family(p)
-    elif fid == "log-quotient":
-        fam = log_quotient_family(p)
-    elif fid == "log-weight":
-        alpha = get("alpha")
-        if alpha is None:
-            raise InputError("log-weight family needs 'alpha'")
-        fam = log_weight_family(p, float(alpha))
-    else:
+    p = exponent_from_kv(kv, prefix + "p.")
+    if fid not in _KERNELS:
         raise InputError(f"family id {fid!r} not loadable from text")
-
-    # declared numeric values override; the word "estimate" keeps recomputed ones
+    alpha = kv.get(prefix + "alpha")
+    fam = _builtin(fid, p, None if alpha is None else float(alpha))
+    declared = {}
     for name in ("phi0", "phi_sup", "M_lower"):
-        raw = get(name)
+        raw = kv.get(prefix + name)
         if raw is not None and raw != "estimate":
-            setattr(fam, name, float(raw))
-            fam.estimated = fam.estimated - {name}
-    if not (1.0 < fam.phi0 <= fam.phi_sup):
-        raise InputError("descriptor violates 1 < phi0 <= phi_sup")
-    return fam
+            declared[name] = float(raw)
+    return replace(fam, estimated=fam.estimated.difference(declared), **declared)

@@ -1,7 +1,8 @@
 """Uniform grids on an interval or rectangle, nodal fields, and quadrature.
 
 The domain is discretized with evenly spaced nodes including the endpoints.
-Integrals use the trapezoid rule (exact for affine data in 1d).  The discrete
+Integrals use the trapezoid rule (exact for affine data in 1d); the frozen
+grid computes its weights and nodal first coordinates once.  The discrete
 gradient uses central differences with reflected ghost nodes, so the normal
 derivative vanishes identically at boundary nodes -- that is how the
 zero-flux boundary condition enters every weak form built on top of this
@@ -12,6 +13,7 @@ assembly is an exact transpose of the same stencils.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +49,29 @@ class DomainGrid:
         lo, hi = self.extents[axis]
         return np.linspace(lo, hi, self.nodes[axis])
 
+    @cached_property
     def coords_first(self) -> np.ndarray:
-        """First-coordinate value at every node, shaped like nodal fields."""
+        """First-coordinate value at every node, shaped like nodal fields
+        (computed once per grid, read-only)."""
         x1 = self.axis_coords(0)
-        if self.dim == 1:
-            return x1
-        return np.broadcast_to(x1[:, None], self.shape).copy()
+        if self.dim == 2:
+            x1 = np.broadcast_to(x1[:, None], self.shape).copy()
+        x1.setflags(write=False)
+        return x1
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights per node, product form in 2d (computed once per
+        grid, read-only)."""
+        per_axis = []
+        for k in range(self.dim):
+            wk = np.full(self.nodes[k], self.spacing[k])
+            wk[0] *= 0.5
+            wk[-1] *= 0.5
+            per_axis.append(wk)
+        w = per_axis[0] if self.dim == 1 else np.outer(per_axis[0], per_axis[1])
+        w.setflags(write=False)
+        return w
 
 
 def make_grid(dim: int, extents, nodes) -> DomainGrid:
@@ -100,9 +119,6 @@ class GridFunction:
         y = grid.axis_coords(1)[None, :]
         return GridFunction(grid, fn(x, y))
 
-    def copy_with(self, values) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -125,24 +141,9 @@ class GridFunction:
 # quadrature
 # ---------------------------------------------------------------------------
 
-_weights_cache: dict = {}
-
-
 def quad_weights(grid: DomainGrid) -> np.ndarray:
-    """Trapezoid weights per node (product form in 2d)."""
-    key = (grid.extents, grid.nodes)
-    w = _weights_cache.get(key)
-    if w is None:
-        per_axis = []
-        for k in range(grid.dim):
-            wk = np.full(grid.nodes[k], grid.spacing[k])
-            wk[0] *= 0.5
-            wk[-1] *= 0.5
-            per_axis.append(wk)
-        w = per_axis[0] if grid.dim == 1 else np.outer(per_axis[0], per_axis[1])
-        w.setflags(write=False)
-        _weights_cache[key] = w
-    return w
+    """Trapezoid weights per node (product form in 2d); ``grid.weights``."""
+    return grid.weights
 
 
 def integrate(f: GridFunction) -> float:

@@ -75,7 +75,6 @@ def minimize(config: EnergyConfig, u0: GridFunction,
              opts: SolverOptions | None = None) -> SolveReport:
     """Armijo-backtracked descent on the residual direction from u0."""
     opts = opts or SolverOptions()
-    config.check_subcritical(u0.grid)
     w = quad_weights(u0.grid)
     u = u0
     J = energy(config, u)
@@ -143,7 +142,7 @@ def _embedding_candidates(grid: DomainGrid):
     """
     yield GridFunction.constant(grid, 1.0)
     yield bump_function(grid)
-    x = grid.coords_first()
+    x = grid.coords_first
     lo, hi = grid.extents[0]
     for k in (1, 2, 3):
         yield GridFunction(grid, np.cos(k * np.pi * (x - lo) / (hi - lo)))
@@ -264,10 +263,6 @@ class SweepReport:
 
     CSV_HEADER = "lambda,min_energy,residual_sup,solution_norm,nontrivial_flag,iterations"
 
-    @property
-    def lambda_values(self):
-        return [r.lam for r in self.rows]
-
     def csv_text(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.rows:
@@ -317,7 +312,7 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
     u_const = GridFunction.constant(grid, t0)
     lam_root = math.nan
     growth = integrate(GridFunction(grid, np.asarray(
-        reaction.G(grid.coords_first(), u_const.values))))
+        reaction.G(grid.coords_first, u_const.values))))
     if growth > 0.0:
         lam_root = sobolev_modular(family, u_const) / growth
 

@@ -79,7 +79,7 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0: float = 1.0,
 
 def _field_data(u: GridFunction):
     w = quad_weights(u.grid)
-    x1 = u.grid.coords_first()
+    x1 = u.grid.coords_first
     return w, x1
 
 

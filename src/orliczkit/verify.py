@@ -22,6 +22,8 @@ import scipy.integrate
 
 from .energy import EnergyConfig, directional_derivative, energy
 from .errors import InputError
+from .families import (delta2_margin, growth_lower_margin, phi_odd_margin,
+                       sample_x1, sqrt_convexity_margin)
 from .grid import GridFunction, integrate, random_function
 from .spaces import (conjugate_norm, luxemburg_norm, modular, sobolev_modular,
                      sobolev_norm, sobolev_norms)
@@ -35,13 +37,6 @@ _CUT = 1e-12   # dead zone around norm 1 where the relations are vacuous
 # ---------------------------------------------------------------------------
 # evaluators: (resolved objects + scalars) -> (margins array, info dict)
 # ---------------------------------------------------------------------------
-
-def _x_draw(family, rng, n):
-    if family.p is None:
-        return np.zeros(n)
-    lo, hi = family.p.x1_range
-    return rng.uniform(lo, hi, n)
-
 
 def eval_norm_modular(family, grid, seed, amplitude, smoothness):
     u = random_function(grid, seed, amplitude, smoothness)
@@ -126,7 +121,7 @@ def eval_modular_convergence(family, grid, seed, amplitude, smoothness, steps=12
 
 def eval_young(family, seed, n):
     rng = np.random.default_rng(seed)
-    x = _x_draw(family, rng, n)
+    x = sample_x1(family, n, rng)
     t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
     s = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
     margins = (np.asarray(family.Phi(x, t)) + np.asarray(family.conjugate(x, s))
@@ -136,7 +131,7 @@ def eval_young(family, seed, n):
 
 def eval_conjugate_bound(family, seed, n):
     rng = np.random.default_rng(seed)
-    x = _x_draw(family, rng, n)
+    x = sample_x1(family, n, rng)
     t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
     phi = np.asarray(family.phi(x, t))
     margins = (family.phi_sup * np.asarray(family.Phi(x, t))
@@ -146,15 +141,14 @@ def eval_conjugate_bound(family, seed, n):
 
 def eval_phi_odd(family, seed, n):
     rng = np.random.default_rng(seed)
-    x = _x_draw(family, rng, n)
+    x = sample_x1(family, n, rng)
     t = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), n))
-    margins = -np.abs(np.asarray(family.phi(x, t)) + np.asarray(family.phi(x, -t)))
-    return margins, {}
+    return phi_odd_margin(family, x, t), {}
 
 
 def eval_scaling_bounds(family, seed, n):
     rng = np.random.default_rng(seed)
-    x = _x_draw(family, rng, n)
+    x = sample_x1(family, n, rng)
     t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
     sigma = np.exp(rng.uniform(np.log(1.0 + 1e-6), np.log(1e2), n))
     tau = rng.uniform(1e-3, 1.0 - 1e-6, n)
@@ -171,32 +165,23 @@ def eval_scaling_bounds(family, seed, n):
 
 
 def eval_delta2(family, nx, nt):
-    xs = family.p.sample_points(nx) if family.p is not None else np.zeros(1)
+    xs = sample_x1(family, nx)
     ts = np.geomspace(1e-4, 1e3, nt)
-    Pt = np.asarray(family.Phi(xs[:, None], ts[None, :]))
-    P2t = np.asarray(family.Phi(xs[:, None], 2.0 * ts[None, :]))
-    bound = 2.0 ** family.phi_sup * Pt
-    margins = ((bound - P2t) / bound).ravel()
+    margins = delta2_margin(family, xs[:, None], ts[None, :]).ravel()
     return margins, {"nx": nx, "nt": nt}
 
 
 def eval_sqrt_convexity(family, nx, nt):
-    xs = family.p.sample_points(nx) if family.p is not None else np.zeros(1)
     tau = np.linspace(0.0, 1e4, nt)
-    psi = np.asarray(family.Phi(xs[:, None], np.sqrt(tau)[None, :]))
-    d2 = psi[:, 2:] - 2.0 * psi[:, 1:-1] + psi[:, :-2]
-    margins = (d2 / (1.0 + np.abs(psi[:, 1:-1]))).ravel()
+    margins = sqrt_convexity_margin(family, sample_x1(family, nx), tau).ravel()
     return margins, {"nx": nx, "nt": nt}
 
 
 def eval_growth_lower(family, seed, n):
     rng = np.random.default_rng(seed)
-    x = _x_draw(family, rng, n)
+    x = sample_x1(family, n, rng)
     t = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), n))
-    Phi = np.asarray(family.Phi(x, t))
-    lower = family.M_lower * t ** family.p(x)
-    margins = (Phi - lower) / (1.0 + np.abs(Phi))
-    return margins, {}
+    return growth_lower_margin(family, x, t), {}
 
 
 def eval_reaction_primitive(reaction, seed, n):
@@ -243,7 +228,7 @@ def eval_gradient_check(family, reaction, grid, seed, seed2, amplitude,
 
 def eval_ftc_consistency(family, seed, n):
     rng = np.random.default_rng(seed)
-    x = _x_draw(family, rng, n)
+    x = sample_x1(family, n, rng)
     t = np.exp(rng.uniform(np.log(1e-3), np.log(20.0), n))
     margins = np.empty(n)
     for i in range(n):
@@ -432,12 +417,10 @@ def run_property_suite(families, reactions, grids, n_samples: int, seed: int,
             res(name, slack).absorb(margins, {"property": name, **args, **info})
 
     for fi, family in enumerate(families):
-        margins, info = eval_delta2(family, 60, 120)
-        res("delta2_explicit_constant", 1e-9).absorb(
-            margins, {"property": "delta2_explicit_constant", "family": fi, **info})
-        margins, info = eval_sqrt_convexity(family, 20, 160)
-        res("sqrt_convexity", 1e-8).absorb(
-            margins, {"property": "sqrt_convexity", "family": fi, **info})
+        for name, slack, nx, nt in (("delta2_explicit_constant", 1e-9, 60, 120),
+                                    ("sqrt_convexity", 1e-8, 20, 160)):
+            margins, info = EVALUATORS[name](family, nx, nt)
+            res(name, slack).absorb(margins, {"property": name, "family": fi, **info})
         args = {"family": fi, "seed": int(rng.integers(0, 2 ** 62)), "n": 8}
         margins, info = eval_ftc_consistency(family, args["seed"], args["n"])
         res("ftc_consistency", 1e-10).absorb(

@@ -150,3 +150,33 @@ def test_unknown_family_name():
 
 def test_usage_error_maps_to_bad_input(capsys):
     assert main(["norm"]) == 3      # missing required --family
+
+
+BAD_FAMILY_CONSTANT_NO_COEFFS = "family = power\np.kind = constant\n"
+BAD_FAMILY_AFFINE_ONE_COEFF = "family = power\np.kind = affine\np.coeffs = 2\n"
+BAD_REACTION_AFFINE_ONE_COEFF = SOLVE_CONFIG.replace(
+    "reaction.q.kind = constant", "reaction.q.kind = affine")
+
+
+@pytest.mark.parametrize("family_text, config_text, argv", [
+    (BAD_FAMILY_CONSTANT_NO_COEFFS, None,
+     ["--const", "1", "--domain", "0", "1", "--nodes", "11"]),
+    (BAD_FAMILY_AFFINE_ONE_COEFF, None,
+     ["--const", "1", "--domain", "0", "1", "--nodes", "11"]),
+    (None, BAD_REACTION_AFFINE_ONE_COEFF, []),
+    (FAMILY_P2, None, ["--const", "1", "--domain", "0", "1", "--nodes", "11", "11"]),
+    (FAMILY_P2, None, ["--const", "1", "--domain", "0", "1", "0", "1", "--nodes", "11"]),
+], ids=["constant-no-coeffs", "affine-one-coeff", "reaction-affine-one-coeff",
+        "nodes-2d-domain-1d", "nodes-1d-domain-2d"])
+def test_malformed_input_exits_3(tmp_path, capsys, family_text, config_text, argv):
+    if config_text is not None:
+        path = tmp_path / "energy.cfg"
+        path.write_text(config_text)
+        argv = ["solve", "--config", str(path)] + argv
+    else:
+        path = tmp_path / "fam.cfg"
+        path.write_text(family_text)
+        argv = ["norm", "--family", str(path)] + argv
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -5,9 +5,9 @@ import pytest
 
 import orliczkit as ok
 from orliczkit.cli import main
-from orliczkit.config import (grid_from_kv, initial_guess_from_kv,
-                              load_energy_setup, parse_kv_text,
-                              reaction_from_kv)
+from orliczkit.config import (exponent_from_kv, grid_from_kv,
+                              initial_guess_from_kv, load_energy_setup,
+                              parse_kv_text, reaction_from_kv)
 from orliczkit.errors import InputError
 
 
@@ -108,3 +108,15 @@ def test_cli_solve_with_bump_seed_config(tmp_path):
     assert code == 0
     u = ok.load_function(out)
     assert u.grid.shape == (51,)
+
+
+@pytest.mark.parametrize("text", [
+    "p.kind = constant\n",
+    "p.kind = constant\np.coeffs = 2 3\n",
+    "p.kind = affine\np.coeffs = 2\n",
+    "p.kind = affine\np.coeffs = 2 1\np.x1_range = 1\n",
+    "p.kind = mystery\np.coeffs = 2\n",
+])
+def test_exponent_from_kv_rejects_malformed_blocks(text):
+    with pytest.raises(InputError):
+        exponent_from_kv(parse_kv_text(text), "p.")

@@ -1,5 +1,7 @@
 """Pointwise family operations against closed-form and quadrature oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -267,3 +269,23 @@ def test_logquotient_records_shifted_growth_bound(family_logquot_p3):
 def test_logweight_phi_sup_is_estimate(family_logweight):
     assert "phi_sup" in family_logweight.estimated
     assert family_logweight.phi_sup > family_logweight.p.p_plus
+
+
+def test_descriptors_are_frozen(family_logweight, all_reactions):
+    for descriptor, name in ((family_logweight, "phi_sup"),
+                             (family_logweight, "M_lower"),
+                             (all_reactions[1], "C2")):
+        before = getattr(descriptor, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(descriptor, name, 123.0)
+        assert getattr(descriptor, name) == before
+
+
+def test_declared_override_builds_new_descriptor():
+    fam = ok.family_from_text("family = log-quotient\np.kind = constant\n"
+                              "p.coeffs = 3\nM_lower = 0.5\n")
+    assert fam.M_lower == 0.5
+    assert "M_lower" not in fam.estimated
+    with pytest.raises(InputError):
+        ok.family_from_text("family = power\np.kind = constant\np.coeffs = 3\n"
+                            "M_lower = -1\n")

@@ -148,3 +148,16 @@ def test_grid_function_immutability(grid_1d):
     u = ok.GridFunction.constant(grid_1d, 1.0)
     with pytest.raises(ValueError):
         u.values[0] = 2.0
+
+
+def test_grid_caches_are_per_grid_and_read_only():
+    g = ok.make_grid(2, [(0.0, 1.0), (0.0, 2.0)], [5, 7])
+    w, x1 = quad_weights(g), g.coords_first
+    assert quad_weights(g) is w and g.coords_first is x1
+    assert x1.shape == g.shape and np.array_equal(x1[:, 0], g.axis_coords(0))
+    for arr in (w, x1):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    twin = ok.make_grid(2, [(0.0, 1.0), (0.0, 2.0)], [5, 7])
+    assert quad_weights(twin) is not w
+    assert np.array_equal(quad_weights(twin), w)
