@@ -1,4 +1,4 @@
-"""Minimizing the Neumann energy by descent.
+"""Minimizing the Neumann energy by Armijo-backtracked L-BFGS.
 
 First a configuration with a closed-form answer: Phi = t^4, G = t^2,
 lam = 1 on (0,1).  Constants c are critical exactly when 4c^3 = 2c, so the

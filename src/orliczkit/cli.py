@@ -79,7 +79,7 @@ def _solver_options(args) -> SolverOptions:
 def _cmd_solve(args) -> int:
     config, grid, u0, _ = cfg.load_energy_setup(args.config)
     if args.lam is not None:
-        config.lam = args.lam
+        config.lam = cfg.finite_float(args.lam, "--lambda")
         if not config.lam > 0:
             raise InputError("lambda must be positive")
     report = minimize(config, u0, _solver_options(args))
@@ -107,7 +107,7 @@ def _cmd_sweep(args) -> int:
     lam_text = args.lambdas or kv.get("lambdas")
     if not lam_text:
         raise InputError("sweep needs --lambdas or a 'lambdas' config entry")
-    lams = [float(v) for v in lam_text.replace(",", " ").split()]
+    lams = [cfg.finite_float(v, "lambdas") for v in lam_text.replace(",", " ").split()]
     report = sweep_lambda(config.family, config.reaction, grid, lams,
                           u0_strategy=args.strategy, opts=_solver_options(args),
                           seed=args.seed)
@@ -230,11 +230,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--tol-res", type=float, default=1e-6)
-    p.add_argument("--armijo", type=float, default=1e-4)
-    p.add_argument("--backtrack", type=float, default=0.5)
-    p.add_argument("--step", type=float, default=1.0)
+    defaults = SolverOptions()
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--tol-res", type=float, default=defaults.tol_res)
+    p.add_argument("--armijo", type=float, default=defaults.armijo_c1)
+    p.add_argument("--backtrack", type=float, default=defaults.backtrack)
+    p.add_argument("--step", type=float, default=defaults.initial_step,
+                   help="first trial step of each line search")
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,8 @@ may instead point at a standalone descriptor file via ``family.file``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError
@@ -18,7 +20,7 @@ from .energy import (EnergyConfig, power_log_reaction, power_reaction,
                      power_sin_reaction, ReactionFamily)
 
 __all__ = [
-    "parse_kv_text", "read_kv_file", "exponent_from_kv", "reaction_from_kv",
+    "parse_kv_text", "read_kv_file", "finite_float", "exponent_from_kv", "reaction_from_kv",
     "grid_from_kv", "load_energy_setup", "initial_guess_from_kv",
 ]
 
@@ -44,8 +46,20 @@ def read_kv_file(path) -> dict:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
 
 
+def finite_float(raw, key: str) -> float:
+    """float(raw) for the value of ``key``; malformed or non-finite values
+    raise an InputError naming the key."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise InputError(f"'{key}' must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"'{key}' must be finite, got {raw!r}")
+    return value
+
+
 def _floats(kv: dict, key: str, default: str = "") -> list:
-    return [float(v) for v in kv.get(key, default).split()]
+    return [finite_float(v, key) for v in kv.get(key, default).split()]
 
 
 def exponent_from_kv(kv: dict, prefix: str) -> ExponentField:
@@ -113,9 +127,11 @@ def initial_guess_from_kv(kv: dict, grid: DomainGrid,
     if kind == "zero":
         return GridFunction.constant(grid, 0.0)
     if kind == "constant":
-        return GridFunction.constant(grid, float(kv.get(prefix + "value", "1")))
+        return GridFunction.constant(grid, finite_float(kv.get(prefix + "value", "1"),
+                                                        prefix + "value"))
     if kind == "bump":
-        return float(kv.get(prefix + "value", "1")) * bump_function(grid)
+        return finite_float(kv.get(prefix + "value", "1"), prefix + "value") \
+            * bump_function(grid)
     if kind == "file":
         path = kv.get(prefix + "path")
         if path is None:
@@ -134,7 +150,7 @@ def load_energy_setup(path):
     reaction = reaction_from_kv(kv)
     if "lambda" not in kv:
         raise InputError("energy config missing 'lambda'")
-    lam = float(kv["lambda"])
+    lam = finite_float(kv["lambda"], "lambda")
     grid = grid_from_kv(kv)
     u0 = initial_guess_from_kv(kv, grid)
     return EnergyConfig(family, reaction, lam), grid, u0, kv

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.integrate
 
 from ._quadrature import gauss01, panel_gauss
-from .config import exponent_from_kv, parse_kv_text
+from .config import exponent_from_kv, finite_float, parse_kv_text
 from .errors import DomainError, InputError, NumericsError
 from .exponents import ExponentField
 
@@ -638,10 +638,10 @@ def family_from_kv(kv: dict, prefix: str = "") -> MusielakFamily:
     if fid not in _KERNELS:
         raise InputError(f"family id {fid!r} not loadable from text")
     alpha = kv.get(prefix + "alpha")
-    fam = _builtin(fid, p, None if alpha is None else float(alpha))
+    fam = _builtin(fid, p, None if alpha is None else finite_float(alpha, prefix + "alpha"))
     declared = {}
     for name in ("phi0", "phi_sup", "M_lower"):
         raw = kv.get(prefix + name)
         if raw is not None and raw != "estimate":
-            declared[name] = float(raw)
+            declared[name] = finite_float(raw, prefix + name)
     return replace(fam, estimated=fam.estimated.difference(declared), **declared)

@@ -1,12 +1,20 @@
-"""Energy minimization by descent, thresholds, and qualitative probes.
+"""Energy minimization by Armijo-backtracked L-BFGS, thresholds, and probes.
 
-``minimize`` runs gradient descent on the weight-normalized residual with an
-Armijo backtracking line search; accepted steps decrease the energy by at
-least c1 * step * sum(w r^2), and the iteration stops when the sup-norm of
-the residual (the weak-solution defect) reaches its tolerance.  A converged
-report is a discrete critical-point certificate in the spirit of a
-Palais-Smale sequence: energies recorded along the way are nonincreasing and
-the final derivative is small against every direction.
+``minimize`` is limited-memory BFGS (Liu & Nocedal 1989; Nocedal & Wright,
+*Numerical Optimization*, ch. 7) in the quadrature-weighted inner product
+<a,b>_w = sum(w a b).  The weight-normalized residual r is the gradient of
+the energy in that inner product, so this is L-BFGS preconditioned by the
+lumped mass matrix.  The search direction d = -H r comes from the two-loop
+recursion over the last few (s, y) pairs; it falls back to -r, with the
+history cleared, whenever it is not a descent direction.  Every line search
+starts from ``initial_step`` (by default the unit step, the natural
+quasi-Newton step) and backtracks until the Armijo test
+J(u + t d) <= J(u) + c1 t <r,d>_w holds, so each accepted step decreases
+the energy; the iteration stops when the sup-norm of the residual (the
+weak-solution defect) reaches its tolerance.  A converged report is a
+discrete critical-point certificate in the spirit of a Palais-Smale
+sequence: energies recorded along the way are nonincreasing and the final
+derivative is small against every direction.
 
 ``lambda_star_formula`` evaluates the small-parameter existence threshold
 
@@ -25,6 +33,7 @@ phi0; both are the computable faces of the existence results.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +50,12 @@ __all__ = [
     "estimate_embedding_constant", "SweepRow", "SweepReport", "sweep_lambda",
     "SmallTProbeReport", "small_t_probe", "CoercivityReport", "coercivity_probe", "bump_seed",
 ]
+
+
+# number of (s, y) pairs the L-BFGS direction is built from
+LBFGS_HISTORY = 8
+# a pair enters the history only if <s,y>_w > _CURVATURE_EPS |s|_w |y|_w
+_CURVATURE_EPS = 1e-10
 
 
 @dataclass
@@ -71,49 +86,77 @@ class SolveReport:
     message: str = ""
 
 
+def _dot(w, a, b) -> float:
+    return float(np.sum(w * a * b))
+
+
+def _lbfgs_direction(r, pairs, w):
+    """-H r by the two-loop recursion; H is the identity without history."""
+    if not pairs:
+        return -r
+    q = r.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * _dot(w, s, q)
+        q -= a * y
+        alphas.append(a)
+    _, y, rho = pairs[-1]
+    z = q / (rho * _dot(w, y, y))          # initial scaling <s,y>_w / <y,y>_w
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        z += (a - rho * _dot(w, y, z)) * s
+    return -z
+
+
 def minimize(config: EnergyConfig, u0: GridFunction,
              opts: SolverOptions | None = None) -> SolveReport:
-    """Armijo-backtracked descent on the residual direction from u0."""
+    """Armijo-backtracked L-BFGS in the quadrature-weighted inner product from u0."""
     opts = opts or SolverOptions()
     w = quad_weights(u0.grid)
     u = u0
     J = energy(config, u)
-    step = opts.initial_step
+    r = residual(config, u)
+    pairs = deque(maxlen=LBFGS_HISTORY)
     traj = []
     message = "reached max_iters"
-    converged = False
     iterations = 0
 
     for iterations in range(opts.max_iters):
-        r = residual(config, u)
         res_sup = r.sup_norm()
         traj.append((J, res_sup))
         if res_sup <= opts.tol_res:
-            converged, message = True, "residual below tolerance"
+            message = "residual below tolerance"
             break
-        decrease = float(np.sum(w * r.values * r.values))
-        step = min(step * 2.0, 1e8 * opts.initial_step)
+        d = _lbfgs_direction(r.values, pairs, w)
+        slope = _dot(w, r.values, d)
+        if not slope < 0.0:
+            pairs.clear()
+            d = -r.values
+            slope = _dot(w, r.values, d)
+        step = opts.initial_step
         accepted = False
         while step >= 1e-18 * opts.initial_step:
-            trial_values = u.values - step * r.values
+            trial_values = u.values + step * d
             if np.all(np.isfinite(trial_values)):
                 trial = GridFunction(u.grid, trial_values)
                 J_trial = energy(config, trial)
-                if np.isfinite(J_trial) and J_trial <= J - opts.armijo_c1 * step * decrease:
-                    u, J, accepted = trial, J_trial, True
+                if np.isfinite(J_trial) and J_trial <= J + opts.armijo_c1 * step * slope:
+                    accepted = True
                     break
             step *= opts.backtrack
         if not accepted:
             message = "line search failure (step underflow)"
             break
+        r_trial = residual(config, trial)
+        s, y = trial_values - u.values, r_trial.values - r.values
+        sy = _dot(w, s, y)
+        if sy > _CURVATURE_EPS * math.sqrt(_dot(w, s, s) * _dot(w, y, y)):
+            pairs.append((s, y, 1.0 / sy))
+        u, J, r = trial, J_trial, r_trial
     else:
         iterations = opts.max_iters
 
-    r = residual(config, u)
     res_sup = r.sup_norm()
-    if res_sup <= opts.tol_res:
-        converged = True
-    return SolveReport(u, energy(config, u), res_sup, iterations, converged,
+    return SolveReport(u, J, res_sup, iterations, res_sup <= opts.tol_res,
                        np.array(traj) if traj else np.zeros((0, 2)), message)
 
 

@@ -180,3 +180,35 @@ def test_malformed_input_exits_3(tmp_path, capsys, family_text, config_text, arg
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family_text, config_text, argv, key", [
+    (FAMILY_P2.replace("constant", "affine").replace("= 2", "= 2 1")
+     + "p.x1_range = 0 inf\n", None,
+     ["norm", "--const", "1", "--domain", "0", "1", "--nodes", "11"], "p.x1_range"),
+    (None, SOLVE_CONFIG.replace("lambda = 1.0", "lambda = inf"), ["solve"], "lambda"),
+    (None, SOLVE_CONFIG, ["solve", "--lambda", "inf"], "--lambda"),
+    (None, SOLVE_CONFIG, ["sweep", "--lambdas", "1,nan"], "lambdas"),
+], ids=["family-x1-range", "config-lambda", "flag-lambda", "flag-lambdas"])
+def test_non_finite_input_exits_3(tmp_path, capsys, family_text, config_text, argv, key):
+    if config_text is not None:
+        path = tmp_path / "energy.cfg"
+        path.write_text(config_text)
+        argv = argv[:1] + ["--config", str(path)] + argv[1:]
+    else:
+        path = tmp_path / "fam.cfg"
+        path.write_text(family_text)
+        argv = argv[:1] + ["--family", str(path)] + argv[1:]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: '{key}' must be finite")
+
+
+def test_solver_flag_defaults_match_solver_options():
+    from orliczkit.cli import _build_parser
+    args = _build_parser().parse_args(["solve", "--config", "x.cfg"])
+    defaults = ok.SolverOptions()
+    assert (args.max_iters, args.tol_res, args.armijo, args.backtrack, args.step) == (
+        defaults.max_iters, defaults.tol_res, defaults.armijo_c1,
+        defaults.backtrack, defaults.initial_step)

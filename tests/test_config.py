@@ -1,11 +1,13 @@
 """Key-value config parsing and the less-traveled loader branches."""
 
+import re
+
 import numpy as np
 import pytest
 
 import orliczkit as ok
 from orliczkit.cli import main
-from orliczkit.config import (exponent_from_kv, grid_from_kv,
+from orliczkit.config import (exponent_from_kv, finite_float, grid_from_kv,
                               initial_guess_from_kv, load_energy_setup,
                               parse_kv_text, reaction_from_kv)
 from orliczkit.errors import InputError
@@ -120,3 +122,53 @@ def test_cli_solve_with_bump_seed_config(tmp_path):
 def test_exponent_from_kv_rejects_malformed_blocks(text):
     with pytest.raises(InputError):
         exponent_from_kv(parse_kv_text(text), "p.")
+
+
+# one descriptor per numeric key, with {v} where the non-finite value goes
+NON_FINITE_FAMILY_TEXT = {
+    "p.coeffs": "family = power\np.kind = affine\np.coeffs = 2 {v}\n",
+    "p.x1_range": "family = power\np.kind = affine\np.coeffs = 2 1\np.x1_range = 0 {v}\n",
+    "p.x1": "family = power\np.kind = tabulated\np.x1 = 0 {v}\np.values = 2 3\n",
+    "p.values": "family = power\np.kind = tabulated\np.x1 = 0 1\np.values = 2 {v}\n",
+    "alpha": "family = log-weight\np.kind = constant\np.coeffs = 2\nalpha = {v}\n",
+    "phi0": "family = power\np.kind = constant\np.coeffs = 3\nphi0 = {v}\n",
+    "phi_sup": "family = power\np.kind = constant\np.coeffs = 3\nphi_sup = {v}\n",
+    "M_lower": "family = power\np.kind = constant\np.coeffs = 3\nM_lower = {v}\n",
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", sorted(NON_FINITE_FAMILY_TEXT))
+def test_family_descriptor_rejects_non_finite(key, value):
+    text = NON_FINITE_FAMILY_TEXT[key].format(v=value)
+    with pytest.raises(InputError, match=re.escape(f"'{key}' must be finite")):
+        ok.family_from_text(text)
+
+
+ENERGY_CONFIG = ("family.family = power\nfamily.p.kind = constant\nfamily.p.coeffs = 4\n"
+                 "reaction.example = power\n"
+                 "reaction.q.kind = constant\nreaction.q.coeffs = 2\n"
+                 "grid.dim = 1\ngrid.extents = 0 1\ngrid.nodes = 11\n")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key, text", [
+    ("lambda", "lambda = {v}\nu0.kind = zero\n"),
+    ("u0.value", "lambda = 1\nu0.kind = constant\nu0.value = {v}\n"),
+    ("u0.value", "lambda = 1\nu0.kind = bump\nu0.value = {v}\n"),
+    ("family.phi_sup", "lambda = 1\nfamily.phi_sup = {v}\n"),
+    ("reaction.q.coeffs", "lambda = 1\nreaction.q.kind = constant\n"
+                          "reaction.q.coeffs = {v}\n"),
+], ids=["lambda", "u0-constant", "u0-bump", "family-prefix", "reaction-prefix"])
+def test_energy_config_rejects_non_finite(tmp_path, key, text, value):
+    path = tmp_path / "energy.cfg"
+    # later lines override earlier ones in parse_kv_text
+    path.write_text(ENERGY_CONFIG + text.format(v=value))
+    with pytest.raises(InputError, match=re.escape(f"'{key}' must be finite")):
+        load_energy_setup(path)
+
+
+def test_finite_float_names_the_key():
+    assert finite_float(" 2.5 ", "k") == 2.5
+    with pytest.raises(InputError, match="'k' must be a number"):
+        finite_float("two", "k")

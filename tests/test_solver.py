@@ -48,6 +48,62 @@ def test_minimize_max_iters_reports_nonconvergence(config_p4_q2, grid_1d):
     assert "max_iters" in rep.message
 
 
+@pytest.mark.parametrize("rough, initial_step", [(True, 1.0), (False, 0.5)],
+                         ids=["rough-backtracked", "constant-first-trial"])
+def test_first_step_is_armijo_backtracked_steepest_descent(config_p4_q2, grid_1d,
+                                                           rough, initial_step):
+    # without history the L-BFGS direction is -r: the single step must be
+    # the Armijo backtrack along -r from u0 that starts at initial_step,
+    # computed here by hand.  The rough start backtracks ~23 times; on the
+    # constant start the first trial (0.5) and twice it both pass Armijo.
+    opts = SolverOptions(max_iters=1, tol_res=1e-12, initial_step=initial_step)
+    u0 = (ok.random_function(grid_1d, 4, 0.5, 3) if rough
+          else ok.GridFunction.constant(grid_1d, 0.3))
+    rep = ok.minimize(config_p4_q2, u0, opts)
+    w = ok.quad_weights(grid_1d)
+    r = ok.residual(config_p4_q2, u0).values
+    J0 = ok.energy(config_p4_q2, u0)
+    slope = -float(np.sum(w * r * r))
+    t = opts.initial_step
+    while (ok.energy(config_p4_q2, ok.GridFunction(grid_1d, u0.values - t * r))
+           > J0 + opts.armijo_c1 * t * slope):
+        t *= opts.backtrack
+    assert rep.iterations == 1
+    np.testing.assert_array_equal(rep.final_u.values, u0.values - t * r)
+    assert rep.final_energy == ok.energy(config_p4_q2, rep.final_u)
+    assert rep.trajectory[0, 0] == J0
+
+
+def _cosine_start(grid, seed):
+    x = grid.axis_coords(0)
+    noise = ok.random_function(grid, seed, 0.1, 0).values
+    return ok.GridFunction(grid, 0.5 + 0.3 * np.cos(np.pi * x) + noise)
+
+
+@pytest.mark.parametrize("nodes", [201, 401])
+def test_minimize_converges_on_fine_grids(config_p4_q2, nodes):
+    grid = ok.make_grid(1, [(0.0, 1.0)], [nodes])
+    rep = ok.minimize(config_p4_q2, _cosine_start(grid, nodes))
+    assert rep.converged
+    assert rep.residual_sup <= 1e-6
+    assert rep.final_energy == pytest.approx(-0.25, abs=1e-6)
+
+
+def test_small_lambda_solve_converges_on_201_nodes():
+    # the criterion-08 case at lambda_star, on twice the acceptance grid
+    grid = ok.make_grid(1, [(0.0, 1.0)], [201])
+    fam = ok.power_family(ok.ExponentField.affine(3.0, 1.0))
+    react = ok.power_reaction(ok.ExponentField.constant(2.0))
+    c1 = ok.estimate_embedding_constant(fam, react.q, grid, samples=50, seed=0)
+    lam_star = ok.lambda_star_formula(_default_rho(c1), react.C2, c1, fam.phi_sup,
+                                      react.q.p_minus)
+    config = ok.EnergyConfig(fam, react, lam_star)
+    rep = ok.minimize(config, ok.bump_seed(config, grid))
+    assert rep.converged
+    assert rep.final_energy < 0.0
+    assert np.all(np.diff(rep.trajectory[:, 0]) < 0.0)
+
+
 def test_solver_options_validation():
     with pytest.raises(InputError):
         SolverOptions(armijo_c1=1.5)
