@@ -33,6 +33,7 @@ global positive C1 does not exist for it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -161,6 +162,8 @@ class EnergyConfig:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise InputError("lam must be positive")
+        if not math.isfinite(self.lam):
+            raise InputError("lam must be finite")
 
 
 def _a_times(family, x1, mag, vec):

@@ -9,7 +9,8 @@ exponent bounds
 and a lower growth constant M_lower with M_lower*|t|^p(x) <= Phi(x,t) on the
 sampling window.  Three named families are built in, each one entry of the
 kernel table ``_KERNELS`` (formulas for phi and Phi, the closed-form phi_inv
-where one exists, the smallest admissible p- and the phi0 rule):
+or else the elasticity t phi'/phi that the Newton solve for phi_inv uses,
+the smallest admissible p- and the phi0 rule):
 
 * ``power``        phi = p(x)|t|^{p(x)-2} t                 Phi = |t|^{p(x)}
 * ``log-quotient`` phi = p(x)|t|^{p(x)-2} t / log(1+|t|)
@@ -55,6 +56,11 @@ __all__ = [
     "custom_family", "exponent_bounds", "check_structure",
     "StructureReport", "ConditionCheck", "family_to_text", "family_from_text",
 ]
+
+
+# phi_inv: iteration cap (bisection alone needs about 60) and stopping step
+_PHI_INV_MAX_ITER = 100
+_PHI_INV_ULPS = 4.0 * np.finfo(float).eps
 
 
 def _as_array(v):
@@ -166,9 +172,14 @@ def _power_phi_inv(fam, x1, s):
 
 
 def _log_quotient_phi(fam, x1, t):
+    # t/log1p|t| first: |t|^{p-2} t alone underflows where phi does not
     p = fam.p(x1)
     at = np.abs(t)
-    return np.where(at == 0.0, 0.0, p * at ** (p - 2.0) * t / np.log1p(at))
+    return np.where(at == 0.0, 0.0, p * (t / np.log1p(at)) * at ** (p - 2.0))
+
+
+def _log_quotient_elasticity(fam, x1, t):
+    return (fam.p(x1) - 1.0) - t / ((1.0 + t) * np.log1p(t))
 
 
 def _log_quotient_Phi(fam, x1, t):
@@ -185,6 +196,11 @@ def _log_weight_phi(fam, x1, t):
     return p * np.log(1.0 + fam.alpha + at) * at ** (p - 2.0) * t
 
 
+def _log_weight_elasticity(fam, x1, t):
+    kappa = 1.0 + fam.alpha
+    return (fam.p(x1) - 1.0) + t / ((kappa + t) * np.log(kappa + t))
+
+
 def _log_weight_Phi(fam, x1, t):
     p = fam.p(x1)
     at = np.abs(t)
@@ -196,7 +212,10 @@ def _log_weight_Phi(fam, x1, t):
 class _Kernel:
     """Formulas of one family kind, each called as f(family, x1, t).
 
-    phi_inv is the closed-form inverse of phi (None: log-space bisection).
+    phi_inv is the closed-form inverse of phi; without one, phi_inv solves
+    phi = s in z = log t, taking Newton steps on log phi when the elasticity
+    phi_elasticity = t phi'/phi = d log phi/d log t (t > 0) is known and
+    bisecting otherwise.
     The remaining slots describe built-in kinds only: the smallest
     admissible p-, the rule phi0 = p- - phi0_drop, the constants estimated
     numerically (helpers applied in order), whether alpha enters the
@@ -206,6 +225,7 @@ class _Kernel:
     phi: Callable
     Phi: Callable
     phi_inv: Callable | None = None
+    phi_elasticity: Callable | None = None
     p_min: float = 1.0
     phi0_drop: float = 0.0
     estimates: tuple = ()
@@ -288,37 +308,78 @@ class MusielakFamily:
             raise InputError("phi_inv expects s >= 0")
         if self.kernel.phi_inv is not None:
             return _maybe_scalar(np.broadcast_arrays(self.kernel.phi_inv(self, x1, s), s)[0])
-        return _maybe_scalar(self._phi_inv_bisect(*np.broadcast_arrays(x1, s)))
+        x1, s = np.broadcast_arrays(x1, s)
+        root = np.zeros(s.shape)
+        live = s > 0.0
+        if np.any(live):
+            root[live] = self._solve_phi_inv(x1[live], s[live])
+        return _maybe_scalar(root)
 
-    def _phi_inv_bisect(self, x1, s):
-        # log-space bisection; phi is a strictly increasing bijection of R+
-        lo = np.full(s.shape, 1e-300)
+    def _solve_phi_inv(self, x1, s):
+        """t > 0 with phi(x1, t) = s > 0, elementwise over 1-d arrays.
+
+        Works in z = log t inside a bracket lo < z < hi that every phi
+        evaluation narrows.  The Newton step on log phi(e^z) - log s (slope:
+        the kernel's elasticity) is taken when it lands strictly inside the
+        bracket, the midpoint otherwise; an element stops once its step is a
+        few ulp of z, and its root is e^z times e^step so that rounding z
+        costs no accuracy in t.
+        """
         hi = np.full(s.shape, 1e30)
-        for _ in range(10):
-            need = self.phi(x1, hi) < s
-            if not np.any(need):
+        for _ in range(11):         # ten growths by 1e27 reach the 1e300 cap
+            short = self.phi(x1, hi) < s
+            if not np.any(short):
                 break
-            hi = np.where(need, np.minimum(hi * 1e27, 1e300), hi)
-        if np.any(self.phi(x1, hi) < s):
+            hi = np.where(short, np.minimum(hi * 1e27, 1e300), hi)
+        else:
             raise NumericsError("phi_inv: s beyond representable range")
-        llo, lhi = np.log(lo), np.log(hi)
-        for _ in range(120):
-            mid = 0.5 * (llo + lhi)
-            low_side = self.phi(x1, np.exp(mid)) < s
-            llo = np.where(low_side, mid, llo)
-            lhi = np.where(low_side, lhi, mid)
-        root = np.exp(0.5 * (llo + lhi))
-        return np.where(s == 0.0, 0.0, root)
+        lo, hi = np.full(s.shape, math.log(1e-300)), np.log(hi)
+        elasticity = self.kernel.phi_elasticity
+        z = 0.5 * (lo + hi)
+        if elasticity is not None:
+            p = self.p(x1)
+            guess = (np.log(s) - np.log(p)) / (p - 1.0)     # phi = p t^{p-1}
+            z = np.where((lo < guess) & (guess < hi), guess, z)
+        out = np.empty(s.shape)
+        active = np.arange(s.size)
+        for _ in range(_PHI_INV_MAX_ITER):
+            t = np.exp(z)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+                # log of the ratio, not a difference of logs: near the root
+                # it is accurate to rounding whatever the size of s
+                gap = np.log(self.phi(x1, t) / s)
+                lo = np.where(gap < 0.0, z, lo)
+                hi = np.where(gap > 0.0, z, hi)
+                step = 0.5 * (lo + hi) - z
+                tol = _PHI_INV_ULPS * np.maximum(np.abs(z), 1.0)
+                if elasticity is not None:
+                    newton = -gap / elasticity(self, x1, t)
+                    # a final step below the spacing of z lands on z itself
+                    take = ((lo < z + newton) & (z + newton < hi)) | (np.abs(newton) <= tol)
+                    step = np.where(take, newton, step)
+            done = np.abs(step) <= tol
+            out[active[done]] = (t * np.exp(step))[done]
+            keep = ~done
+            if not np.any(keep):
+                return out
+            active, x1, s = active[keep], x1[keep], s[keep]
+            lo, hi, z = lo[keep], hi[keep], (z + step)[keep]
+        raise NumericsError("phi_inv: root solve did not converge")
 
     def conjugate(self, x1, s):
         """Conjugate Young function: sup_{t>0} (s t - Phi(x,t)), attained
         at t = phi_inv(x,s) by strict monotonicity of phi."""
+        return _maybe_scalar(self.conjugate_with_argmax(x1, s)[0])
+
+    def conjugate_with_argmax(self, x1, s):
+        """(conjugate(x,s), t*) as arrays, t* = phi_inv(x,s) the maximizer;
+        t* is also the s-derivative of the conjugate."""
         x1, s = _as_array(x1), _as_array(s)
         if np.any(s < 0.0):
             raise InputError("conjugate expects s >= 0")
         t_star = np.asarray(self.phi_inv(x1, s))
         val = s * t_star - np.asarray(self.Phi(x1, t_star))
-        return _maybe_scalar(np.maximum(val, 0.0))
+        return np.maximum(val, 0.0), t_star
 
     def conjugate_exponent_bounds(self):
         """Ratio bounds for the conjugate function (Young duality)."""
@@ -423,35 +484,35 @@ def _ratio(family, x1, t):
 
 
 def _golden_max(f, a, b, iters=70):
-    # golden-section search for the max of a unimodal-enough scalar function
+    # golden-section search for the max of unimodal-enough functions, one per
+    # element of the interval arrays a, b; f takes and returns such arrays
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-    return max(fc, fd)
+        right = fc < fd
+        a = np.where(right, c, a)
+        b = np.where(right, b, d)
+        new = np.where(right, a + inv * (b - a), b - inv * (b - a))
+        f_new = f(new)
+        c, d = np.where(right, d, new), np.where(right, new, c)
+        fc, fd = np.where(right, fd, f_new), np.where(right, f_new, fc)
+    return np.maximum(fc, fd)
 
 
 def _with_refined_sup(family):
     """family with phi_sup = numerical sup of t*phi/Phi (coarse log grid plus
-    golden polish), padded by a relative 1e-8 and recorded as estimated."""
+    golden polish at every x sample), padded by a relative 1e-8 and recorded
+    as estimated."""
     ts = np.geomspace(1e-6, 1e8, 281)
-    best = 0.0
-    for x in sample_x1(family, n=21):
-        r = _ratio(family, x, ts)
-        k = int(np.argmax(r))
-        best = max(best, float(r[k]))
-        a = math.log(ts[max(k - 1, 0)])
-        b = math.log(ts[min(k + 1, ts.size - 1)])
-        best = max(best, _golden_max(lambda lt, xx=x: float(_ratio(family, xx, math.exp(lt))), a, b))
+    xs = sample_x1(family, n=21)
+    r = _ratio(family, xs[:, None], ts[None, :])
+    k = np.argmax(r, axis=1)
+    a = np.log(ts[np.maximum(k - 1, 0)])
+    b = np.log(ts[np.minimum(k + 1, ts.size - 1)])
+    polished = _golden_max(lambda lt: _ratio(family, xs, np.exp(lt)), a, b)
+    best = max(float(np.max(r)), float(np.max(polished)))
     return replace(family, phi_sup=best * (1.0 + 1e-8),
                    estimated=family.estimated | {"phi_sup"})
 
@@ -470,10 +531,12 @@ def _with_m_lower(family, t_lo=1e-4, t_hi=1e4, nt=181):
 
 _KERNELS = {
     "power": _Kernel(_power_phi, _power_Phi, _power_phi_inv, p_min=2.0),
-    "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi, p_min=3.0,
+    "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi,
+                            phi_elasticity=_log_quotient_elasticity, p_min=3.0,
                             phi0_drop=1.0, estimates=(_with_m_lower,),
                             shifted_lower_bound=True),
-    "log-weight": _Kernel(_log_weight_phi, _log_weight_Phi, p_min=2.0,
+    "log-weight": _Kernel(_log_weight_phi, _log_weight_Phi,
+                          phi_elasticity=_log_weight_elasticity, p_min=2.0,
                           estimates=(_with_refined_sup, _with_m_lower),
                           uses_alpha=True),
 }

@@ -6,14 +6,19 @@ mu -> rho(u/mu) continuous and strictly decreasing, so the infimum in the
 definition is attained at equality).  The Sobolev-level norm applies the
 same construction to the combined modular of |u| and |grad u|.
 
-The unit-modular equation is solved with a guarded secant in log-log
-coordinates.  The exponent bounds give, from a single evaluation
-R = rho(u/mu), the rigorous enclosure  mu* in [mu R^{1/phi_sup},
-mu R^{1/phi0}]  (R > 1; mirrored for R < 1), which both brackets the root
-immediately and caps every secant step.
+The unit-modular equation is solved by safeguarded Newton in log-log
+coordinates.  Each modular evaluation also returns its exact log-slope,
+d log rho(u/mu) / d log mu = -integral of t phi(x,t) / rho at t = |u|/mu
+(for the conjugate modular t phi(x,t) becomes s phi_inv(x,s), since the
+conjugate's derivative is phi_inv).  The exponent bounds give, from the same
+evaluation R = rho(u/mu), the rigorous enclosure  mu* in [mu R^{1/phi_sup},
+mu R^{1/phi0}]  (R > 1; mirrored for R < 1); a Newton step that leaves it,
+or the bracket of evaluated scales, is replaced by the bisection point.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,47 +35,44 @@ NORM_TOL = 1e-8
 
 def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0: float = 1.0,
                        tol: float = NORM_TOL, max_iter: int = 120) -> float:
-    """Solve rho(mu) = 1 for a strictly decreasing modular-of-scale map.
+    """Solve R(mu) = 1 for a strictly decreasing modular-of-scale map.
 
-    exp_lo/exp_hi are ratio bounds of the underlying Young function; they
-    only steer the iteration (the enclosure above), correctness needs just
-    monotonicity.  Returns mu with |rho(mu) - 1| <= tol.
+    ``rho(mu)`` returns ``(R, d log R / d log mu)``.  exp_lo/exp_hi are
+    ratio bounds of the underlying Young function; they only safeguard the
+    iteration (the enclosure above), correctness needs just monotonicity.
+    Returns mu with |R(mu) - 1| <= tol.
     """
-    m = np.log(mu0)
-    m_lo = m_hi = None          # bracket: rho(e^{m_lo}) > 1 > rho(e^{m_hi})
-    f_lo = f_hi = None
-    exp_mid = np.sqrt(exp_lo * exp_hi)
+    m = math.log(mu0)
+    m_lo, m_hi = -math.inf, math.inf    # bracket: R(e^{m_lo}) > 1 > R(e^{m_hi})
     for _ in range(max_iter):
-        R = rho(np.exp(m))
+        R, slope = rho(math.exp(m))
         if not np.isfinite(R):
-            m += np.log(64.0)   # scale too small, modular overflowed
+            m += math.log(64.0)         # scale too small, modular overflowed
             continue
         if R <= 0.0:
-            m -= np.log(64.0)
+            m -= math.log(64.0)
             continue
         if abs(R - 1.0) <= tol:
-            return float(np.exp(m))
-        F = np.log(R)
+            return math.exp(m)
+        F = math.log(R)
         if F > 0.0:
-            m_lo, f_lo = m, F
+            m_lo = m
         else:
-            m_hi, f_hi = m, F
-        lo_c = m + min(F / exp_lo, F / exp_hi)
-        hi_c = m + max(F / exp_lo, F / exp_hi)
-        m_next = m + F / exp_mid
-        if m_lo is not None and m_hi is not None:
-            # secant through the bracketing pair, clipped into the bracket
-            m_sec = m_lo - f_lo * (m_hi - m_lo) / (f_hi - f_lo)
-            inner_lo, inner_hi = min(m_lo, m_hi), max(m_lo, m_hi)
-            m_next = min(max(m_sec, inner_lo), inner_hi)
-            if not inner_lo < m_next < inner_hi:
-                m_next = 0.5 * (inner_lo + inner_hi)
-        m_next = min(max(m_next, lo_c), hi_c)
-        if m_next == m:
-            m_next = 0.5 * (lo_c + hi_c)
+            m_hi = m
+        lo = max(m_lo, m + min(F / exp_lo, F / exp_hi))
+        hi = min(m_hi, m + max(F / exp_lo, F / exp_hi))
+        m_next = m - F / slope
+        if not lo <= m_next <= hi:      # also catches a non-finite slope
+            m_next = 0.5 * (lo + hi)
         m = m_next
     raise NumericsError("unit-modular solve did not converge "
-                        f"(last scale {np.exp(m):g})")
+                        f"(last scale {math.exp(m):g})")
+
+
+def _with_slope(R, moment):
+    """(R, d log R / d log mu) for R = rho(u/mu), given the moment
+    -dR/d log mu (the sum of w t phi(x,t) at t = |u|/mu for a Phi-modular)."""
+    return R, (-moment / R if R > 0.0 else math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,9 @@ def luxemburg_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
         return 0.0
 
     def rho(mu):
-        return float(np.sum(w * np.asarray(family.Phi(x1, au / mu))))
+        t = au / mu
+        return _with_slope(float(np.sum(w * np.asarray(family.Phi(x1, t)))),
+                           float(np.sum(w * t * np.asarray(family.phi(x1, t)))))
 
     return solve_unit_modular(rho, family.phi0, family.phi_sup, mu0=top, tol=tol)
 
@@ -119,7 +123,9 @@ def conjugate_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
     lo, hi = family.conjugate_exponent_bounds()
 
     def rho(mu):
-        return float(np.sum(w * np.asarray(family.conjugate(x1, au / mu))))
+        s = au / mu
+        values, t_star = family.conjugate_with_argmax(x1, s)
+        return _with_slope(float(np.sum(w * values)), float(np.sum(w * s * t_star)))
 
     return solve_unit_modular(rho, lo, hi, mu0=top, tol=tol)
 
@@ -143,9 +149,14 @@ def sobolev_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
         return 0.0
 
     def rho(mu):
-        vals = np.asarray(family.Phi(x1, au / mu)) \
-            + np.asarray(family.Phi(x1, gmag / mu))
-        return float(np.sum(w * vals))
+        # the moment is reduced per term so that no extra node array is
+        # alive while Phi runs; values keeps sobolev_modular's sum order
+        values, moment = 0.0, 0.0
+        for a in (au, gmag):
+            t = a / mu
+            values = values + np.asarray(family.Phi(x1, t))
+            moment += float(np.sum(w * t * np.asarray(family.phi(x1, t))))
+        return _with_slope(float(np.sum(w * values)), moment)
 
     return solve_unit_modular(rho, family.phi0, family.phi_sup, mu0=top, tol=tol)
 

@@ -1,5 +1,7 @@
 """Reactions, the energy functional, its derivative, and the nodal residual."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,11 @@ def test_energy_lambda_guard(config_p4_q2):
         ok.EnergyConfig(config_p4_q2.family, config_p4_q2.reaction, 0.0)
     with pytest.raises(InputError):
         ok.EnergyConfig(config_p4_q2.family, config_p4_q2.reaction, -1.0)
+
+
+def test_energy_lambda_must_be_finite(config_p4_q2):
+    with pytest.raises(InputError, match="lam must be finite"):
+        ok.EnergyConfig(config_p4_q2.family, config_p4_q2.reaction, math.inf)
 
 
 def test_directional_derivative_at_zero(config_p4_q2, grid_1d):

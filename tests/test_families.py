@@ -13,6 +13,19 @@ from orliczkit.families import check_structure, exponent_bounds
 # frozen oracle values
 PHI_II_P3_AT_1 = 4.328085122666891          # 3 / log(2)
 G3_AT_1 = 1.7456241416655579                # 1 + sin(sin(1)), used in test_energy
+LOGWEIGHT_PHI_SUP = 3.369326799013649       # p = 2 + x, alpha = 1 (the CLI default)
+
+
+def _counting_phi(fam):
+    """fam with a kernel phi that records the size of every evaluation."""
+    sizes = []
+    inner = fam.kernel.phi
+
+    def phi(family, x1, t):
+        sizes.append(np.size(t))
+        return inner(family, x1, t)
+
+    return dataclasses.replace(fam, kernel=dataclasses.replace(fam.kernel, phi=phi)), sizes
 
 
 def test_phi_power_example(family_power_p2):
@@ -83,6 +96,34 @@ def test_phi_inverse_monotone(family_logweight_p2):
     s = np.geomspace(1e-4, 1e4, 60)
     t = np.asarray(family_logweight_p2.phi_inv(np.zeros_like(s), s))
     assert np.all(np.diff(t) > 0)
+
+
+def test_phi_elasticity_matches_log_difference(family_logquot_affine, family_logweight):
+    # t phi'/phi against a central difference of log phi in log t
+    ts = np.geomspace(1e-6, 1e6, 61)
+    h = 1e-5
+    for fam in (family_logquot_affine, family_logweight):
+        for x in (0.0, 0.4, 1.0):
+            xs = np.full_like(ts, x)
+            up = np.log(np.asarray(fam.phi(xs, ts * np.exp(h))))
+            down = np.log(np.asarray(fam.phi(xs, ts * np.exp(-h))))
+            elasticity = fam.kernel.phi_elasticity(fam, xs, ts)
+            assert np.max(np.abs(elasticity - (up - down) / (2.0 * h))) <= 1e-7
+
+
+def test_phi_inv_batch_takes_few_phi_evaluations(family_logquot_affine, family_logweight):
+    # one 129^2 batch: safeguarded Newton needs a handful of phi calls where
+    # a log-space bisection to full precision needs over a hundred
+    grid = ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [129, 129])
+    x1 = grid.coords_first
+    for fam in (family_logquot_affine, family_logweight):
+        for amplitude in (0.1, 1.0, 10.0):
+            s = np.abs(ok.random_function(grid, 7, amplitude, 3).values)
+            counted, sizes = _counting_phi(fam)
+            t = np.asarray(counted.phi_inv(x1, s))
+            assert len(sizes) <= 12
+            back = np.asarray(fam.phi(x1, t))
+            assert np.all(np.abs(back - s) <= 1e-12 * s)
 
 
 def test_conjugate_power_closed_form(family_power_p2):
@@ -269,6 +310,7 @@ def test_logquotient_records_shifted_growth_bound(family_logquot_p3):
 def test_logweight_phi_sup_is_estimate(family_logweight):
     assert "phi_sup" in family_logweight.estimated
     assert family_logweight.phi_sup > family_logweight.p.p_plus
+    assert family_logweight.phi_sup == pytest.approx(LOGWEIGHT_PHI_SUP, rel=1e-14)
 
 
 def test_descriptors_are_frozen(family_logweight, all_reactions):

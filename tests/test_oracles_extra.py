@@ -89,10 +89,52 @@ def test_conjugate_matches_grid_search_sup(all_families, s):
 
 def test_phi_inv_extreme_arguments(family_logquot_p3, family_logweight_p2):
     for fam in (family_logquot_p3, family_logweight_p2):
-        for s in (1e-12, 1e12, 1e30):
+        for s in (1e-250, 1e-12, 1e12, 1e30, 1e250):
             t = float(fam.phi_inv(0.0, s))
             assert np.isfinite(t) and t > 0
-            assert float(fam.phi(0.0, t)) == pytest.approx(s, rel=1e-9)
+            assert float(fam.phi(0.0, t)) == pytest.approx(s, rel=1e-9, abs=0.0)
+
+
+def _mp_phi_inv(fam, x, s):
+    # bisection in log t on a literal transcription of the two log kernels
+    p = mpmath.mpf(float(fam.p(x)))
+    if fam.family_id == "log-quotient":
+        def log_phi(z):
+            return mpmath.log(p) + (p - 1) * z - mpmath.log(mpmath.log1p(mpmath.exp(z)))
+    else:
+        kappa = 1 + mpmath.mpf(fam.alpha)
+
+        def log_phi(z):
+            return mpmath.log(p) + (p - 1) * z + mpmath.log(mpmath.log(kappa + mpmath.exp(z)))
+    target = mpmath.log(mpmath.mpf(s))
+    lo, hi = mpmath.mpf(-800), mpmath.mpf(800)
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        if log_phi(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return mpmath.exp((lo + hi) / 2)
+
+
+def test_phi_inv_against_mpmath(family_logquot_affine, family_logweight):
+    mpmath.mp.dps = 40
+    s = 10.0 ** np.arange(-250, 251, 50)
+    for fam in (family_logquot_affine, family_logweight):
+        for x in (0.0, 0.37, 1.0):
+            t = np.asarray(fam.phi_inv(np.full_like(s, x), s))
+            for si, ti in zip(s, t):
+                oracle = _mp_phi_inv(fam, x, si)
+                assert abs((ti - oracle) / oracle) <= 1e-13
+
+
+def test_custom_family_phi_inv_bisects():
+    # no elasticity: the same loop bisects in log t
+    fam = ok.custom_family(lambda x, t: 3.0 * np.abs(t) * t, lambda x, t: np.abs(t) ** 3)
+    s = np.array([0.0, 1e-200, 3e-4, 12.0, 1e200])
+    t = np.asarray(fam.phi_inv(np.zeros_like(s), s))
+    assert t[0] == 0.0
+    np.testing.assert_allclose(t[1:], np.sqrt(s[1:] / 3.0), rtol=1e-12)
 
 
 def test_minimize_constant_recovery_2d():

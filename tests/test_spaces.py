@@ -7,6 +7,7 @@ import scipy.integrate as si
 import scipy.optimize
 
 import orliczkit as ok
+from orliczkit import spaces
 from orliczkit.spaces import (conjugate_norm, luxemburg_norm, modular,
                               sobolev_modular, sobolev_norm, sobolev_norms)
 
@@ -174,3 +175,28 @@ def test_modular_norm_convergence_linked(all_families, grid_1d):
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert rhos[-1] <= 2.0 ** (-12 * fam.phi0) * rhos[0] * (1.0 + 1e-9)
         assert norms[-1] == pytest.approx(2.0 ** -12 * norms[0], rel=1e-7)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1.0, 1e3])
+def test_luxemburg_solve_takes_few_modular_evaluations(
+        monkeypatch, family_power_p4, family_logquot_affine, family_logweight,
+        grid_2d, amplitude):
+    # Newton on the exact log-slope: exact in one step for a constant-p
+    # power law, a few steps for the log families
+    evals = []
+    solve = spaces.solve_unit_modular
+
+    def counted_solve(rho, *args, **kwargs):
+        def counted(mu):
+            evals.append(mu)
+            return rho(mu)
+        return solve(counted, *args, **kwargs)
+
+    monkeypatch.setattr(spaces, "solve_unit_modular", counted_solve)
+    u = ok.random_function(grid_2d, 8, amplitude, 2)
+    for fam, cap in ((family_power_p4, 3), (family_logquot_affine, 5),
+                     (family_logweight, 5)):
+        evals.clear()
+        N = luxemburg_norm(fam, u)
+        assert len(evals) <= cap
+        assert modular(fam, (1.0 / N) * u) == pytest.approx(1.0, abs=1e-7)
