@@ -30,9 +30,12 @@ a Phi callable is given too.
 Descriptors are frozen: a factory builds a provisional descriptor, estimates
 the constants that need phi/Phi on it, and returns a new descriptor through
 ``dataclasses.replace``.  The non-elementary correction integrals of the two
-log families are evaluated with substitutions that remove the endpoint
-singularity followed by panel Gauss-Legendre; see _quadrature.  Everything
-is vectorized over broadcastable (x, t) arrays and free of mutable state.
+log families split at a cut: the head is 16-node Gauss-Legendre after a
+cubic substitution that removes the endpoint singularity, and the tail is
+integrated only on the elements past the cut, with panels sized per
+element, so every value is independent of its batch; see _quadrature.
+Everything is vectorized over broadcastable (x, t) arrays and free of
+mutable state.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from ._quadrature import gauss01, panel_gauss
 from .config import exponent_from_kv, finite_float, parse_kv_text
@@ -87,70 +89,62 @@ def _maybe_scalar(out):
 def _corr_log_quotient(V, p):
     """integral_0^V expm1(v)^p / v^2 dv for V = log(1+|t|), elementwise.
 
-    Substituting v = c*y^2 on [0, c], c = min(V, 1), turns the fractional
-    endpoint behaviour v^{p-2} into y^{2p-3} (analytic for integer p, mild
-    otherwise); the remainder [c, V] is handled with enough plain panels to
-    resolve the exp(p*v) growth.
+    Substituting v = c*y^3 on [0, c], c = min(V, 1), turns the fractional
+    endpoint behaviour v^{p-2} into y^{3p-4}, smooth enough for one 16-node
+    Gauss rule; the tail [1, V] is integrated only on the elements with
+    V > 1, each with its own ceil(p(V-1)/16) panels (at most 128) to resolve
+    the exp(p*v) growth.
     """
     V, p = np.broadcast_arrays(_as_array(V), _as_array(p))
+    shape, V, p = V.shape, V.ravel(), p.ravel()
     c = np.minimum(V, 1.0)
-    cc = c[..., None]
-    pp = p[..., None]
+    cc = c[:, None]
+    pp = p[:, None]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         def head(y):
-            return np.exp(pp * np.log(np.expm1(cc * y * y)) - 3.0 * np.log(y))
+            return np.exp(pp * np.log(np.expm1(cc * y ** 3)) - 4.0 * np.log(y))
 
-        part_a = np.where(c > 0.0, gauss01(head) * 2.0 / np.where(c > 0, c, 1.0), 0.0)
+        def tail(v, q):
+            return np.exp(q * np.log(np.expm1(v)) - 2.0 * np.log(v))
 
-        v_max = float(np.max(V, initial=0.0))
-        p_max = float(np.max(p, initial=1.0))
-        if v_max > 1.0:
-            panels = int(min(128, max(1, math.ceil(p_max * (v_max - 1.0) / 16.0))))
-
-            def tail(v):
-                return np.exp(pp * np.log(np.expm1(v)) - 2.0 * np.log(v))
-
-            part_b = panel_gauss(tail, c, V, panels)
-        else:
-            part_b = 0.0
-    return part_a + part_b
+        out = np.where(c > 0.0, gauss01(head) * 3.0 / np.where(c > 0, c, 1.0), 0.0)
+        far = np.flatnonzero(V > 1.0)
+        if far.size:
+            panels = np.clip(np.ceil(p[far] * (V[far] - 1.0) / 16.0), 1, 128)
+            out[far] += panel_gauss(tail, 1.0, V[far], panels, p[far])
+    return out.reshape(shape)
 
 
 def _corr_log_weight(T, p, kappa):
     """integral_0^T s^p / (kappa + s) ds for T = |t|, elementwise.
 
-    [0, c] with c = min(T, kappa) uses s = c*y^2; the tail [c, T] is
-    integrated in log coordinates where the pole sits at fixed imaginary
-    distance pi, panel count set by the longest log interval in the batch.
+    [0, c] with c = min(T, kappa) uses s = c*y^3 and one 16-node Gauss rule;
+    the tail [kappa, T] is integrated only on the elements with T > kappa,
+    in log coordinates where the pole sits at fixed imaginary distance pi,
+    each with its own ceil(log(T/kappa)/6) panels (at most 128).
     """
     T, p = np.broadcast_arrays(_as_array(T), _as_array(p))
-    c = np.minimum(T, kappa)
-    cc = c[..., None]
-    pp = p[..., None]
+    shape, T, p = T.shape, T.ravel(), p.ravel()
+    cc = np.minimum(T, kappa)[:, None]
+    pp = p[:, None]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         def head(y):
-            s = cc * y * y
-            return s ** pp / (kappa + s) * 2.0 * cc * y
+            s = cc * y ** 3
+            return s ** pp / (kappa + s) * 3.0 * cc * y * y
 
-        part_a = gauss01(head)
+        def tail(w, q):
+            ew = np.exp(w)
+            return ew ** (q + 1.0) / (kappa + ew)
 
-        t_max = float(np.max(T, initial=0.0))
-        if t_max > kappa:
-            span = math.log(t_max) - math.log(kappa)
-            panels = int(min(128, max(1, math.ceil(span / 6.0))))
-            log_lo = np.log(np.where(c > 0, c, 1.0))
-            log_hi = np.log(np.where(T > c, T, np.where(c > 0, c, 1.0)))
-
-            def tail(w):
-                ew = np.exp(w)
-                return ew ** (pp + 1.0) / (kappa + ew)
-
-            part_b = np.where(T > c, panel_gauss(tail, log_lo, log_hi, panels), 0.0)
-        else:
-            part_b = 0.0
-    return part_a + part_b
+        out = gauss01(head)
+        far = np.flatnonzero(T > kappa)
+        if far.size:
+            lo, hi = math.log(kappa), np.log(T[far])
+            panels = np.clip(np.ceil((hi - lo) / 6.0), 1, 128)
+            out[far] += panel_gauss(tail, lo, hi, panels, p[far])
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +229,8 @@ class _Kernel:
 
 def _quad_Phi(phi_fn, fam, x1, t):
     """Phi of a custom family by adaptive quadrature of phi_fn, elementwise."""
+    import scipy.integrate      # deferred: it dominates the package import time
+
     x1b, tb = np.broadcast_arrays(x1, np.abs(t))
     out = np.empty(x1b.shape)
     flat_x, flat_t, flat_o = x1b.ravel(), tb.ravel(), out.ravel()

@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from .energy import EnergyConfig, directional_derivative, energy
 from .errors import InputError
@@ -227,6 +226,8 @@ def eval_gradient_check(family, reaction, grid, seed, seed2, amplitude,
 
 
 def eval_ftc_consistency(family, seed, n):
+    import scipy.integrate      # deferred: it dominates the package import time
+
     rng = np.random.default_rng(seed)
     x = sample_x1(family, n, rng)
     t = np.exp(rng.uniform(np.log(1e-3), np.log(20.0), n))

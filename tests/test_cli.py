@@ -1,5 +1,9 @@
 """Exit-code contract and file outputs of the command-line front end."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -212,3 +216,13 @@ def test_solver_flag_defaults_match_solver_options():
     assert (args.max_iters, args.tol_res, args.armijo, args.backtrack, args.step) == (
         defaults.max_iters, defaults.tol_res, defaults.armijo_c1,
         defaults.backtrack, defaults.initial_step)
+
+
+def test_import_loads_no_scipy():
+    # scipy.integrate is imported only where adaptive quadrature runs
+    code = ("import sys, orliczkit, orliczkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ok.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -8,6 +8,7 @@ import scipy.integrate as si
 
 import orliczkit as ok
 from orliczkit.errors import DomainError, InputError
+from orliczkit import families
 from orliczkit.families import check_structure, exponent_bounds
 
 # frozen oracle values
@@ -74,6 +75,40 @@ def test_Phi_matches_quadrature_of_phi(all_families, t):
             ref, _ = si.quad(lambda s: float(fam.phi(np.asarray(x), np.asarray(s))),
                              0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
             assert float(fam.Phi(x, t)) == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])
+def test_log_Phi_is_elementwise(request, name):
+    # each element sizes its own quadrature, so its batch cannot change it
+    fam = request.getfixturevalue(name)
+    x = np.array([0.3, 0.9, 0.3, 0.6, 0.3])
+    t = np.array([30.0, 1e3, 1e8, 0.5, 2.5])
+    batch = np.asarray(fam.Phi(x, t))
+    for xi, ti, bi in zip(x, t, batch):
+        assert fam.Phi(xi, ti) == bi
+
+
+@pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])
+def test_log_Phi_tail_sees_only_elements_past_the_cut(monkeypatch, request, name):
+    fam = request.getfixturevalue(name)
+    # the tail starts at log(1+|t|) = 1 resp. |t| = 1 + alpha
+    cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
+    sizes = []
+    inner = families.panel_gauss
+
+    def recording(fn, a, b, panels, *params):
+        sizes.append(np.size(b))
+        return inner(fn, a, b, panels, *params)
+
+    monkeypatch.setattr(families, "panel_gauss", recording)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 1.0, (129, 129))
+    t = rng.uniform(0.0, 0.9 * cut, (129, 129))
+    k = 37
+    t.flat[rng.choice(t.size, k, replace=False)] = cut * np.geomspace(1.5, 1e6, k)
+    Phi = np.asarray(fam.Phi(x, t))
+    assert np.all(np.isfinite(Phi)) and np.all(Phi > 0.0)
+    assert sizes == [k]
 
 
 def test_phi_inverse_examples(family_power_p2, family_logquot_p3):

@@ -2,8 +2,9 @@
 
 These cross-check the production routes with deliberately different methods:
 the Luxemburg solve against arbitrary-precision bisection on a literal
-transcription of the discrete modular, and the stationarity-based conjugate
-against a brute-force grid maximization of the defining supremum.
+transcription of the discrete modular, the stationarity-based conjugate
+against a brute-force grid maximization of the defining supremum, and the
+panel-quadrature Phi of the log families against mpmath quadrature of phi.
 """
 
 import mpmath
@@ -126,6 +127,35 @@ def test_phi_inv_against_mpmath(family_logquot_affine, family_logweight):
             for si, ti in zip(s, t):
                 oracle = _mp_phi_inv(fam, x, si)
                 assert abs((ti - oracle) / oracle) <= 1e-13
+
+
+def _mp_Phi(fam, x, t):
+    # integral of a literal transcription of phi in z = log s; the integrand
+    # is scaled by its value at the top end, as mpmath's tolerance is absolute
+    p = mpmath.mpf(float(fam.p(x)))
+    if fam.family_id == "log-quotient":
+        def g(z):
+            return p * mpmath.exp(p * z) / mpmath.log1p(mpmath.exp(z))
+    else:
+        kappa = 1 + mpmath.mpf(fam.alpha)
+
+        def g(z):
+            return p * mpmath.log(kappa + mpmath.exp(z)) * mpmath.exp(p * z)
+    top = mpmath.log(mpmath.mpf(t))
+    scale = g(top)
+    return scale * mpmath.quad(lambda u: g(top + u) / scale,
+                               [mpmath.ninf, -40, -10, -3, -1, 0])
+
+
+def test_log_Phi_against_mpmath(family_logquot_affine, family_logweight):
+    ts = np.concatenate([np.geomspace(1e-6, 1e6, 13), [1e-12, 1e12, 1e60]])
+    with mpmath.workdps(20):
+        for fam in (family_logquot_affine, family_logweight):
+            for x in (0.0, 0.37, 1.0):
+                Phi = np.asarray(fam.Phi(np.full_like(ts, x), ts))
+                for t, value in zip(ts, Phi):
+                    oracle = _mp_Phi(fam, x, t)
+                    assert abs((value - oracle) / oracle) <= 1e-13
 
 
 def test_custom_family_phi_inv_bisects():
