@@ -11,11 +11,13 @@ with directional derivative
 
 where a(x,s) s = phi(x,s) (and a(x,0)*0 := 0, the removable singularity).
 All integrals use the grid module's trapezoid weights and the gradient uses
-the reflected-ghost stencils, so ``directional_derivative`` is the *exact*
-derivative of the discrete ``energy`` -- finite differences of J reproduce
-it to rounding.  The nodal residual divides each partial derivative by its
-quadrature weight, making the stationarity defect comparable across grids;
-its zeros are the discrete weak solutions.
+the reflected-ghost stencils.  ``residual`` assembles this weak form once,
+through the exact transpose of the gradient stencils, and divides each
+partial derivative by its quadrature weight, making the stationarity defect
+comparable across grids; its zeros are the discrete weak solutions.
+``directional_derivative`` is the weighted pairing sum(w r v) of that
+residual with v, so it is the *exact* derivative of the discrete ``energy``
+-- finite differences of J reproduce it to rounding.
 
 Three reaction families are built in, one entry each of the table
 ``_REACTIONS`` (q = q(x) is an exponent field):
@@ -42,6 +44,7 @@ import numpy as np
 from .errors import InputError
 from .exponents import ExponentField
 from .grid import GridFunction, gradient, gradient_adjoint, quad_weights
+from .spaces import sobolev_modular
 
 __all__ = [
     "ReactionFamily", "power_reaction", "power_log_reaction", "power_sin_reaction",
@@ -166,16 +169,8 @@ class EnergyConfig:
             raise InputError("lam must be finite")
 
 
-def _a_times(family, x1, mag, vec):
-    """a(x,mag) * vec with a(x,s) = phi(x,s)/s and a(x,0)*0 := 0."""
-    safe = np.where(mag > 0.0, mag, 1.0)
-    coeff = np.where(mag > 0.0, np.asarray(family.phi(x1, safe)) / safe, 0.0)
-    return coeff * vec
-
-
 def energy(config: EnergyConfig, u: GridFunction) -> float:
     """J(u); equals 0 at u = 0."""
-    from .spaces import sobolev_modular
     w = quad_weights(u.grid)
     x1 = u.grid.coords_first
     reaction_term = float(np.sum(w * np.asarray(config.reaction.G(x1, u.values))))
@@ -184,26 +179,15 @@ def energy(config: EnergyConfig, u: GridFunction) -> float:
 
 def directional_derivative(config: EnergyConfig, u: GridFunction,
                            v: GridFunction) -> float:
-    """<J'(u), v> with the same stencils and weights as `energy`."""
-    fam = config.family
-    grid = u.grid
-    w = quad_weights(grid)
-    x1 = grid.coords_first
-    gu = gradient(u)
-    gv = gradient(v)
-    gmag = np.sqrt(np.sum(gu * gu, axis=0))
-    grad_term = np.sum(_a_times(fam, x1, gmag, gu) * gv, axis=0)
-    # a(x,|u|) u = phi(x,u) by oddness
-    mass_term = np.asarray(fam.phi(x1, u.values)) * v.values
-    react_term = np.asarray(config.reaction.g(x1, u.values)) * v.values
-    return float(np.sum(w * (grad_term + mass_term - config.lam * react_term)))
+    """<J'(u), v> = sum(w r v), the weighted pairing of the residual r with v."""
+    return float(np.sum(quad_weights(u.grid) * residual(config, u).values * v.values))
 
 
 def residual(config: EnergyConfig, u: GridFunction) -> GridFunction:
     """Nodal weak-form defect r with r_i = <J'(u), e_i> / w_i.
 
     Assembled through the exact adjoint of the gradient stencils, so that
-    the weighted pairing of r with any v reproduces directional_derivative.
+    the weighted pairing of r with any v is the derivative of `energy`.
     """
     fam = config.family
     grid = u.grid
@@ -211,8 +195,11 @@ def residual(config: EnergyConfig, u: GridFunction) -> GridFunction:
     x1 = grid.coords_first
     gu = gradient(u)
     gmag = np.sqrt(np.sum(gu * gu, axis=0))
-    flux = _a_times(fam, x1, gmag, gu)
+    # flux a(x,|grad u|) grad u with a(x,s) = phi(x,s)/s and a(x,0)*0 := 0
+    safe = np.where(gmag > 0.0, gmag, 1.0)
+    flux = np.where(gmag > 0.0, np.asarray(fam.phi(x1, safe)) / safe, 0.0) * gu
     grad_part = gradient_adjoint(w * flux, grid) / w
+    # a(x,|u|) u = phi(x,u) by oddness
     point_part = np.asarray(fam.phi(x1, u.values)) \
         - config.lam * np.asarray(config.reaction.g(x1, u.values))
     return GridFunction(grid, grad_part + point_part)

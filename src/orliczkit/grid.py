@@ -81,6 +81,8 @@ def make_grid(dim: int, extents, nodes) -> DomainGrid:
     ext = np.atleast_2d(np.asarray(extents, dtype=float))
     if ext.shape != (dim, 2):
         raise InputError(f"extents must be {dim} (lo, hi) pairs")
+    if not np.all(np.isfinite(ext)):
+        raise InputError("extents must be finite")
     nn = np.atleast_1d(np.asarray(nodes, dtype=int))
     if nn.shape != (dim,):
         raise InputError(f"nodes must give {dim} per-axis counts")

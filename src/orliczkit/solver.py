@@ -41,9 +41,9 @@ import numpy as np
 from .energy import EnergyConfig, energy, residual
 from .errors import InputError
 from .families import power_family
-from .grid import (DomainGrid, GridFunction, bump_function, quad_weights,
+from .grid import (DomainGrid, GridFunction, bump_function, integrate, quad_weights,
                    random_function)
-from .spaces import luxemburg_norm, sobolev_norm
+from .spaces import luxemburg_norm, sobolev_modular, sobolev_norm
 
 __all__ = [
     "SolverOptions", "SolveReport", "minimize", "lambda_star_formula",
@@ -71,8 +71,10 @@ class SolverOptions:
             raise InputError("armijo_c1 must lie in (0, 1)")
         if not 0.0 < self.backtrack < 1.0:
             raise InputError("backtrack ratio must lie in (0, 1)")
-        if self.max_iters < 1 or self.initial_step <= 0.0 or self.tol_res <= 0.0:
-            raise InputError("max_iters, tol_res and initial_step must be positive")
+        if not (self.max_iters >= 1 and 0.0 < self.tol_res < math.inf
+                and 0.0 < self.initial_step < math.inf):
+            raise InputError("max_iters, tol_res and initial_step must be positive "
+                             "and finite")
 
 
 @dataclass
@@ -348,9 +350,6 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
     if u0_strategy not in ("bump", "constant", "zero", "all"):
         raise InputError(f"unknown u0 strategy {u0_strategy!r}")
     opts = opts or SolverOptions()
-
-    from .grid import integrate
-    from .spaces import sobolev_modular
 
     u_const = GridFunction.constant(grid, t0)
     lam_root = math.nan

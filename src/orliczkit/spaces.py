@@ -4,16 +4,20 @@ The modular of a nodal field u is rho(u) = integral of Phi(x, |u(x)|); the
 norm is the unique mu > 0 with rho(u/mu) = 1 (the doubling property makes
 mu -> rho(u/mu) continuous and strictly decreasing, so the infimum in the
 definition is attained at equality).  The Sobolev-level norm applies the
-same construction to the combined modular of |u| and |grad u|.
+same construction to the combined modular of |u| and |grad u|, and the
+conjugate norm to the conjugate Young function.  All three are one solve,
+``_unit_norm``, over a tuple of nodal magnitude fields and a Young function
+Psi given with its derivative psi: (Phi, phi) for the Luxemburg and Sobolev
+norms, (Phi*, phi_inv) for the conjugate norm (the conjugate's derivative
+is phi_inv, returned by ``conjugate_with_argmax``).
 
 The unit-modular equation is solved by safeguarded Newton in log-log
 coordinates.  Each modular evaluation also returns its exact log-slope,
-d log rho(u/mu) / d log mu = -integral of t phi(x,t) / rho at t = |u|/mu
-(for the conjugate modular t phi(x,t) becomes s phi_inv(x,s), since the
-conjugate's derivative is phi_inv).  The exponent bounds give, from the same
-evaluation R = rho(u/mu), the rigorous enclosure  mu* in [mu R^{1/phi_sup},
-mu R^{1/phi0}]  (R > 1; mirrored for R < 1); a Newton step that leaves it,
-or the bracket of evaluated scales, is replaced by the bisection point.
+d log rho(u/mu) / d log mu = -integral of t psi(x,t) / rho at t = |u|/mu.
+The exponent bounds give, from the same evaluation R = rho(u/mu), the
+rigorous enclosure  mu* in [mu R^{1/phi_sup}, mu R^{1/phi0}]  (R > 1;
+mirrored for R < 1); a Newton step that leaves it, or the bracket of
+evaluated scales, is replaced by the bisection point.
 """
 
 from __future__ import annotations
@@ -69,96 +73,84 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0: float = 1.0,
                         f"(last scale {math.exp(m):g})")
 
 
-def _with_slope(R, moment):
-    """(R, d log R / d log mu) for R = rho(u/mu), given the moment
-    -dR/d log mu (the sum of w t phi(x,t) at t = |u|/mu for a Phi-modular)."""
-    return R, (-moment / R if R > 0.0 else math.nan)
+def _unit_norm(w, mags, young, lo, hi, tol):
+    """The scale mu at which the sum over the magnitude fields a in ``mags``
+    of integral Psi(a/mu) equals 1; 0 when every magnitude vanishes.
+
+    ``young(t)`` returns (Psi(t), psi(t)) at the nodal magnitudes t; lo/hi
+    are Psi's ratio bounds.
+    """
+    top = max(float(np.max(a)) for a in mags)
+    if top == 0.0:
+        return 0.0
+
+    def rho(mu):
+        # values keeps the sum order of _phi_sum, so R(1) equals modular
+        # and sobolev_modular bit for bit
+        values, moment = 0.0, 0.0
+        for a in mags:
+            t = a / mu
+            Psi, psi = young(t)
+            values = values + np.asarray(Psi)
+            moment += float(np.sum(w * t * np.asarray(psi)))
+        R = float(np.sum(w * values))
+        return R, (-moment / R if R > 0.0 else math.nan)
+
+    return solve_unit_modular(rho, lo, hi, mu0=top, tol=tol)
+
+
+def _phi_norm(family, u: GridFunction, mags, tol):
+    """_unit_norm with Psi = Phi of the family, on magnitude fields of u."""
+    x1 = u.grid.coords_first
+    return _unit_norm(quad_weights(u.grid), mags,
+                      lambda t: (family.Phi(x1, t), family.phi(x1, t)),
+                      family.phi0, family.phi_sup, tol)
+
+
+def _phi_sum(family, u: GridFunction, mags) -> float:
+    """integral of the sum of Phi(x, a) over the magnitude fields a of u."""
+    values = 0.0
+    for a in mags:
+        values = values + np.asarray(family.Phi(u.grid.coords_first, a))
+    return float(np.sum(quad_weights(u.grid) * values))
 
 
 # ---------------------------------------------------------------------------
 # modulars and norms on nodal fields
 # ---------------------------------------------------------------------------
 
-def _field_data(u: GridFunction):
-    w = quad_weights(u.grid)
-    x1 = u.grid.coords_first
-    return w, x1
-
-
 def modular(family, u: GridFunction) -> float:
     """rho(u) = integral of Phi(x, |u|)."""
-    w, x1 = _field_data(u)
-    return float(np.sum(w * np.asarray(family.Phi(x1, np.abs(u.values)))))
+    return _phi_sum(family, u, (np.abs(u.values),))
 
 
 def luxemburg_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
     """inf{mu > 0 : rho(u/mu) <= 1}, solved at equality; 0 for u = 0."""
-    w, x1 = _field_data(u)
-    au = np.abs(u.values)
-    top = float(np.max(au))
-    if top == 0.0:
-        return 0.0
-
-    def rho(mu):
-        t = au / mu
-        return _with_slope(float(np.sum(w * np.asarray(family.Phi(x1, t)))),
-                           float(np.sum(w * t * np.asarray(family.phi(x1, t)))))
-
-    return solve_unit_modular(rho, family.phi0, family.phi_sup, mu0=top, tol=tol)
+    return _phi_norm(family, u, (np.abs(u.values),), tol)
 
 
 def conjugate_modular(family, u: GridFunction) -> float:
     """Modular taken with the conjugate Young function."""
-    w, x1 = _field_data(u)
-    return float(np.sum(w * np.asarray(family.conjugate(x1, np.abs(u.values)))))
+    conj = family.conjugate(u.grid.coords_first, np.abs(u.values))
+    return float(np.sum(quad_weights(u.grid) * np.asarray(conj)))
 
 
 def conjugate_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
     """Luxemburg-type norm built from the conjugate Young function."""
-    w, x1 = _field_data(u)
-    au = np.abs(u.values)
-    top = float(np.max(au))
-    if top == 0.0:
-        return 0.0
-    lo, hi = family.conjugate_exponent_bounds()
-
-    def rho(mu):
-        s = au / mu
-        values, t_star = family.conjugate_with_argmax(x1, s)
-        return _with_slope(float(np.sum(w * values)), float(np.sum(w * s * t_star)))
-
-    return solve_unit_modular(rho, lo, hi, mu0=top, tol=tol)
+    x1 = u.grid.coords_first
+    return _unit_norm(quad_weights(u.grid), (np.abs(u.values),),
+                      lambda s: family.conjugate_with_argmax(x1, s),
+                      *family.conjugate_exponent_bounds(), tol)
 
 
 def sobolev_modular(family, u: GridFunction) -> float:
     """integral of Phi(x,|u|) + Phi(x,|grad u|) (the functional Lambda)."""
-    w, x1 = _field_data(u)
-    gmag = gradient_magnitude(u)
-    vals = np.asarray(family.Phi(x1, np.abs(u.values))) \
-        + np.asarray(family.Phi(x1, gmag))
-    return float(np.sum(w * vals))
+    return _phi_sum(family, u, (np.abs(u.values), gradient_magnitude(u)))
 
 
 def sobolev_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
     """The scale mu with combined modular of (u/mu, grad u/mu) equal to 1."""
-    w, x1 = _field_data(u)
-    au = np.abs(u.values)
-    gmag = gradient_magnitude(u)
-    top = max(float(np.max(au)), float(np.max(gmag)))
-    if top == 0.0:
-        return 0.0
-
-    def rho(mu):
-        # the moment is reduced per term so that no extra node array is
-        # alive while Phi runs; values keeps sobolev_modular's sum order
-        values, moment = 0.0, 0.0
-        for a in (au, gmag):
-            t = a / mu
-            values = values + np.asarray(family.Phi(x1, t))
-            moment += float(np.sum(w * t * np.asarray(family.phi(x1, t))))
-        return _with_slope(float(np.sum(w * values)), moment)
-
-    return solve_unit_modular(rho, family.phi0, family.phi_sup, mu0=top, tol=tol)
+    return _phi_norm(family, u, (np.abs(u.values), gradient_magnitude(u)), tol)
 
 
 def sobolev_norms(family, u: GridFunction, tol: float = NORM_TOL):
@@ -167,9 +159,6 @@ def sobolev_norms(family, u: GridFunction, tol: float = NORM_TOL):
     n1 = |grad u| norm + |u| norm, n2 = max of the two, and n is the
     combined-modular norm from sobolev_norm.
     """
-    nu = luxemburg_norm(family, u, tol=tol)
-    gmag = gradient_magnitude(u)
-    ng_field = GridFunction(u.grid, gmag)
-    ng = luxemburg_norm(family, ng_field, tol=tol)
-    n = sobolev_norm(family, u, tol=tol)
+    au, gmag = np.abs(u.values), gradient_magnitude(u)
+    nu, ng, n = (_phi_norm(family, u, mags, tol) for mags in ((au,), (gmag,), (au, gmag)))
     return ng + nu, max(ng, nu), n

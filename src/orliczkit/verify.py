@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyConfig, directional_derivative, energy
+from .energy import CERTIFICATION_T_RANGE, EnergyConfig, directional_derivative, energy
 from .errors import InputError
 from .families import (delta2_margin, growth_lower_margin, phi_odd_margin,
                        sample_x1, sqrt_convexity_margin)
@@ -197,7 +197,6 @@ def eval_reaction_primitive(reaction, seed, n):
 
 
 def eval_reaction_envelopes(reaction, seed, n):
-    from .energy import CERTIFICATION_T_RANGE
     lo, hi = CERTIFICATION_T_RANGE
     rng = np.random.default_rng(seed)
     xlo, xhi = reaction.q.x1_range

@@ -209,6 +209,23 @@ def test_non_finite_input_exits_3(tmp_path, capsys, family_text, config_text, ar
     assert captured.err.startswith(f"error: '{key}' must be finite")
 
 
+@pytest.mark.parametrize("command, argv, message", [
+    ("solve", ["--step", "inf"], "must be positive and finite"),
+    ("solve", ["--tol-res", "inf"], "must be positive and finite"),
+    ("solve", ["--tol-res", "nan"], "must be positive and finite"),
+    ("norm", ["--const", "1", "--domain", "0", "inf", "--nodes", "11"],
+     "extents must be finite"),
+], ids=["flag-step-inf", "flag-tol-res-inf", "flag-tol-res-nan", "flag-domain-inf"])
+def test_non_finite_solver_or_grid_flag_exits_3(family_file, solve_config, capsys,
+                                                command, argv, message):
+    source = ["--config", solve_config] if command == "solve" else ["--family", family_file]
+    assert main([command] + source + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Warning" not in captured.err
+
+
 def test_solver_flag_defaults_match_solver_options():
     from orliczkit.cli import _build_parser
     args = _build_parser().parse_args(["solve", "--config", "x.cfg"])

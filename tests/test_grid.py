@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
+from orliczkit.config import grid_from_kv, parse_kv_text
 from orliczkit.errors import InputError
 from orliczkit.grid import (bump_function, gradient, gradient_adjoint,
                             gradient_magnitude, integrate, load_function,
@@ -29,6 +30,19 @@ def test_make_grid_rejects_degenerate():
         ok.make_grid(1, [(0.0, 1.0)], [2])
     with pytest.raises(InputError):
         ok.make_grid(3, [(0.0, 1.0)] * 3, [5, 5, 5])
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+def test_make_grid_rejects_non_finite_extents(tmp_path, lo, hi):
+    with pytest.raises(InputError, match="extents must be finite"):
+        ok.make_grid(2, [(0.0, 1.0), (lo, hi)], [3, 3])
+    kv = parse_kv_text(f"grid.dim = 1\ngrid.extents = {lo!r} {hi!r}\ngrid.nodes = 5\n")
+    with pytest.raises(InputError, match="extents must be finite"):
+        grid_from_kv(kv)
+    p = tmp_path / "sol.dat"
+    p.write_text(f"1 3 {lo!r} {hi!r}\n0.0\n0.0\n0.0\n")
+    with pytest.raises(InputError, match="extents must be finite"):
+        load_function(p)
 
 
 def test_gradient_constant_is_zero(grid_2d):

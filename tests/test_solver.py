@@ -113,6 +113,15 @@ def test_solver_options_validation():
         SolverOptions(max_iters=0)
 
 
+@pytest.mark.parametrize("key", ["tol_res", "initial_step"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_solver_options_reject_non_finite(key, value):
+    # an infinite step never backtracks below its floor, an infinite
+    # tolerance reports any iterate as converged, and a NaN one never does
+    with pytest.raises(InputError, match="positive and finite"):
+        SolverOptions(**{key: value})
+
+
 def test_critical_point_certificate(config_p4_q2, grid_1d):
     rep = ok.minimize(config_p4_q2, ok.GridFunction.constant(grid_1d, 0.3))
     for seed in range(20):
