@@ -157,34 +157,34 @@ def integrate(f: GridFunction) -> float:
 # gradient with reflected ghosts and its exact adjoint
 # ---------------------------------------------------------------------------
 
+def _neighbours(v: np.ndarray, axis: int):
+    """v at the previous and at the next node along ``axis``, with the
+    reflected ghosts v[1] before the first node and v[-2] after the last."""
+    i = np.arange(v.shape[axis])
+    return (np.take(v, np.abs(i - 1), axis=axis),
+            np.take(v, i[-1] - np.abs(i[-2] - i), axis=axis))
+
+
 def _diff_axis(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    pad = [(0, 0)] * v.ndim
-    pad[axis] = (1, 1)
-    vp = np.pad(v, pad, mode="reflect")
-    sl_hi = [slice(None)] * v.ndim
-    sl_lo = [slice(None)] * v.ndim
-    sl_hi[axis] = slice(2, None)
-    sl_lo[axis] = slice(None, -2)
-    return (vp[tuple(sl_hi)] - vp[tuple(sl_lo)]) / (2.0 * h)
+    prev, nxt = _neighbours(v, axis)
+    return (nxt - prev) / (2.0 * h)
 
 
 def _diff_axis_adjoint(y: np.ndarray, h: float, axis: int) -> np.ndarray:
     # reflection makes the boundary rows of the difference operator zero,
     # so the adjoint zeroes them before applying the transposed stencil
-    z = np.array(y)
-    sl = [slice(None)] * z.ndim
-    sl[axis] = 0
-    z[tuple(sl)] = 0.0
-    sl[axis] = -1
-    z[tuple(sl)] = 0.0
-    pad = [(0, 0)] * z.ndim
-    pad[axis] = (1, 1)
-    zp = np.pad(z, pad, mode="constant")
-    sl_hi = [slice(None)] * z.ndim
-    sl_lo = [slice(None)] * z.ndim
-    sl_hi[axis] = slice(2, None)
-    sl_lo[axis] = slice(None, -2)
-    return (zp[tuple(sl_lo)] - zp[tuple(sl_hi)]) / (2.0 * h)
+    z = np.moveaxis(np.array(y), axis, 0)
+    z[0] = z[-1] = 0.0
+    out = np.zeros(z.shape)
+    out[1:] = z[:-1]
+    out[:-1] -= z[1:]
+    return np.moveaxis(out, 0, axis) / (2.0 * h)
+
+
+def _gradient(grid: DomainGrid, v: np.ndarray) -> np.ndarray:
+    """``gradient`` of a stack v of nodal fields, shape (dim,) + v.shape."""
+    return np.stack([_diff_axis(v, grid.spacing[k], k - grid.dim)
+                     for k in range(grid.dim)])
 
 
 def gradient(u: GridFunction) -> np.ndarray:
@@ -193,15 +193,17 @@ def gradient(u: GridFunction) -> np.ndarray:
     Central differences in the interior; at boundary nodes the ghost value is
     the reflected interior neighbour, so the normal component is exactly 0.
     """
-    g = np.empty((u.grid.dim,) + u.grid.shape)
-    for k in range(u.grid.dim):
-        g[k] = _diff_axis(u.values, u.grid.spacing[k], k)
-    return g
+    return _gradient(u.grid, u.values)
+
+
+def _gradient_magnitude(grid: DomainGrid, v: np.ndarray) -> np.ndarray:
+    """|grad v| of a stack v of nodal fields, shape v.shape."""
+    g = _gradient(grid, v)
+    return np.sqrt(np.sum(g * g, axis=0))
 
 
 def gradient_magnitude(u: GridFunction) -> np.ndarray:
-    g = gradient(u)
-    return np.sqrt(np.sum(g * g, axis=0))
+    return _gradient_magnitude(u.grid, u.values)
 
 
 def gradient_adjoint(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
@@ -216,6 +218,31 @@ def gradient_adjoint(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
 # synthetic fields
 # ---------------------------------------------------------------------------
 
+def _random_fields(grid: DomainGrid, seeds, amplitudes, smoothness) -> np.ndarray:
+    """``random_function`` values, one row per entry of the equally long
+    seeds, amplitudes and smoothness counts (or scalars: one row), stacked
+    as (rows,) + grid.shape.  The passes run on the stack, on the rows whose
+    smoothness is not yet used up, so a row equals its own random_function.
+    """
+    seeds, amplitudes, smoothness = map(np.atleast_1d, (seeds, amplitudes, smoothness))
+    if not np.all(amplitudes > 0.0):
+        raise InputError("amplitude must be positive")
+    if np.any(smoothness < 0):
+        raise InputError("smoothness must be >= 0")
+    v = np.stack([np.random.default_rng(int(s)).uniform(-1.0, 1.0, size=grid.shape)
+                  for s in seeds])
+    for k in range(int(np.max(smoothness))):
+        rows = np.flatnonzero(smoothness > k)
+        w = v[rows]
+        for ax in range(-grid.dim, 0):
+            prev, nxt = _neighbours(w, ax)
+            w = 0.25 * (prev + 2.0 * w + nxt)
+        v[rows] = w
+    v *= (amplitudes / np.max(np.abs(v.reshape(len(v), -1)), axis=1)).reshape(
+        (-1,) + (1,) * grid.dim)
+    return v
+
+
 def random_function(grid: DomainGrid, seed: int, amplitude: float,
                     smoothness: int = 2) -> GridFunction:
     """Deterministic smoothed noise with sup-norm exactly `amplitude`.
@@ -223,24 +250,7 @@ def random_function(grid: DomainGrid, seed: int, amplitude: float,
     `smoothness` counts the passes of a (1,2,1)/4 moving average applied
     along each axis (with reflected ends, keeping boundary flatness mild).
     """
-    if not amplitude > 0.0:
-        raise InputError("amplitude must be positive")
-    if smoothness < 0:
-        raise InputError("smoothness must be >= 0")
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(-1.0, 1.0, size=grid.shape)
-    for _ in range(smoothness):
-        for ax in range(grid.dim):
-            pad = [(0, 0)] * grid.dim
-            pad[ax] = (1, 1)
-            vp = np.pad(v, pad, mode="reflect")
-            sl_hi = [slice(None)] * grid.dim
-            sl_lo = [slice(None)] * grid.dim
-            sl_hi[ax] = slice(2, None)
-            sl_lo[ax] = slice(None, -2)
-            v = 0.25 * (vp[tuple(sl_lo)] + 2.0 * v + vp[tuple(sl_hi)])
-    v *= amplitude / np.max(np.abs(v))
-    return GridFunction(grid, v)
+    return GridFunction(grid, _random_fields(grid, seed, amplitude, smoothness)[0])
 
 
 def bump_function(grid: DomainGrid, amplitude: float = 1.0,

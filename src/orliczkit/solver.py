@@ -41,9 +41,10 @@ import numpy as np
 from .energy import EnergyConfig, energy, residual
 from .errors import InputError
 from .families import power_family
-from .grid import (DomainGrid, GridFunction, bump_function, integrate, quad_weights,
-                   random_function)
-from .spaces import luxemburg_norm, sobolev_modular, sobolev_norm
+from .grid import (DomainGrid, GridFunction, _random_fields, bump_function, integrate,
+                   quad_weights)
+from .spaces import (_stack_luxemburg_norm, _stack_sobolev_norm, sobolev_modular,
+                     sobolev_norm)
 
 __all__ = [
     "SolverOptions", "SolveReport", "minimize", "lambda_star_formula",
@@ -204,20 +205,14 @@ def estimate_embedding_constant(family, q, grid: DomainGrid,
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    q_family = power_family(q)
     rng = np.random.default_rng(seed)
-
-    def ratio(u):
-        den = sobolev_norm(family, u)
-        return luxemburg_norm(q_family, u) / den if den > 0.0 else 0.0
-
-    best = max(ratio(u) for u in _embedding_candidates(grid))
-    for _ in range(samples):
-        child = int(rng.integers(0, 2 ** 62))
-        amp = float(rng.choice([0.1, 1.0, 10.0]))
-        smooth = int(rng.integers(0, 5))
-        best = max(best, ratio(random_function(grid, child, amp, smooth)))
-    return best
+    draws = [(int(rng.integers(0, 2 ** 62)), float(rng.choice([0.1, 1.0, 10.0])),
+              int(rng.integers(0, 5))) for _ in range(samples)]
+    U = np.concatenate([[u.values for u in _embedding_candidates(grid)],
+                        _random_fields(grid, *zip(*draws))])
+    den = _stack_sobolev_norm(family, grid, U)
+    num = _stack_luxemburg_norm(power_family(q), grid, U)
+    return float(np.max(np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)))
 
 
 def _default_rho(c1: float) -> float:

@@ -11,13 +11,21 @@ Psi given with its derivative psi: (Phi, phi) for the Luxemburg and Sobolev
 norms, (Phi*, phi_inv) for the conjugate norm (the conjugate's derivative
 is phi_inv, returned by ``conjugate_with_argmax``).
 
+Every modular and norm is computed on a stack of fields of one grid, with
+a leading batch axis: the ``_stack_*`` functions take an array of shape
+(rows,) + grid.shape and return one value per row, and the public
+functions are the same code on a stack of one.  A row's value never
+depends on the other rows (Phi and phi are elementwise, sums run per row).
+
 The unit-modular equation is solved by safeguarded Newton in log-log
-coordinates.  Each modular evaluation also returns its exact log-slope,
-d log rho(u/mu) / d log mu = -integral of t psi(x,t) / rho at t = |u|/mu.
-The exponent bounds give, from the same evaluation R = rho(u/mu), the
-rigorous enclosure  mu* in [mu R^{1/phi_sup}, mu R^{1/phi0}]  (R > 1;
-mirrored for R < 1); a Newton step that leaves it, or the bracket of
-evaluated scales, is replaced by the bisection point.
+coordinates, one vector iteration for all rows.  Each modular evaluation
+also returns its exact log-slope, d log rho(u/mu) / d log mu = -integral of
+t psi(x,t) / rho at t = |u|/mu.  The exponent bounds give, from the same
+evaluation R = rho(u/mu), the rigorous enclosure  mu* in [mu R^{1/phi_sup},
+mu R^{1/phi0}]  (R > 1; mirrored for R < 1); a Newton step that leaves it,
+or the row's bracket of evaluated scales, is replaced by the bisection
+point.  A row that has converged leaves the active set, and its modular
+is no longer evaluated.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-from .grid import GridFunction, gradient_magnitude, quad_weights
+from .grid import GridFunction, _gradient_magnitude, quad_weights
 
 __all__ = [
     "modular", "luxemburg_norm", "conjugate_modular", "conjugate_norm",
@@ -35,98 +43,176 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-8
+_LOG64 = math.log(64.0)
+_NODE_BUDGET = 129 * 129
 
 
-def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0: float = 1.0,
-                       tol: float = NORM_TOL, max_iter: int = 120) -> float:
-    """Solve R(mu) = 1 for a strictly decreasing modular-of-scale map.
+def _libm(fn, v):
+    # math.exp/math.log per entry: numpy's SIMD exp and log can differ from
+    # libm in the last bit, and a norm should not depend on numpy's dispatch
+    return np.array([fn(x) for x in v.tolist()])
 
-    ``rho(mu)`` returns ``(R, d log R / d log mu)``.  exp_lo/exp_hi are
-    ratio bounds of the underlying Young function; they only safeguard the
-    iteration (the enclosure above), correctness needs just monotonicity.
-    Returns mu with |R(mu) - 1| <= tol.
+
+def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0,
+                       tol: float = NORM_TOL, max_iter: int = 120) -> np.ndarray:
+    """Solve R(mu) = 1 for strictly decreasing modular-of-scale maps, one
+    row per entry of the starting scales ``mu0``, each with its own bracket.
+
+    ``rho(mu)`` maps the vector of scales to the vectors ``(R, d log R /
+    d log mu)``; a row that has converged is passed as NaN and its outputs
+    are ignored, so rho may skip it.  exp_lo/exp_hi are ratio bounds of the
+    underlying Young function; they only safeguard the iteration (the
+    enclosure above), correctness needs just monotonicity.  Returns the
+    vector of mu with |R(mu) - 1| <= tol.
     """
-    m = math.log(mu0)
-    m_lo, m_hi = -math.inf, math.inf    # bracket: R(e^{m_lo}) > 1 > R(e^{m_hi})
-    for _ in range(max_iter):
-        R, slope = rho(math.exp(m))
-        if not np.isfinite(R):
-            m += math.log(64.0)         # scale too small, modular overflowed
-            continue
-        if R <= 0.0:
-            m -= math.log(64.0)
-            continue
-        if abs(R - 1.0) <= tol:
-            return math.exp(m)
-        F = math.log(R)
-        if F > 0.0:
-            m_lo = m
-        else:
-            m_hi = m
-        lo = max(m_lo, m + min(F / exp_lo, F / exp_hi))
-        hi = min(m_hi, m + max(F / exp_lo, F / exp_hi))
-        m_next = m - F / slope
-        if not lo <= m_next <= hi:      # also catches a non-finite slope
-            m_next = 0.5 * (lo + hi)
-        m = m_next
+    m = _libm(math.log, np.atleast_1d(np.asarray(mu0, dtype=float)))
+    m_lo = np.full(m.shape, -np.inf)     # bracket: R(e^{m_lo}) > 1 > R(e^{m_hi})
+    m_hi = np.full(m.shape, np.inf)
+    live = np.ones(m.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            R, slope = rho(np.where(live, _libm(math.exp, m), np.nan))
+            live &= ~(np.abs(R - 1.0) <= tol)
+            if not live.any():
+                return _libm(math.exp, m)
+            regular = (R > 0.0) & (R < np.inf)
+            F = _libm(math.log, np.where(regular, R, 1.0))     # 0 where irregular
+            m_lo = np.where(F > 0.0, m, m_lo)
+            m_hi = np.where(F < 0.0, m, m_hi)
+            a, b = m + F / exp_lo, m + F / exp_hi
+            lo, hi = np.maximum(m_lo, np.minimum(a, b)), np.minimum(m_hi, np.maximum(a, b))
+            m_next = m - F / slope
+            # the bisection point replaces a step out of the bracket or the
+            # enclosure, and a non-finite one
+            m_next = np.where((lo <= m_next) & (m_next <= hi), m_next, 0.5 * (lo + hi))
+            # a non-finite modular means the scale is too small, R <= 0 too large
+            m_next = np.where(regular, m_next, np.where(R <= 0.0, m - _LOG64, m + _LOG64))
+            m = np.where(live, m_next, m)
     raise NumericsError("unit-modular solve did not converge "
-                        f"(last scale {math.exp(m):g})")
+                        f"(last scale {math.exp(m[live][0]):g})")
 
 
-def _unit_norm(w, mags, young, lo, hi, tol):
-    """The scale mu at which the sum over the magnitude fields a in ``mags``
-    of integral Psi(a/mu) equals 1; 0 when every magnitude vanishes.
+def _row_chunks(n_rows, n_nodes):
+    """Slices of at most max(1, _NODE_BUDGET // n_nodes) rows covering n_rows:
+    a stack is evaluated in chunks, so the temporaries of one Phi call stay
+    within those of a single 129^2 field however many rows it holds."""
+    step = max(1, _NODE_BUDGET // n_nodes)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _unit_norm(grid, mags, young, lo, hi, tol):
+    """The scales mu, one per row, at which the sum over the magnitude
+    stacks a in ``mags`` (each (rows, nodes)) of integral Psi(a/mu) equals 1;
+    0 for a row where every magnitude vanishes.
 
     ``young(t)`` returns (Psi(t), psi(t)) at the nodal magnitudes t; lo/hi
     are Psi's ratio bounds.
     """
-    top = max(float(np.max(a)) for a in mags)
-    if top == 0.0:
-        return 0.0
+    w = grid.weights.ravel()
+    top = np.max([np.max(a, axis=1) for a in mags], axis=0)
+    mu = np.zeros(top.shape)
+    nonzero = np.flatnonzero(top > 0.0)
+    for chunk in _row_chunks(nonzero.size, w.size):
+        rows = nonzero[chunk]
+        stack = tuple(a[rows] for a in mags)
 
-    def rho(mu):
-        # values keeps the sum order of _phi_sum, so R(1) equals modular
-        # and sobolev_modular bit for bit
-        values, moment = 0.0, 0.0
-        for a in mags:
-            t = a / mu
-            Psi, psi = young(t)
-            values = values + np.asarray(Psi)
-            moment += float(np.sum(w * t * np.asarray(psi)))
-        R = float(np.sum(w * values))
-        return R, (-moment / R if R > 0.0 else math.nan)
+        def rho(mu):
+            # values keeps the sum order of _phi_sum, so R(1) equals modular
+            # and sobolev_modular bit for bit; rows finished (NaN) are skipped
+            live = ~np.isnan(mu)
+            live = slice(None) if live.all() else np.flatnonzero(live)
+            values, moment = 0.0, 0.0
+            for a in stack:
+                t = a[live] / mu[live, None]
+                Psi, psi = young(t)
+                values = values + np.asarray(Psi)
+                moment = moment + np.sum(w * t * np.asarray(psi), axis=1)
+            R, slope = np.full((2, mu.size), np.nan)
+            R[live] = np.sum(w * values, axis=1)
+            slope[live] = -moment / R[live]     # under the solve's errstate
+            return R, slope
 
-    return solve_unit_modular(rho, lo, hi, mu0=top, tol=tol)
+        mu[rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows], tol=tol)
+    return mu
 
 
-def _phi_norm(family, u: GridFunction, mags, tol):
-    """_unit_norm with Psi = Phi of the family, on magnitude fields of u."""
-    x1 = u.grid.coords_first
-    return _unit_norm(quad_weights(u.grid), mags,
-                      lambda t: (family.Phi(x1, t), family.phi(x1, t)),
+def _phi_norm(family, grid, mags, tol):
+    """_unit_norm with Psi = Phi of the family."""
+    x1 = grid.coords_first.ravel()
+    return _unit_norm(grid, mags, lambda t: (family.Phi(x1, t), family.phi(x1, t)),
                       family.phi0, family.phi_sup, tol)
 
 
-def _phi_sum(family, u: GridFunction, mags) -> float:
-    """integral of the sum of Phi(x, a) over the magnitude fields a of u."""
-    values = 0.0
-    for a in mags:
-        values = values + np.asarray(family.Phi(u.grid.coords_first, a))
-    return float(np.sum(quad_weights(u.grid) * values))
+def _phi_sum(family, grid, mags):
+    """integral of the sum of Phi(x, a) over the magnitude stacks a, per row."""
+    x1, w = grid.coords_first.ravel(), grid.weights.ravel()
+    out = np.empty(len(mags[0]))
+    for rows in _row_chunks(out.size, w.size):
+        values = 0.0
+        for a in mags:
+            values = values + np.asarray(family.Phi(x1, a[rows]))
+        out[rows] = np.sum(w * values, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# modulars and norms on nodal fields
+# stacks: U holds one nodal field of ``grid`` per row, shape (rows,) + shape;
+# the magnitude stacks hold one flattened field per row
 # ---------------------------------------------------------------------------
+
+def _rows(U):
+    return np.abs(U).reshape(len(U), -1)
+
+
+def _grad_rows(grid, U):
+    return _gradient_magnitude(grid, U).reshape(len(U), -1)
+
+
+def _stack_modular(family, grid, U):
+    return _phi_sum(family, grid, (_rows(U),))
+
+
+def _stack_luxemburg_norm(family, grid, U, tol=NORM_TOL):
+    return _phi_norm(family, grid, (_rows(U),), tol)
+
+
+def _stack_conjugate_norm(family, grid, U, tol=NORM_TOL):
+    x1 = grid.coords_first.ravel()
+    return _unit_norm(grid, (_rows(U),), lambda s: family.conjugate_with_argmax(x1, s),
+                      *family.conjugate_exponent_bounds(), tol)
+
+
+def _stack_sobolev_modular(family, grid, U):
+    return _phi_sum(family, grid, (_rows(U), _grad_rows(grid, U)))
+
+
+def _stack_sobolev_norm(family, grid, U, tol=NORM_TOL):
+    return _phi_norm(family, grid, (_rows(U), _grad_rows(grid, U)), tol)
+
+
+def _stack_sobolev_norms(family, grid, U, tol=NORM_TOL):
+    """(n1, n2, n) per row; see sobolev_norms."""
+    au, gmag = _rows(U), _grad_rows(grid, U)
+    nu, ng, n = (_phi_norm(family, grid, mags, tol) for mags in ((au,), (gmag,), (au, gmag)))
+    return ng + nu, np.maximum(ng, nu), n
+
+
+# ---------------------------------------------------------------------------
+# modulars and norms on nodal fields: each is its stack form on one row
+# ---------------------------------------------------------------------------
+
+def _one(stack_fn, family, u: GridFunction, *args):
+    return float(stack_fn(family, u.grid, u.values[None], *args)[0])
+
 
 def modular(family, u: GridFunction) -> float:
     """rho(u) = integral of Phi(x, |u|)."""
-    return _phi_sum(family, u, (np.abs(u.values),))
+    return _one(_stack_modular, family, u)
 
 
 def luxemburg_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
     """inf{mu > 0 : rho(u/mu) <= 1}, solved at equality; 0 for u = 0."""
-    return _phi_norm(family, u, (np.abs(u.values),), tol)
+    return _one(_stack_luxemburg_norm, family, u, tol)
 
 
 def conjugate_modular(family, u: GridFunction) -> float:
@@ -137,20 +223,17 @@ def conjugate_modular(family, u: GridFunction) -> float:
 
 def conjugate_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
     """Luxemburg-type norm built from the conjugate Young function."""
-    x1 = u.grid.coords_first
-    return _unit_norm(quad_weights(u.grid), (np.abs(u.values),),
-                      lambda s: family.conjugate_with_argmax(x1, s),
-                      *family.conjugate_exponent_bounds(), tol)
+    return _one(_stack_conjugate_norm, family, u, tol)
 
 
 def sobolev_modular(family, u: GridFunction) -> float:
     """integral of Phi(x,|u|) + Phi(x,|grad u|) (the functional Lambda)."""
-    return _phi_sum(family, u, (np.abs(u.values), gradient_magnitude(u)))
+    return _one(_stack_sobolev_modular, family, u)
 
 
 def sobolev_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
     """The scale mu with combined modular of (u/mu, grad u/mu) equal to 1."""
-    return _phi_norm(family, u, (np.abs(u.values), gradient_magnitude(u)), tol)
+    return _one(_stack_sobolev_norm, family, u, tol)
 
 
 def sobolev_norms(family, u: GridFunction, tol: float = NORM_TOL):
@@ -159,6 +242,4 @@ def sobolev_norms(family, u: GridFunction, tol: float = NORM_TOL):
     n1 = |grad u| norm + |u| norm, n2 = max of the two, and n is the
     combined-modular norm from sobolev_norm.
     """
-    au, gmag = np.abs(u.values), gradient_magnitude(u)
-    nu, ng, n = (_phi_norm(family, u, mags, tol) for mags in ((au,), (gmag,), (au, gmag)))
-    return ng + nu, max(ng, nu), n
+    return tuple(float(n[0]) for n in _stack_sobolev_norms(family, u.grid, u.values[None], tol))

@@ -9,12 +9,19 @@ is at least minus the property's slack.  Witnesses carry the exact arguments
 ``replay_witness`` reproduces any reported margin bit-for-bit.
 
 Random fields are drawn at three amplitudes so that both the small-norm and
-large-norm branches of the norm-modular relations get exercised.
+large-norm branches of the norm-modular relations get exercised.  The draws
+of a field property come from the suite's seed in a fixed order; the
+samples of one (property, family, grid) are then evaluated as one stack of
+fields with a leading batch axis, by one evaluator call with per-sample
+argument arrays, and absorbed in draw order, each with its own witness.  A
+replayed witness is the same evaluator on a stack of one, and a sample's
+margin does not depend on the rest of its stack.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +30,9 @@ from .energy import CERTIFICATION_T_RANGE, EnergyConfig, directional_derivative,
 from .errors import InputError
 from .families import (delta2_margin, growth_lower_margin, phi_odd_margin,
                        sample_x1, sqrt_convexity_margin)
-from .grid import GridFunction, integrate, random_function
-from .spaces import (conjugate_norm, luxemburg_norm, modular, sobolev_modular,
-                     sobolev_norm, sobolev_norms)
+from .grid import GridFunction, _random_fields
+from .spaces import (_stack_conjugate_norm, _stack_luxemburg_norm, _stack_modular,
+                     _stack_sobolev_modular, _stack_sobolev_norm, _stack_sobolev_norms)
 
 __all__ = ["PropertyResult", "VerifyReport", "run_property_suite",
            "replay_witness", "EVALUATORS"]
@@ -34,88 +41,92 @@ _CUT = 1e-12   # dead zone around norm 1 where the relations are vacuous
 
 
 # ---------------------------------------------------------------------------
-# evaluators: (resolved objects + scalars) -> (margins array, info dict)
+# evaluators: (resolved objects + scalars) -> (margins array, info dict); the
+# field evaluators also take per-sample arrays (one margin and one info entry
+# per sample), and scalars are a stack of one
 # ---------------------------------------------------------------------------
 
+def _col(values, grid):
+    """Per-sample values shaped to scale a stack of nodal fields of grid."""
+    return np.reshape(values, (-1,) + (1,) * grid.dim)
+
+
 def eval_norm_modular(family, grid, seed, amplitude, smoothness):
-    u = random_function(grid, seed, amplitude, smoothness)
-    N = luxemburg_norm(family, u)
-    rho = modular(family, u)
-    if N > 1.0 + _CUT:
-        m = min(rho - N ** family.phi0, N ** family.phi_sup - rho)
-    elif N < 1.0 - _CUT:
-        m = min(rho - N ** family.phi_sup, N ** family.phi0 - rho)
-    else:
-        m = 1.0
-    return np.array([m]), {"norm": N, "modular": rho}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    N = _stack_luxemburg_norm(family, grid, U)
+    rho = _stack_modular(family, grid, U)
+    m = np.select([N > 1.0 + _CUT, N < 1.0 - _CUT],
+                  [np.minimum(rho - N ** family.phi0, N ** family.phi_sup - rho),
+                   np.minimum(rho - N ** family.phi_sup, N ** family.phi0 - rho)], 1.0)
+    return m, {"norm": N, "modular": rho}
 
 
 def eval_sobolev_modular_bounds(family, grid, seed, amplitude, smoothness):
-    u = random_function(grid, seed, amplitude, smoothness)
-    n = sobolev_norm(family, u)
-    mod = sobolev_modular(family, u)
-    if n > 1.0 + _CUT:
-        m = mod - n ** family.phi0
-    elif n < 1.0 - _CUT:
-        m = mod - n ** family.phi_sup
-    else:
-        m = 1.0
-    return np.array([m]), {"norm": n, "modular": mod}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    n = _stack_sobolev_norm(family, grid, U)
+    mod = _stack_sobolev_modular(family, grid, U)
+    m = np.select([n > 1.0 + _CUT, n < 1.0 - _CUT],
+                  [mod - n ** family.phi0, mod - n ** family.phi_sup], 1.0)
+    return m, {"norm": n, "modular": mod}
 
 
 def eval_unit_ball(family, grid, seed, amplitude, smoothness):
-    u = random_function(grid, seed, amplitude, smoothness)
-    N = luxemburg_norm(family, u)
-    m = modular(family, (1.0 / N) * u)
-    return np.array([-abs(m - 1.0)]), {"norm": N}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    N = _stack_luxemburg_norm(family, grid, U)
+    m = _stack_modular(family, grid, U * _col(1.0 / N, grid))
+    return -np.abs(m - 1.0), {"norm": N}
 
 
 def eval_homogeneity(family, grid, seed, amplitude, smoothness, scale):
-    u = random_function(grid, seed, amplitude, smoothness)
-    n1 = luxemburg_norm(family, scale * u)
-    n0 = luxemburg_norm(family, u)
-    rel = abs(n1 - abs(scale) * n0) / max(abs(scale) * n0, 1e-300)
-    return np.array([-rel]), {"scale": scale}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    scale = np.atleast_1d(scale)
+    n1 = _stack_luxemburg_norm(family, grid, U * _col(scale, grid))
+    n0 = _stack_luxemburg_norm(family, grid, U)
+    rel = np.abs(n1 - np.abs(scale) * n0) / np.maximum(np.abs(scale) * n0, 1e-300)
+    return -rel, {"scale": scale}
 
 
 def eval_triangle(family, grid, seed, seed2, amplitude, smoothness):
-    u = random_function(grid, seed, amplitude, smoothness)
-    v = random_function(grid, seed2, amplitude, smoothness)
-    m = (luxemburg_norm(family, u) + luxemburg_norm(family, v)
-         - luxemburg_norm(family, u + v))
-    return np.array([m]), {}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    V = _random_fields(grid, seed2, amplitude, smoothness)
+    m = (_stack_luxemburg_norm(family, grid, U) + _stack_luxemburg_norm(family, grid, V)
+         - _stack_luxemburg_norm(family, grid, U + V))
+    return m, {}
 
 
 def eval_parallelogram(family, grid, seed, seed2, amplitude, smoothness):
-    u = random_function(grid, seed, amplitude, smoothness)
-    v = random_function(grid, seed2, amplitude, smoothness)
-    m = (0.5 * (modular(family, u) + modular(family, v))
-         - modular(family, 0.5 * (u + v)) - modular(family, 0.5 * (u - v)))
-    return np.array([m]), {}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    V = _random_fields(grid, seed2, amplitude, smoothness)
+    m = (0.5 * (_stack_modular(family, grid, U) + _stack_modular(family, grid, V))
+         - _stack_modular(family, grid, (U + V) * 0.5)
+         - _stack_modular(family, grid, (U - V) * 0.5))
+    return m, {}
 
 
 def eval_holder(family, grid, seed, seed2, amplitude, smoothness):
-    u = random_function(grid, seed, amplitude, smoothness)
-    v = random_function(grid, seed2, amplitude, smoothness)
-    pairing = abs(integrate(GridFunction(grid, u.values * v.values)))
-    bound = 2.0 * luxemburg_norm(family, u) * conjugate_norm(family, v)
-    return np.array([bound - pairing]), {"pairing": pairing, "bound": bound}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    V = _random_fields(grid, seed2, amplitude, smoothness)
+    pairing = np.abs(np.sum((grid.weights * (U * V)).reshape(len(U), -1), axis=1))
+    bound = (2.0 * _stack_luxemburg_norm(family, grid, U)
+             * _stack_conjugate_norm(family, grid, V))
+    return bound - pairing, {"pairing": pairing, "bound": bound}
 
 
 def eval_norm_equivalences(family, grid, seed, amplitude, smoothness):
-    u = random_function(grid, seed, amplitude, smoothness)
-    n1, n2, n = sobolev_norms(family, u)
-    m = min(2.0 * n2 - n1, n1 - n2, 2.0 * n - n1, 2.0 * n2 - n)
-    return np.array([m]), {"n1": n1, "n2": n2, "n": n}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    n1, n2, n = _stack_sobolev_norms(family, grid, U)
+    m = np.minimum(np.minimum(2.0 * n2 - n1, n1 - n2), np.minimum(2.0 * n - n1, 2.0 * n2 - n))
+    return m, {"n1": n1, "n2": n2, "n": n}
 
 
 def eval_modular_convergence(family, grid, seed, amplitude, smoothness, steps=12):
-    v = random_function(grid, seed, amplitude, smoothness)
-    rhos = np.array([modular(family, (2.0 ** -k) * v) for k in range(steps + 1)])
-    decreasing = float(np.min(rhos[:-1] - rhos[1:]))
+    V = _random_fields(grid, seed, amplitude, smoothness)
+    rhos = np.stack([_stack_modular(family, grid, V * (2.0 ** -k))
+                     for k in range(steps + 1)], axis=1)
+    decreasing = np.min(rhos[:, :-1] - rhos[:, 1:], axis=1)
     # scaling gives rho(2^-k v) <= 2^{-k phi0} rho(v)
-    vanish = 2.0 ** (-steps * family.phi0) * rhos[0] * (1.0 + 1e-9) - rhos[-1]
-    return np.array([min(decreasing, vanish)]), {"rho_first": rhos[0], "rho_last": rhos[-1]}
+    vanish = 2.0 ** (-steps * family.phi0) * rhos[:, 0] * (1.0 + 1e-9) - rhos[:, -1]
+    return np.minimum(decreasing, vanish), {"rho_first": rhos[:, 0], "rho_last": rhos[:, -1]}
 
 
 def eval_young(family, seed, n):
@@ -215,28 +226,36 @@ def eval_reaction_envelopes(reaction, seed, n):
 
 def eval_gradient_check(family, reaction, grid, seed, seed2, amplitude,
                         smoothness, lam):
-    config = EnergyConfig(family, reaction, lam)
-    u = random_function(grid, seed, amplitude, smoothness)
-    v = random_function(grid, seed2, amplitude, smoothness)
-    dd = directional_derivative(config, u, v)
-    h = 1e-6
-    fd = (energy(config, u + h * v) - energy(config, u - h * v)) / (2.0 * h)
-    return np.array([1e-5 * (1.0 + abs(dd)) - abs(dd - fd)]), {"dd": dd, "fd": fd}
+    U = _random_fields(grid, seed, amplitude, smoothness)
+    V = _random_fields(grid, seed2, amplitude, smoothness)
+    dd, fd, h = np.empty(len(U)), np.empty(len(U)), 1e-6
+    for k, lam_k in enumerate(np.atleast_1d(lam)):
+        config = EnergyConfig(family, reaction, float(lam_k))
+        u, v = GridFunction(grid, U[k]), GridFunction(grid, V[k])
+        dd[k] = directional_derivative(config, u, v)
+        fd[k] = (energy(config, u + h * v) - energy(config, u - h * v)) / (2.0 * h)
+    return 1e-5 * (1.0 + np.abs(dd)) - np.abs(dd - fd), {"dd": dd, "fd": fd}
+
+
+def _integral_of_phi(family, x, t):
+    """integral of phi(x, s) ds over [0, t], elementwise, as the integral of
+    phi(x, t e^{-y}) t e^{-y} over y in [0, 40]: composite 12-node
+    Gauss-Legendre on panels of width <= 2/phi_sup, over which the integrand
+    decays by at most about e^2.  The cut-off part is Phi(x, t e^{-40}) <=
+    e^{-40 phi0} Phi(x, t)."""
+    per_unit = math.ceil(family.phi_sup / 2.0)
+    y, w = np.polynomial.legendre.leggauss(12)
+    y = (np.arange(40 * per_unit)[:, None] + 0.5 * (1.0 + y)) / per_unit
+    s = t[:, None, None] * np.exp(-y)
+    f = np.asarray(family.phi(x[:, None, None], s)) * s
+    return np.sum((0.5 / per_unit) * w * f, axis=(1, 2))
 
 
 def eval_ftc_consistency(family, seed, n):
-    import scipy.integrate      # deferred: it dominates the package import time
-
     rng = np.random.default_rng(seed)
     x = sample_x1(family, n, rng)
     t = np.exp(rng.uniform(np.log(1e-3), np.log(20.0), n))
-    margins = np.empty(n)
-    for i in range(n):
-        ref, _ = scipy.integrate.quad(
-            lambda s: float(family.phi(np.asarray(x[i]), np.asarray(s))),
-            0.0, t[i], epsabs=1e-13, epsrel=1e-13, limit=200)
-        margins[i] = -abs(float(family.Phi(x[i], t[i])) - ref)
-    return margins, {}
+    return -np.abs(np.asarray(family.Phi(x, t)) - _integral_of_phi(family, x, t)), {}
 
 
 EVALUATORS = {
@@ -385,9 +404,25 @@ def run_property_suite(families, reactions, grids, n_samples: int, seed: int,
             results[name] = PropertyResult(name, slack)
         return results[name]
 
+    def absorb_field_samples(name, slack, draws, **objects):
+        # one evaluator call per grid on the stack of that grid's samples;
+        # the samples are absorbed in draw order, each with its own witness
+        margins, infos = np.empty(len(draws)), [None] * len(draws)
+        for gi, grid in enumerate(grids):
+            rows = [k for k, args in enumerate(draws) if args["grid"] == gi]
+            if not rows:
+                continue
+            per_row = {key: np.array([draws[k][key] for k in rows]) for key in draws[0]
+                       if key not in ("family", "reaction", "grid")}
+            margins[rows], info = EVALUATORS[name](grid=grid, **objects, **per_row)
+            for j, k in enumerate(rows):
+                infos[k] = {key: float(value[j]) for key, value in info.items()}
+        for k, args in enumerate(draws):
+            res(name, slack).absorb(margins[k:k + 1], {"property": name, **args, **infos[k]})
+
     for name, slack, pair in _FUNCTION_PROPS:
-        fn = EVALUATORS[name]
         for fi, family in enumerate(families):
+            draws = []
             for s in range(n_samples):
                 args = {
                     "family": fi,
@@ -400,11 +435,8 @@ def run_property_suite(families, reactions, grids, n_samples: int, seed: int,
                     args["seed2"] = int(rng.integers(0, 2 ** 62))
                 if name == "norm_homogeneity":
                     args["scale"] = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-                call = dict(args)
-                call["family"] = families[fi]
-                call["grid"] = grids[args["grid"]]
-                margins, info = fn(**call)
-                res(name, slack).absorb(margins, {"property": name, **args, **info})
+                draws.append(args)
+            absorb_field_samples(name, slack, draws, family=family)
 
     for name, slack, batch in _POINTWISE_PROPS:
         fn = EVALUATORS[name]
@@ -422,7 +454,7 @@ def run_property_suite(families, reactions, grids, n_samples: int, seed: int,
             margins, info = EVALUATORS[name](family, nx, nt)
             res(name, slack).absorb(margins, {"property": name, "family": fi, **info})
         args = {"family": fi, "seed": int(rng.integers(0, 2 ** 62)), "n": 8}
-        margins, info = eval_ftc_consistency(family, args["seed"], args["n"])
+        margins, info = EVALUATORS["ftc_consistency"](family, args["seed"], args["n"])
         res("ftc_consistency", 1e-10).absorb(
             margins, {"property": "ftc_consistency", **args, **info})
 
@@ -437,20 +469,15 @@ def run_property_suite(families, reactions, grids, n_samples: int, seed: int,
 
     for fi, family in enumerate(families):
         for ri, reaction in enumerate(reactions):
-            for s in range(max(1, n_samples // 4)):
-                args = {
-                    "family": fi, "reaction": ri, "grid": s % len(grids),
-                    "seed": int(rng.integers(0, 2 ** 62)),
-                    "seed2": int(rng.integers(0, 2 ** 62)),
-                    "amplitude": float(amplitudes[s % len(amplitudes)]),
-                    "smoothness": int(rng.integers(0, 5)),
-                    "lam": float((0.5, 1.0, 2.0)[s % 3]),
-                }
-                margins, info = eval_gradient_check(
-                    family, reaction, grids[args["grid"]], args["seed"],
-                    args["seed2"], args["amplitude"], args["smoothness"], args["lam"])
-                res("gradient_check", 0.0).absorb(
-                    margins, {"property": "gradient_check", **args, **info})
+            draws = [{"family": fi, "reaction": ri, "grid": s % len(grids),
+                      "seed": int(rng.integers(0, 2 ** 62)),
+                      "seed2": int(rng.integers(0, 2 ** 62)),
+                      "amplitude": float(amplitudes[s % len(amplitudes)]),
+                      "smoothness": int(rng.integers(0, 5)),
+                      "lam": float((0.5, 1.0, 2.0)[s % 3])}
+                     for s in range(max(1, n_samples // 4))]
+            absorb_field_samples("gradient_check", 0.0, draws, family=family,
+                                 reaction=reaction)
 
     ordered = [results[k] for k in sorted(results)]
     overall = all(p.passed for p in ordered)

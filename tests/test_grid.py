@@ -6,9 +6,10 @@ import pytest
 import orliczkit as ok
 from orliczkit.config import grid_from_kv, parse_kv_text
 from orliczkit.errors import InputError
-from orliczkit.grid import (bump_function, gradient, gradient_adjoint,
-                            gradient_magnitude, integrate, load_function,
-                            quad_weights, random_function, save_function)
+from orliczkit.grid import (_gradient_magnitude, _random_fields, bump_function,
+                            gradient, gradient_adjoint, gradient_magnitude,
+                            integrate, load_function, quad_weights,
+                            random_function, save_function)
 
 
 def test_make_grid_1d():
@@ -175,3 +176,16 @@ def test_grid_caches_are_per_grid_and_read_only():
     twin = ok.make_grid(2, [(0.0, 1.0), (0.0, 2.0)], [5, 7])
     assert quad_weights(twin) is not w
     assert np.array_equal(quad_weights(twin), w)
+
+
+def test_stacks_equal_their_rows(grid_1d, grid_2d):
+    # random fields and gradient magnitudes of a stack, row by row, bit for bit
+    seeds, amplitudes, smoothness = [3, 2 ** 61 + 5, 11, 7], [0.1, 10.0, 1.0, 0.3], [0, 4, 2, 1]
+    for g in (grid_1d, grid_2d):
+        stack = _random_fields(g, seeds, amplitudes, smoothness)
+        assert stack.shape == (4,) + g.shape
+        mags = _gradient_magnitude(g, stack)
+        for k, args in enumerate(zip(seeds, amplitudes, smoothness)):
+            u = random_function(g, *args)
+            assert np.array_equal(stack[k], u.values)
+            assert np.array_equal(mags[k], gradient_magnitude(u))

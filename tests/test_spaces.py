@@ -200,3 +200,46 @@ def test_luxemburg_solve_takes_few_modular_evaluations(
         N = luxemburg_norm(fam, u)
         assert len(evals) <= cap
         assert modular(fam, (1.0 / N) * u) == pytest.approx(1.0, abs=1e-7)
+
+
+def test_stack_norms_equal_single_norms(monkeypatch, family_logquot_affine, grid_1d,
+                                        grid_2d):
+    # one vector solve for a stack, each row with its own bracket, equals
+    # the norm of each field alone bit for bit, also when the stack is split
+    # into chunks of one or two rows; a zero field has norm 0
+    for g in (grid_1d, grid_2d):
+        fields = [ok.random_function(g, 5, 1e-3, 0), ok.GridFunction.constant(g, 0.0),
+                  ok.random_function(g, 6, 1e3, 3), ok.random_function(g, 7, 1.0, 1)]
+        U = np.stack([u.values for u in fields])
+        for stack_fn, single in ((spaces._stack_luxemburg_norm, luxemburg_norm),
+                                 (spaces._stack_conjugate_norm, conjugate_norm),
+                                 (spaces._stack_sobolev_norm, sobolev_norm),
+                                 (spaces._stack_modular, modular)):
+            expected = [single(family_logquot_affine, u) for u in fields]
+            assert expected[1] == 0.0
+            for budget in (spaces._NODE_BUDGET, g.size, 2 * g.size):
+                monkeypatch.setattr(spaces, "_NODE_BUDGET", budget)
+                assert stack_fn(family_logquot_affine, g, U).tolist() == expected
+            monkeypatch.undo()
+
+
+def test_solve_unit_modular_rows_are_independent():
+    # R(mu) = (c/mu)^p per row, overflowing to inf below c/1e3 and 0 above
+    # 1e3 c: each row escapes the bad scales by its own x64 steps, converges
+    # to c, and gives the same scale alone as inside the batch
+    c = np.array([1e-6, 0.3, 2.0, 5e4])
+    p = np.array([2.0, 3.5, 4.0, 2.5])
+    mu0 = np.array([1e-12, 1e9, 2.0, 1.0])
+
+    def make_rho(rows):
+        def rho(mu):
+            r = (c[rows] / mu) ** p[rows]
+            r = np.where(mu < c[rows] / 1e3, np.inf, np.where(mu > 1e3 * c[rows], 0.0, r))
+            return r, np.full(mu.shape, -p[rows])
+        return rho
+
+    together = spaces.solve_unit_modular(make_rho(slice(None)), 2.0, 4.0, mu0=mu0)
+    assert together == pytest.approx(c, rel=1e-8)
+    for k in range(c.size):
+        alone = spaces.solve_unit_modular(make_rho(slice(k, k + 1)), 2.0, 4.0, mu0=mu0[k])
+        assert alone.tolist() == [together[k]]

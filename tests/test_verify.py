@@ -1,11 +1,17 @@
 """Property-suite orchestration: determinism, witnesses, negative controls."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import orliczkit as ok
+from orliczkit import verify
 from orliczkit.errors import InputError
-from orliczkit.verify import replay_witness, run_property_suite
+from orliczkit.verify import PropertyResult, replay_witness, run_property_suite
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +44,23 @@ def test_suite_counts(small_report):
     assert nm.passes == nm.samples
 
 
+def test_suite_counts_every_property(suite_inputs):
+    # 3 families, 3 reactions, 2 grids, 4 samples: a batch that drops or
+    # duplicates a sample shows up here
+    families, reactions, grids = suite_inputs
+    report = run_property_suite(families, reactions, grids, n_samples=4, seed=2024)
+    field = dict.fromkeys([name for name, _, _ in verify._FUNCTION_PROPS], 12)
+    expected = {**field, "gradient_check": 9, "ftc_consistency": 24,
+                "delta2_explicit_constant": 21600, "sqrt_convexity": 9480,
+                **dict.fromkeys(["young_inequality", "conjugate_bound", "phi_odd",
+                                 "scaling_bounds", "growth_lower_bound",
+                                 "reaction_primitive_consistency",
+                                 "reaction_growth_envelopes"], 1200)}
+    assert len(expected) == 20
+    assert {p.name: (p.samples, p.passes) for p in report.properties} == {
+        name: (n, n) for name, n in expected.items()}
+
+
 def test_suite_determinism(suite_inputs):
     families, reactions, grids = suite_inputs
     a = run_property_suite(families, reactions, grids, n_samples=2, seed=7)
@@ -49,7 +72,61 @@ def test_witness_replay(small_report, suite_inputs):
     families, reactions, grids = suite_inputs
     for prop in small_report.properties:
         replayed = replay_witness(prop.witness, families, reactions, grids)
-        assert abs(replayed - prop.worst_margin) <= 1e-12, prop.name
+        assert replayed == prop.worst_margin, prop.name
+
+
+def test_every_field_sample_replays_exactly(suite_inputs, monkeypatch):
+    # the suite evaluates the samples of one (property, family, grid) as one
+    # stack; each sample's margin must equal its own scalar evaluation
+    families, reactions, grids = suite_inputs
+    absorbed = []
+    absorb = PropertyResult.absorb
+
+    def recording(self, margins, witness):
+        absorbed.append((np.array(margins, dtype=float), dict(witness)))
+        absorb(self, margins, witness)
+
+    monkeypatch.setattr(PropertyResult, "absorb", recording)
+    run_property_suite(families, reactions, grids, n_samples=8, seed=11)
+    field = [name for name, _, _ in verify._FUNCTION_PROPS] + ["gradient_check"]
+    replayed = Counter()
+    for margins, witness in absorbed:
+        if witness["property"] in field:
+            assert margins.shape == (1,)
+            assert replay_witness(witness, families, reactions, grids) == margins[0], witness
+            replayed[witness["property"], witness["family"], grids[witness["grid"]].dim] += 1
+    assert set(replayed) == {(name, fi, dim) for name in field
+                             for fi in range(3) for dim in (1, 2)}
+    assert sum(replayed.values()) == 9 * 3 * 8 + 3 * 3 * 2
+
+
+def test_ftc_reference_matches_adaptive_quadrature(suite_inputs):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    families, _, _ = suite_inputs
+    rng = np.random.default_rng(17)
+    # the suite's t range, with its end points
+    t = np.concatenate([np.geomspace(1e-3, 20.0, 13),
+                        np.exp(rng.uniform(np.log(1e-3), np.log(20.0), 7))])
+    for family in families:
+        x = rng.uniform(0.0, 1.0, t.size)
+        ref = verify._integral_of_phi(family, x, t)
+        # epsabs = 0: an absolute tolerance would decide the accuracy at
+        # small t, where Phi is as small as 1e-9
+        quad = np.array([scipy_integrate.quad(
+            lambda s, xi=xi: float(family.phi(xi, s)), 0.0, ti,
+            epsabs=0.0, epsrel=1e-13, limit=200)[0] for xi, ti in zip(x, t)])
+        assert np.max(np.abs(ref - quad) / quad) <= 1e-12, family
+
+
+def test_verify_run_loads_no_scipy_integrate():
+    # the ftc_consistency reference is a fixed numpy rule, not scipy's quad
+    code = ("import sys, orliczkit.cli; "
+            "code = orliczkit.cli.main(['verify', '--samples', '1']); "
+            "print(code, 'scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ok.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "0 False"
 
 
 def test_suite_rejects_zero_samples(suite_inputs):
