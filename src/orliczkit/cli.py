@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -79,9 +80,7 @@ def _solver_options(args) -> SolverOptions:
 def _cmd_solve(args) -> int:
     config, grid, u0, _ = cfg.load_energy_setup(args.config)
     if args.lam is not None:
-        config.lam = cfg.finite_float(args.lam, "--lambda")
-        if not config.lam > 0:
-            raise InputError("lambda must be positive")
+        config = replace(config, lam=cfg.finite_float(args.lam, "--lambda"))
     report = minimize(config, u0, _solver_options(args))
     if args.out:
         save_function(report.final_u, args.out)

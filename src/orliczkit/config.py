@@ -4,7 +4,8 @@ The format is one ``key = value`` pair per line, ``#`` comments, whitespace
 insensitive, locale-independent decimal numbers.  Nested objects use dotted
 prefixes, e.g. an energy config contains ``family.family``, ``family.p.kind``,
 ``reaction.example``, ``grid.dim``, ``lambda``, ``u0.kind``.  A family block
-may instead point at a standalone descriptor file via ``family.file``.
+may instead point at a standalone descriptor file via ``family.file``.  The
+``reaction.``, ``grid.`` and ``u0.`` prefixes are fixed.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 from .errors import InputError
 from .exponents import ExponentField
 from .grid import DomainGrid, GridFunction, bump_function, load_function, make_grid
-from .energy import (EnergyConfig, power_log_reaction, power_reaction,
-                     power_sin_reaction, ReactionFamily)
+from .energy import _REACTIONS, EnergyConfig, ReactionFamily, _reaction
 
 __all__ = [
     "parse_kv_text", "read_kv_file", "finite_float", "exponent_from_kv", "reaction_from_kv",
@@ -86,27 +86,26 @@ def exponent_from_kv(kv: dict, prefix: str) -> ExponentField:
     return ExponentField.affine(coeffs[0], coeffs[1], tuple(rng))
 
 
-def reaction_from_kv(kv: dict, prefix: str = "reaction.") -> ReactionFamily:
-    example = kv.get(prefix + "example")
+def reaction_from_kv(kv: dict) -> ReactionFamily:
+    example = kv.get("reaction.example")
     if example is None:
-        raise InputError(f"missing '{prefix}example'")
-    q = exponent_from_kv(kv, prefix + "q.")
-    makers = {"power": power_reaction, "power-log": power_log_reaction,
-              "power-sin": power_sin_reaction}
-    if example not in makers:
+        raise InputError("missing 'reaction.example'")
+    q = exponent_from_kv(kv, "reaction.q.")
+    if example not in _REACTIONS:
         raise InputError(f"unknown reaction example {example!r}")
-    return makers[example](q)
+    return _reaction(example, q)
 
 
-def grid_from_kv(kv: dict, prefix: str = "grid.") -> DomainGrid:
+def grid_from_kv(kv: dict) -> DomainGrid:
+    for key in ("grid.dim", "grid.extents", "grid.nodes"):
+        if key not in kv:
+            raise InputError(f"missing grid key {key!r}")
     try:
-        dim = int(kv[prefix + "dim"])
-        ext = [float(v) for v in kv[prefix + "extents"].split()]
-        nodes = [int(v) for v in kv[prefix + "nodes"].split()]
-    except KeyError as exc:
-        raise InputError(f"missing grid key {exc}") from exc
+        dim = int(kv["grid.dim"])
+        nodes = [int(v) for v in kv["grid.nodes"].split()]
     except ValueError as exc:
         raise InputError(f"malformed grid values: {exc}") from exc
+    ext = _floats(kv, "grid.extents")
     if len(ext) != 2 * dim:
         raise InputError("grid.extents must list lo hi per axis")
     extents = [(ext[2 * k], ext[2 * k + 1]) for k in range(dim)]
@@ -121,19 +120,16 @@ def family_from_kv_or_file(kv: dict, prefix: str = "family."):
     return family_from_kv(kv, prefix=prefix)
 
 
-def initial_guess_from_kv(kv: dict, grid: DomainGrid,
-                          prefix: str = "u0.") -> GridFunction:
-    kind = kv.get(prefix + "kind", "zero")
+def initial_guess_from_kv(kv: dict, grid: DomainGrid) -> GridFunction:
+    kind = kv.get("u0.kind", "zero")
     if kind == "zero":
         return GridFunction.constant(grid, 0.0)
-    if kind == "constant":
-        return GridFunction.constant(grid, finite_float(kv.get(prefix + "value", "1"),
-                                                        prefix + "value"))
-    if kind == "bump":
-        return finite_float(kv.get(prefix + "value", "1"), prefix + "value") \
-            * bump_function(grid)
+    if kind in ("constant", "bump"):
+        value = finite_float(kv.get("u0.value", "1"), "u0.value")
+        return (GridFunction.constant(grid, value) if kind == "constant"
+                else value * bump_function(grid))
     if kind == "file":
-        path = kv.get(prefix + "path")
+        path = kv.get("u0.path")
         if path is None:
             raise InputError("u0.kind = file needs 'u0.path'")
         u = load_function(path)

@@ -28,9 +28,9 @@ Three reaction families are built in, one entry each of the table
 
 Envelope constants C0, C1, C2 with |g| <= C0|t|^{q-1} and
 C1|t|^q <= G <= C2|t|^q are analytic for ``power`` and certified by dense
-sampling over |t| in [1e-3, 10] for the other two, before the frozen
-descriptor is built (the sin family genuinely degenerates as t -> 0^- so a
-global positive C1 does not exist for it).
+sampling over |t| in [1e-3, 10] for the other two (slot ``certified``),
+before the frozen descriptor is built (the sin family genuinely degenerates
+as t -> 0^- so a global positive C1 does not exist for it).
 """
 
 from __future__ import annotations
@@ -58,18 +58,20 @@ CERTIFICATION_T_RANGE = (1e-3, 10.0)
 
 @dataclass(frozen=True)
 class _ReactionKernel:
-    """g and G of one reaction kind as f(q, |t|, t), and the smallest q-."""
+    """g and G of one reaction kind as f(q, |t|, t), the smallest q-, and
+    whether C0, C1, C2 are certified (else C0 = q+, C1 = C2 = 1)."""
 
     g: Callable
     G: Callable
     q_min: float
+    certified: bool = True
 
 
 _REACTIONS = {
     "power": _ReactionKernel(
         g=lambda q, at, t: q * at ** (q - 2.0) * t,
         G=lambda q, at, t: at ** q,
-        q_min=2.0),
+        q_min=2.0, certified=False),
     "power-log": _ReactionKernel(
         g=lambda q, at, t: (q * at ** (q - 2.0) * t
                             + (q - 2.0) * np.log1p(t * t) * at ** (q - 4.0) * t
@@ -112,17 +114,15 @@ class ReactionFamily:
         return float(out) if out.ndim == 0 else out
 
 
-def _checked_q(example_id, q):
-    q_min = _REACTIONS[example_id].q_min
-    if q.p_minus < q_min:
-        raise InputError(f"{example_id} reaction requires q(x) >= {q_min:g}")
-    return q
-
-
-def _certified(example_id, q):
-    """Reaction whose envelope constants come from dense sampling over the
-    certification window."""
-    reaction = ReactionFamily(example_id, _checked_q(example_id, q), 0.0, 0.0, 0.0)
+def _reaction(example_id, q):
+    """Reaction ``example_id`` of the table with exponent q; certified
+    constants come from dense sampling over the certification window."""
+    kernel = _REACTIONS[example_id]
+    if q.p_minus < kernel.q_min:
+        raise InputError(f"{example_id} reaction requires q(x) >= {kernel.q_min:g}")
+    if not kernel.certified:
+        return ReactionFamily(example_id, q, C0=q.p_plus, C1=1.0, C2=1.0)
+    reaction = ReactionFamily(example_id, q, 0.0, 0.0, 0.0)
     lo, hi = CERTIFICATION_T_RANGE
     t = np.concatenate([-np.geomspace(lo, hi, 2500)[::-1], np.geomspace(lo, hi, 2500)])
     xs = q.sample_points(21)
@@ -139,24 +139,25 @@ def _certified(example_id, q):
 
 
 def power_reaction(q: ExponentField) -> ReactionFamily:
-    return ReactionFamily("power", _checked_q("power", q), C0=q.p_plus, C1=1.0, C2=1.0)
+    return _reaction("power", q)
 
 
 def power_log_reaction(q: ExponentField) -> ReactionFamily:
-    return _certified("power-log", q)
+    return _reaction("power-log", q)
 
 
 def power_sin_reaction(q: ExponentField) -> ReactionFamily:
-    return _certified("power-sin", q)
+    return _reaction("power-sin", q)
 
 
 # ---------------------------------------------------------------------------
 # energy functional
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyConfig:
-    """(family, reaction, lam) triple defining the energy functional."""
+    """(family, reaction, lam) triple defining the energy functional;
+    another lam is ``dataclasses.replace(config, lam=...)``."""
 
     family: object
     reaction: ReactionFamily

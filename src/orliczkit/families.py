@@ -35,7 +35,8 @@ cubic substitution that removes the endpoint singularity, and the tail is
 integrated only on the elements past the cut, with panels sized per
 element, so every value is independent of its batch; see _quadrature.
 Everything is vectorized over broadcastable (x, t) arrays and free of
-mutable state.
+mutable state.  ``check_structure`` passes margins down to -``_STRUCTURE_TOL``
+(-``_DELTA2_REL_TOL`` for the relative doubling margin).
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ __all__ = [
 # phi_inv: iteration cap (bisection alone needs about 60) and stopping step
 _PHI_INV_MAX_ITER = 100
 _PHI_INV_ULPS = 4.0 * np.finfo(float).eps
+_STRUCTURE_TOL = 1e-8
+_DELTA2_REL_TOL = 1e-9
 
 
 def _as_array(v):
@@ -573,12 +576,12 @@ def growth_lower_margin(family, x, t):
 # structure certification
 # ---------------------------------------------------------------------------
 
-def exponent_bounds(family, t_grid, x_grid=None):
-    """Sampled (min, max) of t*phi(x,t)/Phi(x,t) over positive t_grid."""
+def exponent_bounds(family, t_grid):
+    """Sampled (min, max) of t*phi(x,t)/Phi(x,t), t_grid > 0, x at sample_x1."""
     ts = _as_array(t_grid)
     if ts.size == 0 or np.any(ts <= 0.0):
         raise InputError("t_grid must be nonempty with all t > 0")
-    xs = _as_array(x_grid) if x_grid is not None else sample_x1(family)
+    xs = sample_x1(family)
     r = _ratio(family, xs[:, None], ts[None, :])
     return float(np.min(r)), float(np.max(r))
 
@@ -612,17 +615,18 @@ def _worst(name, margins, xs, ts, tol):
                           {"x": float(xs[i]), "t": float(ts[j])})
 
 
-def check_structure(family, x_samples=None, t_samples=None, tol=1e-8,
-                    delta2_rel_tol=1e-9) -> StructureReport:
+def check_structure(family, t_samples=None) -> StructureReport:
     """Sampled certification of the structural conditions.
 
     Checks monotone odd phi, Phi(x,0)=0 with Phi positive nondecreasing, the
     doubling bound Phi(x,2t) <= 2^{phi_sup} Phi(x,t) with the explicit
     constant, convexity of t -> Phi(x,sqrt(t)) through second differences,
-    and the power-law lower bound M_lower |t|^{p(x)} <= Phi(x,t).  Failures
-    populate the report with located witnesses; nothing raises.
+    and the power-law lower bound M_lower |t|^{p(x)} <= Phi(x,t), at x in
+    sample_x1.  Failures populate the report with located witnesses; nothing
+    raises.
     """
-    xs = _as_array(x_samples) if x_samples is not None else sample_x1(family)
+    tol = _STRUCTURE_TOL
+    xs = sample_x1(family)
     ts = _as_array(t_samples) if t_samples is not None else np.geomspace(1e-4, 1e3, 160)
     X, T = xs[:, None], ts[None, :]
     checks = [_worst("phi_odd", phi_odd_margin(family, X, T), xs, ts, tol)]
@@ -642,7 +646,7 @@ def check_structure(family, x_samples=None, t_samples=None, tol=1e-8,
     checks.append(_worst("Phi_positive", Phi, xs, ts, tol))
     checks.append(_worst("Phi_monotone", np.diff(Phi, axis=1), xs, ts[:-1], tol))
     checks.append(_worst("delta2_explicit_constant", delta2_margin(family, X, T),
-                         xs, ts, delta2_rel_tol))
+                         xs, ts, _DELTA2_REL_TOL))
 
     tau = np.linspace(0.0, float(np.max(ts)) ** 2, 201)
     checks.append(_worst("sqrt_convexity", sqrt_convexity_margin(family, xs, tau),

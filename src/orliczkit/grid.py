@@ -7,11 +7,13 @@ gradient uses central differences with reflected ghost nodes, so the normal
 derivative vanishes identically at boundary nodes -- that is how the
 zero-flux boundary condition enters every weak form built on top of this
 module.  The adjoint of the gradient is provided explicitly so residual
-assembly is an exact transpose of the same stencils.
+assembly is an exact transpose of the same stencils.  ``bump_function``
+covers the middle ``_BUMP_WIDTH`` of each axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,10 +42,7 @@ class DomainGrid:
 
     @property
     def size(self):
-        n = 1
-        for k in self.nodes:
-            n *= k
-        return n
+        return math.prod(self.nodes)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         lo, hi = self.extents[axis]
@@ -218,6 +217,8 @@ def gradient_adjoint(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
 # synthetic fields
 # ---------------------------------------------------------------------------
 
+_BUMP_WIDTH = 0.8
+
 def _random_fields(grid: DomainGrid, seeds, amplitudes, smoothness) -> np.ndarray:
     """``random_function`` values, one row per entry of the equally long
     seeds, amplitudes and smoothness counts (or scalars: one row), stacked
@@ -253,26 +254,19 @@ def random_function(grid: DomainGrid, seed: int, amplitude: float,
     return GridFunction(grid, _random_fields(grid, seed, amplitude, smoothness)[0])
 
 
-def bump_function(grid: DomainGrid, amplitude: float = 1.0,
-                  width_fraction: float = 0.8) -> GridFunction:
-    """Nonnegative cos^2 bump supported strictly inside the domain."""
-    if not 0.0 < width_fraction < 1.0:
-        raise InputError("width_fraction must lie in (0, 1)")
+def bump_function(grid: DomainGrid) -> GridFunction:
+    """Nonnegative cos^2 bump of height 1 supported strictly inside the domain."""
 
     def bump1d(x, lo, hi):
         mid = 0.5 * (lo + hi)
-        half = 0.5 * width_fraction * (hi - lo)
+        half = 0.5 * _BUMP_WIDTH * (hi - lo)
         xi = (x - mid) / (2.0 * half)
         return np.where(np.abs(xi) < 0.5, np.cos(np.pi * xi) ** 2, 0.0)
 
-    if grid.dim == 1:
-        lo, hi = grid.extents[0]
-        vals = bump1d(grid.axis_coords(0), lo, hi)
-    else:
-        (lo1, hi1), (lo2, hi2) = grid.extents
-        vals = (bump1d(grid.axis_coords(0), lo1, hi1)[:, None]
-                * bump1d(grid.axis_coords(1), lo2, hi2)[None, :])
-    return GridFunction(grid, amplitude * vals)
+    vals = bump1d(grid.axis_coords(0), *grid.extents[0])
+    if grid.dim == 2:
+        vals = vals[:, None] * bump1d(grid.axis_coords(1), *grid.extents[1])[None, :]
+    return GridFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ inflates the threshold, so sweep reports carry the empirically verified
 largest lambda alongside the formula value).  ``small_t_probe`` checks that
 small multiples of a fixed bump make the energy negative when q- is below
 phi0, and ``coercivity_probe`` checks growth along rays when q+ is below
-phi0; both are the computable faces of the existence results.
+phi0; both are the computable faces of the existence results.  Their fixed
+settings are the module constants ``_BUMP_T_SCAN``, ``_COERCIVITY_T``,
+``_SWEEP_T0``, ``_SWEEP_C1_SAMPLES`` and ``_NONTRIVIAL_NORM``.
 """
 
 from __future__ import annotations
@@ -58,8 +60,14 @@ LBFGS_HISTORY = 8
 # a pair enters the history only if <s,y>_w > _CURVATURE_EPS |s|_w |y|_w
 _CURVATURE_EPS = 1e-10
 
+_BUMP_T_SCAN = (1e-6, 0.25, 40)      # np.geomspace arguments
+_COERCIVITY_T = (10.0, 100.0, 1000.0)
+_SWEEP_T0 = 2.0
+_SWEEP_C1_SAMPLES = 60
+_NONTRIVIAL_NORM = 1e-6
 
-@dataclass
+
+@dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 100_000
     tol_res: float = 1e-6
@@ -251,28 +259,22 @@ class CoercivityReport:
     passed: bool
 
 
-def coercivity_probe(config: EnergyConfig, directions,
-                     t_list=(10.0, 100.0, 1000.0)) -> CoercivityReport:
-    """Growth of J along rays t*d for unit directions d.
+def coercivity_probe(config: EnergyConfig, directions) -> CoercivityReport:
+    """Growth of J along rays t*d for unit directions d, t in _COERCIVITY_T.
 
     Each direction is normalized to Sobolev-level norm 1; the probe requires
     J to increase between consecutive t values and end positive.
     """
-    ts = tuple(float(t) for t in t_list)
-    if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise InputError("t_list must be strictly increasing with >= 2 entries")
     rows = []
-    ok_all = True
     for d in directions:
         n = sobolev_norm(config.family, d)
         if n == 0.0:
             raise InputError("directions must be nonzero")
         dn = (1.0 / n) * d
-        energies = tuple(energy(config, t * dn) for t in ts)
+        energies = tuple(energy(config, t * dn) for t in _COERCIVITY_T)
         ok = all(b > a for a, b in zip(energies, energies[1:])) and energies[-1] > 0.0
-        ok_all = ok_all and ok
         rows.append((energies, ok))
-    return CoercivityReport(ts, rows, ok_all)
+    return CoercivityReport(_COERCIVITY_T, rows, all(ok for _, ok in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +298,8 @@ class SweepReport:
     rows: list
     lambda_star_formula_value: float
     lambda_star_empirical: float     # largest lambda whose bump seed worked
-    lambda_upper_empirical: float    # least lambda with J(t0 * 1) < 0
-    lambda_upper_root: float         # analytic zero crossing of J(t0 * 1)
+    lambda_upper_empirical: float    # least lambda with J(_SWEEP_T0 * 1) < 0
+    lambda_upper_root: float         # analytic zero crossing of J(_SWEEP_T0 * 1)
     c1_lower_estimate: float
     rho_used: float
 
@@ -315,11 +317,10 @@ class SweepReport:
             fh.write(self.csv_text())
 
 
-def bump_seed(config: EnergyConfig, grid: DomainGrid,
-              t_scan=None) -> GridFunction:
+def bump_seed(config: EnergyConfig, grid: DomainGrid) -> GridFunction:
     """Scaled bump with negative energy when the scan finds one."""
     theta = bump_function(grid)
-    ts = np.geomspace(1e-6, 0.25, 40) if t_scan is None else np.asarray(t_scan)
+    ts = np.geomspace(*_BUMP_T_SCAN)
     energies = np.array([energy(config, float(t) * theta) for t in ts])
     k = int(np.argmin(energies))
     if energies[k] >= 0.0:
@@ -329,13 +330,12 @@ def bump_seed(config: EnergyConfig, grid: DomainGrid,
 
 def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
                  u0_strategy: str = "all", opts: SolverOptions | None = None,
-                 t0: float = 2.0, c1_samples: int = 60, seed: int = 0,
-                 norm_tol: float = 1e-6) -> SweepReport:
+                 seed: int = 0) -> SweepReport:
     """Minimize the energy across a sorted list of positive parameters.
 
-    Seeds per the strategy: "bump" (scaled small bump), "constant" (t0 times
-    the unit field), "zero", or "all".  Nontriviality of a run means it
-    converged with negative energy and norm above norm_tol.
+    Seeds per the strategy: "bump" (scaled small bump), "constant" (_SWEEP_T0
+    times the unit field), "zero", or "all".  Nontriviality of a run means it
+    converged with negative energy and norm above _NONTRIVIAL_NORM.
     """
     lams = [float(v) for v in lambda_list]
     if any(v <= 0.0 for v in lams):
@@ -346,7 +346,7 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
         raise InputError(f"unknown u0 strategy {u0_strategy!r}")
     opts = opts or SolverOptions()
 
-    u_const = GridFunction.constant(grid, t0)
+    u_const = GridFunction.constant(grid, _SWEEP_T0)
     lam_root = math.nan
     growth = integrate(GridFunction(grid, np.asarray(
         reaction.G(grid.coords_first, u_const.values))))
@@ -354,7 +354,7 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
         lam_root = sobolev_modular(family, u_const) / growth
 
     c1 = estimate_embedding_constant(family, reaction.q, grid,
-                                     samples=c1_samples, seed=seed)
+                                     samples=_SWEEP_C1_SAMPLES, seed=seed)
     rho = _default_rho(c1) if c1 > 0 else 0.5
     lam_star = lambda_star_formula(rho, reaction.C2, c1, family.phi_sup,
                                    reaction.q.p_minus) if c1 > 0 else math.nan
@@ -377,7 +377,7 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
         for name, u0 in seeds:
             rep = minimize(config, u0, opts)
             norm = sobolev_norm(family, rep.final_u)
-            nontrivial = rep.converged and rep.final_energy < 0.0 and norm > norm_tol
+            nontrivial = rep.converged and rep.final_energy < 0.0 and norm > _NONTRIVIAL_NORM
             key = (not rep.converged, rep.final_energy)
             if best is None or key < best[0]:
                 best = (key, name, rep, norm, nontrivial)

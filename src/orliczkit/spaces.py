@@ -25,7 +25,8 @@ evaluation R = rho(u/mu), the rigorous enclosure  mu* in [mu R^{1/phi_sup},
 mu R^{1/phi0}]  (R > 1; mirrored for R < 1); a Newton step that leaves it,
 or the row's bracket of evaluated scales, is replaced by the bisection
 point.  A row that has converged leaves the active set, and its modular
-is no longer evaluated.
+is no longer evaluated.  Every norm is solved to |rho(u/mu) - 1| <=
+``NORM_TOL`` within ``_NORM_MAX_ITER`` modular evaluations.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-8
+_NORM_MAX_ITER = 120
 _LOG64 = math.log(64.0)
 _NODE_BUDGET = 129 * 129
 
@@ -53,8 +55,7 @@ def _libm(fn, v):
     return np.array([fn(x) for x in v.tolist()])
 
 
-def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0,
-                       tol: float = NORM_TOL, max_iter: int = 120) -> np.ndarray:
+def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0) -> np.ndarray:
     """Solve R(mu) = 1 for strictly decreasing modular-of-scale maps, one
     row per entry of the starting scales ``mu0``, each with its own bracket.
 
@@ -63,16 +64,16 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0,
     are ignored, so rho may skip it.  exp_lo/exp_hi are ratio bounds of the
     underlying Young function; they only safeguard the iteration (the
     enclosure above), correctness needs just monotonicity.  Returns the
-    vector of mu with |R(mu) - 1| <= tol.
+    vector of mu with |R(mu) - 1| <= NORM_TOL.
     """
     m = _libm(math.log, np.atleast_1d(np.asarray(mu0, dtype=float)))
     m_lo = np.full(m.shape, -np.inf)     # bracket: R(e^{m_lo}) > 1 > R(e^{m_hi})
     m_hi = np.full(m.shape, np.inf)
     live = np.ones(m.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_NORM_MAX_ITER):
             R, slope = rho(np.where(live, _libm(math.exp, m), np.nan))
-            live &= ~(np.abs(R - 1.0) <= tol)
+            live &= ~(np.abs(R - 1.0) <= NORM_TOL)
             if not live.any():
                 return _libm(math.exp, m)
             regular = (R > 0.0) & (R < np.inf)
@@ -100,7 +101,7 @@ def _row_chunks(n_rows, n_nodes):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _unit_norm(grid, mags, young, lo, hi, tol):
+def _unit_norm(grid, mags, young, lo, hi):
     """The scales mu, one per row, at which the sum over the magnitude
     stacks a in ``mags`` (each (rows, nodes)) of integral Psi(a/mu) equals 1;
     0 for a row where every magnitude vanishes.
@@ -132,15 +133,15 @@ def _unit_norm(grid, mags, young, lo, hi, tol):
             slope[live] = -moment / R[live]     # under the solve's errstate
             return R, slope
 
-        mu[rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows], tol=tol)
+        mu[rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows])
     return mu
 
 
-def _phi_norm(family, grid, mags, tol):
+def _phi_norm(family, grid, mags):
     """_unit_norm with Psi = Phi of the family."""
     x1 = grid.coords_first.ravel()
     return _unit_norm(grid, mags, lambda t: (family.Phi(x1, t), family.phi(x1, t)),
-                      family.phi0, family.phi_sup, tol)
+                      family.phi0, family.phi_sup)
 
 
 def _phi_sum(family, grid, mags):
@@ -172,28 +173,28 @@ def _stack_modular(family, grid, U):
     return _phi_sum(family, grid, (_rows(U),))
 
 
-def _stack_luxemburg_norm(family, grid, U, tol=NORM_TOL):
-    return _phi_norm(family, grid, (_rows(U),), tol)
+def _stack_luxemburg_norm(family, grid, U):
+    return _phi_norm(family, grid, (_rows(U),))
 
 
-def _stack_conjugate_norm(family, grid, U, tol=NORM_TOL):
+def _stack_conjugate_norm(family, grid, U):
     x1 = grid.coords_first.ravel()
     return _unit_norm(grid, (_rows(U),), lambda s: family.conjugate_with_argmax(x1, s),
-                      *family.conjugate_exponent_bounds(), tol)
+                      *family.conjugate_exponent_bounds())
 
 
 def _stack_sobolev_modular(family, grid, U):
     return _phi_sum(family, grid, (_rows(U), _grad_rows(grid, U)))
 
 
-def _stack_sobolev_norm(family, grid, U, tol=NORM_TOL):
-    return _phi_norm(family, grid, (_rows(U), _grad_rows(grid, U)), tol)
+def _stack_sobolev_norm(family, grid, U):
+    return _phi_norm(family, grid, (_rows(U), _grad_rows(grid, U)))
 
 
-def _stack_sobolev_norms(family, grid, U, tol=NORM_TOL):
+def _stack_sobolev_norms(family, grid, U):
     """(n1, n2, n) per row; see sobolev_norms."""
     au, gmag = _rows(U), _grad_rows(grid, U)
-    nu, ng, n = (_phi_norm(family, grid, mags, tol) for mags in ((au,), (gmag,), (au, gmag)))
+    nu, ng, n = (_phi_norm(family, grid, mags) for mags in ((au,), (gmag,), (au, gmag)))
     return ng + nu, np.maximum(ng, nu), n
 
 
@@ -201,8 +202,8 @@ def _stack_sobolev_norms(family, grid, U, tol=NORM_TOL):
 # modulars and norms on nodal fields: each is its stack form on one row
 # ---------------------------------------------------------------------------
 
-def _one(stack_fn, family, u: GridFunction, *args):
-    return float(stack_fn(family, u.grid, u.values[None], *args)[0])
+def _one(stack_fn, family, u: GridFunction):
+    return float(stack_fn(family, u.grid, u.values[None])[0])
 
 
 def modular(family, u: GridFunction) -> float:
@@ -210,9 +211,9 @@ def modular(family, u: GridFunction) -> float:
     return _one(_stack_modular, family, u)
 
 
-def luxemburg_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
+def luxemburg_norm(family, u: GridFunction) -> float:
     """inf{mu > 0 : rho(u/mu) <= 1}, solved at equality; 0 for u = 0."""
-    return _one(_stack_luxemburg_norm, family, u, tol)
+    return _one(_stack_luxemburg_norm, family, u)
 
 
 def conjugate_modular(family, u: GridFunction) -> float:
@@ -221,9 +222,9 @@ def conjugate_modular(family, u: GridFunction) -> float:
     return float(np.sum(quad_weights(u.grid) * np.asarray(conj)))
 
 
-def conjugate_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
+def conjugate_norm(family, u: GridFunction) -> float:
     """Luxemburg-type norm built from the conjugate Young function."""
-    return _one(_stack_conjugate_norm, family, u, tol)
+    return _one(_stack_conjugate_norm, family, u)
 
 
 def sobolev_modular(family, u: GridFunction) -> float:
@@ -231,15 +232,15 @@ def sobolev_modular(family, u: GridFunction) -> float:
     return _one(_stack_sobolev_modular, family, u)
 
 
-def sobolev_norm(family, u: GridFunction, tol: float = NORM_TOL) -> float:
+def sobolev_norm(family, u: GridFunction) -> float:
     """The scale mu with combined modular of (u/mu, grad u/mu) equal to 1."""
-    return _one(_stack_sobolev_norm, family, u, tol)
+    return _one(_stack_sobolev_norm, family, u)
 
 
-def sobolev_norms(family, u: GridFunction, tol: float = NORM_TOL):
+def sobolev_norms(family, u: GridFunction):
     """The three equivalent Sobolev-level norms (n1, n2, n).
 
     n1 = |grad u| norm + |u| norm, n2 = max of the two, and n is the
     combined-modular norm from sobolev_norm.
     """
-    return tuple(float(n[0]) for n in _stack_sobolev_norms(family, u.grid, u.values[None], tol))
+    return tuple(float(n[0]) for n in _stack_sobolev_norms(family, u.grid, u.values[None]))

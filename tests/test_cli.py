@@ -88,6 +88,14 @@ def test_norm_function_file(family_file, tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("lam", ["0", "-1"])
+def test_solve_rejects_non_positive_lambda_flag(solve_config, capsys, lam):
+    assert main(["solve", "--config", solve_config, "--lambda", lam]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lam must be positive")
+
+
 def test_solve_constant_recovery(solve_config, tmp_path, capsys):
     sol = tmp_path / "sol.dat"
     traj = tmp_path / "traj.csv"

@@ -40,11 +40,33 @@ def test_family_descriptor_estimate_keyword(tmp_path):
 
 
 def test_tabulated_exponent_from_config():
-    kv = parse_kv_text("q.kind = tabulated\nq.x1 = 0 0.5 1\nq.values = 2 3 2\n"
-                       "example = power\n")
-    react = reaction_from_kv(kv, prefix="")
+    kv = parse_kv_text("reaction.q.kind = tabulated\nreaction.q.x1 = 0 0.5 1\n"
+                       "reaction.q.values = 2 3 2\nreaction.example = power\n")
+    react = reaction_from_kv(kv)
     assert react.q(0.49) == pytest.approx(3.0)
     assert (react.q.p_minus, react.q.p_plus) == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("example, q, factory", [
+    ("power", "2 1", ok.power_reaction),
+    ("power-log", "4 0.5", ok.power_log_reaction),
+    ("power-sin", "3 1", ok.power_sin_reaction),
+])
+def test_reaction_from_kv_matches_factory(example, q, factory):
+    kv = parse_kv_text(f"reaction.example = {example}\nreaction.q.kind = affine\n"
+                       f"reaction.q.coeffs = {q}\n")
+    react = reaction_from_kv(kv)
+    coeffs = [float(v) for v in q.split()]
+    expected = factory(ok.ExponentField.affine(*coeffs))
+    assert react.example_id == example
+    assert (react.C0, react.C1, react.C2) == (expected.C0, expected.C1, expected.C2)
+
+
+def test_reaction_from_kv_rejects_unknown_example():
+    kv = parse_kv_text("reaction.example = cubic\nreaction.q.kind = constant\n"
+                       "reaction.q.coeffs = 3\n")
+    with pytest.raises(InputError, match="unknown reaction example 'cubic'"):
+        reaction_from_kv(kv)
 
 
 def test_grid_from_kv_2d():
@@ -54,6 +76,13 @@ def test_grid_from_kv_2d():
     assert grid.measure == 2.0
     with pytest.raises(InputError):
         grid_from_kv(parse_kv_text("grid.dim = 2\ngrid.extents = 0 1\ngrid.nodes = 5 9\n"))
+
+
+@pytest.mark.parametrize("extents", ["0 x", "0 1e999x", "lo hi"])
+def test_grid_from_kv_malformed_extents_name_the_key(extents):
+    kv = parse_kv_text(f"grid.dim = 1\ngrid.extents = {extents}\ngrid.nodes = 5\n")
+    with pytest.raises(InputError, match=re.escape("'grid.extents' must be a number")):
+        grid_from_kv(kv)
 
 
 def test_initial_guess_kinds(tmp_path, grid_1d):

@@ -38,7 +38,7 @@ def test_make_grid_rejects_non_finite_extents(tmp_path, lo, hi):
     with pytest.raises(InputError, match="extents must be finite"):
         ok.make_grid(2, [(0.0, 1.0), (lo, hi)], [3, 3])
     kv = parse_kv_text(f"grid.dim = 1\ngrid.extents = {lo!r} {hi!r}\ngrid.nodes = 5\n")
-    with pytest.raises(InputError, match="extents must be finite"):
+    with pytest.raises(InputError, match="'grid.extents' must be finite"):
         grid_from_kv(kv)
     p = tmp_path / "sol.dat"
     p.write_text(f"1 3 {lo!r} {hi!r}\n0.0\n0.0\n0.0\n")

@@ -151,7 +151,9 @@ def test_log_Phi_against_mpmath(family_logquot_affine, family_logweight):
     ts = np.concatenate([np.geomspace(1e-6, 1e6, 13), [1e-12, 1e12, 1e60]])
     with mpmath.workdps(20):
         for fam in (family_logquot_affine, family_logweight):
-            for x in (0.0, 0.37, 1.0):
+            # x = 0.1023 (p = 3.1023 for log-quotient) lies between the
+            # exponents where the head rule is most and least accurate
+            for x in (0.0, 0.1023, 0.37, 1.0):
                 Phi = np.asarray(fam.Phi(np.full_like(ts, x), ts))
                 for t, value in zip(ts, Phi):
                     oracle = _mp_Phi(fam, x, t)

@@ -1,5 +1,6 @@
 """Descent solver, thresholds, probes, and the parameter sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,19 @@ def test_solver_options_reject_non_finite(key, value):
     # tolerance reports any iterate as converged, and a NaN one never does
     with pytest.raises(InputError, match="positive and finite"):
         SolverOptions(**{key: value})
+
+
+def test_settings_objects_are_frozen(config_p4_q2):
+    opts = SolverOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.max_iters = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config_p4_q2.lam = 2.0
+    assert config_p4_q2.lam == 1.0 and opts.max_iters == SolverOptions().max_iters
+    # a changed lam is a new config, validated like any other
+    assert dataclasses.replace(config_p4_q2, lam=2.0).lam == 2.0
+    with pytest.raises(InputError, match="lam must be positive"):
+        dataclasses.replace(config_p4_q2, lam=0.0)
 
 
 def test_critical_point_certificate(config_p4_q2, grid_1d):

@@ -118,6 +118,14 @@ def test_ftc_reference_matches_adaptive_quadrature(suite_inputs):
         assert np.max(np.abs(ref - quad) / quad) <= 1e-12, family
 
 
+def test_ftc_consistency_passes_exact_large_Phi():
+    # Phi = t^6 is exact, but Phi(20) = 6.4e7 carries rounding far above
+    # an absolute 1e-10; the margin is relative where Phi > 1
+    family = ok.power_family(ok.ExponentField.constant(6.0))
+    margins, _ = verify.eval_ftc_consistency(family, 123, 64)
+    assert np.all(margins >= -1e-10), np.min(margins)
+
+
 def test_verify_run_loads_no_scipy_integrate():
     # the ftc_consistency reference is a fixed numpy rule, not scipy's quad
     code = ("import sys, orliczkit.cli; "
