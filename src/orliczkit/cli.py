@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -78,9 +77,8 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _cmd_solve(args) -> int:
-    config, grid, u0, _ = cfg.load_energy_setup(args.config)
-    if args.lam is not None:
-        config = replace(config, lam=cfg.finite_float(args.lam, "--lambda"))
+    lam = None if args.lam is None else cfg.finite_float(args.lam, "--lambda")
+    config, grid, u0, _ = cfg.load_energy_setup(args.config, lam)
     report = minimize(config, u0, _solver_options(args))
     if args.out:
         save_function(report.final_u, args.out)
@@ -93,7 +91,9 @@ def _cmd_solve(args) -> int:
                f"iterations = {report.iterations}\n"
                f"final_energy = {report.final_energy!r}\n"
                f"residual_sup = {report.residual_sup!r}\n"
-               f"message = {report.message}\n")
+               f"message = {report.message}\n"
+               f"energy_evals = {report.energy_evals}\n"
+               f"residual_evals = {report.residual_evals}\n")
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(summary)
@@ -102,12 +102,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, grid, _u0, kv = cfg.load_energy_setup(args.config)
+    family, reaction, grid, kv = cfg.load_problem(args.config)
     lam_text = args.lambdas or kv.get("lambdas")
     if not lam_text:
         raise InputError("sweep needs --lambdas or a 'lambdas' config entry")
     lams = [cfg.finite_float(v, "lambdas") for v in lam_text.replace(",", " ").split()]
-    report = sweep_lambda(config.family, config.reaction, grid, lams,
+    report = sweep_lambda(family, reaction, grid, lams,
                           u0_strategy=args.strategy, opts=_solver_options(args),
                           seed=args.seed)
     if args.out:

@@ -21,7 +21,7 @@ from .energy import _REACTIONS, EnergyConfig, ReactionFamily, _reaction
 
 __all__ = [
     "parse_kv_text", "read_kv_file", "finite_float", "exponent_from_kv", "reaction_from_kv",
-    "grid_from_kv", "load_energy_setup", "initial_guess_from_kv",
+    "grid_from_kv", "load_problem", "load_energy_setup", "initial_guess_from_kv",
 ]
 
 
@@ -139,14 +139,21 @@ def initial_guess_from_kv(kv: dict, grid: DomainGrid) -> GridFunction:
     raise InputError(f"unknown u0 kind {kind!r}")
 
 
-def load_energy_setup(path):
-    """Read an energy config file -> (EnergyConfig, grid, initial guess)."""
+def load_problem(path):
+    """Read the family, reaction and grid of an energy config file
+    -> (family, reaction, grid, kv); ``lambda`` and ``u0.`` are not read."""
     kv = read_kv_file(path)
-    family = family_from_kv_or_file(kv)
-    reaction = reaction_from_kv(kv)
-    if "lambda" not in kv:
-        raise InputError("energy config missing 'lambda'")
-    lam = finite_float(kv["lambda"], "lambda")
-    grid = grid_from_kv(kv)
+    return family_from_kv_or_file(kv), reaction_from_kv(kv), grid_from_kv(kv), kv
+
+
+def load_energy_setup(path, lam=None):
+    """Read an energy config file -> (EnergyConfig, grid, initial guess, kv).
+
+    A given ``lam`` replaces the file's ``lambda``, which is then not read."""
+    family, reaction, grid, kv = load_problem(path)
+    if lam is None:
+        if "lambda" not in kv:
+            raise InputError("energy config missing 'lambda'")
+        lam = finite_float(kv["lambda"], "lambda")
     u0 = initial_guess_from_kv(kv, grid)
     return EnergyConfig(family, reaction, lam), grid, u0, kv

@@ -26,7 +26,8 @@ Three reaction families are built in, one entry each of the table
 * ``power-log``  G = |t|^q + log(1+t^2)|t|^{q-2},    g = dG/dt          (q >= 4)
 * ``power-sin``  G = |t|^q + sin(sin t)|t|^{q-1},    g = dG/dt          (q >= 3)
 
-Envelope constants C0, C1, C2 with |g| <= C0|t|^{q-1} and
+Each entry also carries g' = dg/dt in closed form, which the Newton model
+of the solver needs.  Envelope constants C0, C1, C2 with |g| <= C0|t|^{q-1} and
 C1|t|^q <= G <= C2|t|^q are analytic for ``power`` and certified by dense
 sampling over |t| in [1e-3, 10] for the other two (slot ``certified``),
 before the frozen descriptor is built (the sin family genuinely degenerates
@@ -58,11 +59,14 @@ CERTIFICATION_T_RANGE = (1e-3, 10.0)
 
 @dataclass(frozen=True)
 class _ReactionKernel:
-    """g and G of one reaction kind as f(q, |t|, t), the smallest q-, and
-    whether C0, C1, C2 are certified (else C0 = q+, C1 = C2 = 1)."""
+    """g, G and g' = dg/dt of one reaction kind as f(q, |t|, t), the smallest
+    q-, and whether C0, C1, C2 are certified (else C0 = q+, C1 = C2 = 1).
+    Every exponent of |t| in the formulas is >= 0 for q >= q_min, so g' is
+    finite at t = 0."""
 
     g: Callable
     G: Callable
+    dg: Callable
     q_min: float
     certified: bool = True
 
@@ -71,18 +75,29 @@ _REACTIONS = {
     "power": _ReactionKernel(
         g=lambda q, at, t: q * at ** (q - 2.0) * t,
         G=lambda q, at, t: at ** q,
+        dg=lambda q, at, t: q * (q - 1.0) * at ** (q - 2.0),
         q_min=2.0, certified=False),
     "power-log": _ReactionKernel(
         g=lambda q, at, t: (q * at ** (q - 2.0) * t
                             + (q - 2.0) * np.log1p(t * t) * at ** (q - 4.0) * t
                             + 2.0 * t / (1.0 + t * t) * at ** (q - 2.0)),
         G=lambda q, at, t: at ** q + np.log1p(t * t) * at ** (q - 2.0),
+        dg=lambda q, at, t: (q * (q - 1.0) * at ** (q - 2.0)
+                             + (q - 2.0) * (q - 3.0) * np.log1p(t * t) * at ** (q - 4.0)
+                             + (2.0 * (2.0 * q - 3.0) / (1.0 + t * t)
+                                - 4.0 * t * t / (1.0 + t * t) ** 2) * at ** (q - 2.0)),
         q_min=4.0),
     "power-sin": _ReactionKernel(
         g=lambda q, at, t: (q * at ** (q - 2.0) * t
                             + (q - 1.0) * np.sin(np.sin(t)) * at ** (q - 3.0) * t
                             + np.cos(np.sin(t)) * np.cos(t) * at ** (q - 1.0)),
         G=lambda q, at, t: at ** q + np.sin(np.sin(t)) * at ** (q - 1.0),
+        dg=lambda q, at, t: (q * (q - 1.0) * at ** (q - 2.0)
+                             + (q - 1.0) * (q - 2.0) * np.sin(np.sin(t)) * at ** (q - 3.0)
+                             + 2.0 * (q - 1.0) * np.cos(np.sin(t)) * np.cos(t)
+                             * at ** (q - 3.0) * t
+                             - (np.sin(np.sin(t)) * np.cos(t) ** 2
+                                + np.cos(np.sin(t)) * np.sin(t)) * at ** (q - 1.0)),
         q_min=3.0),
 }
 
@@ -98,19 +113,24 @@ class ReactionFamily:
     C2: float
 
     def g(self, x1, t):
-        return self._eval(_REACTIONS[self.example_id].g, x1, t)
+        return self._eval(_REACTIONS[self.example_id].g, x1, t, zero_at_0=True)
 
     def G(self, x1, t):
-        return self._eval(_REACTIONS[self.example_id].G, x1, t)
+        return self._eval(_REACTIONS[self.example_id].G, x1, t, zero_at_0=True)
 
-    def _eval(self, formula, x1, t):
+    def dg(self, x1, t):
+        """g'(x,t) = dg/dt; at t = 0 it is 2 for q = 2 and 0 for q > 2."""
+        return self._eval(_REACTIONS[self.example_id].dg, x1, t, zero_at_0=False)
+
+    def _eval(self, formula, x1, t, zero_at_0):
         x1 = np.asarray(x1, dtype=float)
         t = np.asarray(t, dtype=float)
         q = self.q(x1)
         at = np.abs(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = formula(q, at, t)
-        out = np.where(at == 0.0, 0.0, out)
+        if zero_at_0:
+            out = np.where(at == 0.0, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
 

@@ -10,7 +10,8 @@ and a lower growth constant M_lower with M_lower*|t|^p(x) <= Phi(x,t) on the
 sampling window.  Three named families are built in, each one entry of the
 kernel table ``_KERNELS`` (formulas for phi and Phi, the closed-form phi_inv
 or else the elasticity t phi'/phi that the Newton solve for phi_inv uses,
-the smallest admissible p- and the phi0 rule):
+phi' (closed form for ``power``, phi times the elasticity over t for the
+log kinds), the smallest admissible p- and the phi0 rule):
 
 * ``power``        phi = p(x)|t|^{p(x)-2} t                 Phi = |t|^{p(x)}
 * ``log-quotient`` phi = p(x)|t|^{p(x)-2} t / log(1+|t|)
@@ -25,7 +26,7 @@ phi0 = p- - 1, phi_sup = p+; for ``log-weight`` phi0 = p- is exact while
 phi_sup exists but has no closed form and is estimated numerically (stored
 with a small safe-side pad).  Custom families fill the same kernel slots
 from a user-supplied phi callable and get Phi by adaptive quadrature unless
-a Phi callable is given too.
+a Phi callable is given too, and phi' by a central difference of phi.
 
 Descriptors are frozen: a factory builds a provisional descriptor, estimates
 the constants that need phi/Phi on it, and returns a new descriptor through
@@ -64,6 +65,8 @@ __all__ = [
 # phi_inv: iteration cap (bisection alone needs about 60) and stopping step
 _PHI_INV_MAX_ITER = 100
 _PHI_INV_ULPS = 4.0 * np.finfo(float).eps
+# relative step of the central difference that stands in for a missing phi'
+_DPHI_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 _STRUCTURE_TOL = 1e-8
 _DELTA2_REL_TOL = 1e-9
 
@@ -163,6 +166,11 @@ def _power_Phi(fam, x1, t):
     return np.abs(t) ** fam.p(x1)
 
 
+def _power_dphi(fam, x1, t):
+    p = fam.p(x1)
+    return p * (p - 1.0) * np.abs(t) ** (p - 2.0)
+
+
 def _power_phi_inv(fam, x1, s):
     p = fam.p(x1)
     return (s / p) ** (1.0 / (p - 1.0))
@@ -177,6 +185,12 @@ def _log_quotient_phi(fam, x1, t):
 
 def _log_quotient_elasticity(fam, x1, t):
     return (fam.p(x1) - 1.0) - t / ((1.0 + t) * np.log1p(t))
+
+
+def _log_quotient_dphi0(fam, x1):
+    # phi/t ~ p t^{p-3}: 3 at p = 3, 0 above
+    p = fam.p(x1)
+    return p * (p - 2.0) * 0.0 ** (p - 3.0)
 
 
 def _log_quotient_Phi(fam, x1, t):
@@ -198,11 +212,36 @@ def _log_weight_elasticity(fam, x1, t):
     return (fam.p(x1) - 1.0) + t / ((kappa + t) * np.log(kappa + t))
 
 
+def _log_weight_dphi0(fam, x1):
+    # phi/t ~ p log(1+alpha) t^{p-2}: 2 log(1+alpha) at p = 2, 0 above
+    p = fam.p(x1)
+    return p * (p - 1.0) * np.log(1.0 + fam.alpha) * 0.0 ** (p - 2.0)
+
+
 def _log_weight_Phi(fam, x1, t):
     p = fam.p(x1)
     at = np.abs(t)
     kappa = 1.0 + fam.alpha
     return np.log(kappa + at) * at ** p - _corr_log_weight(at, p, kappa)
+
+
+def _elastic_dphi(limit, fam, x1, t):
+    """phi' = (phi/t) (t phi'/phi) at |t| > 0 from the kernel's elasticity;
+    limit(fam, x1) is its value at t = 0."""
+    at = np.abs(t)
+    safe = np.where(at > 0.0, at, 1.0)
+    kernel = fam.kernel
+    slope = kernel.phi(fam, x1, safe) / safe * kernel.phi_elasticity(fam, x1, safe)
+    return np.where(at > 0.0, slope, limit(fam, x1))
+
+
+def _central_dphi(fam, x1, t):
+    """phi' by a central difference of the kernel's phi, relative step eps^(1/3)
+    (from the smallest normal number at t = 0)."""
+    h = _DPHI_STEP * np.maximum(np.abs(t), np.finfo(float).tiny)
+    up, down = t + h, t - h
+    phi = fam.kernel.phi
+    return (phi(fam, x1, up) - phi(fam, x1, down)) / (up - down)
 
 
 @dataclass(frozen=True)
@@ -212,7 +251,8 @@ class _Kernel:
     phi_inv is the closed-form inverse of phi; without one, phi_inv solves
     phi = s in z = log t, taking Newton steps on log phi when the elasticity
     phi_elasticity = t phi'/phi = d log phi/d log t (t > 0) is known and
-    bisecting otherwise.
+    bisecting otherwise.  dphi is the derivative phi' (even in t, finite at
+    t = 0); without a formula it is a central difference of phi.
     The remaining slots describe built-in kinds only: the smallest
     admissible p-, the rule phi0 = p- - phi0_drop, the constants estimated
     numerically (helpers applied in order), whether alpha enters the
@@ -223,6 +263,7 @@ class _Kernel:
     Phi: Callable
     phi_inv: Callable | None = None
     phi_elasticity: Callable | None = None
+    dphi: Callable = _central_dphi
     p_min: float = 1.0
     phi0_drop: float = 0.0
     estimates: tuple = ()
@@ -293,6 +334,12 @@ class MusielakFamily:
         x1, t = _finite_args(x1, t, "t")
         with np.errstate(divide="ignore", invalid="ignore"):
             return _maybe_scalar(self.kernel.phi(self, x1, t))
+
+    def dphi(self, x1, t):
+        """phi'(x,t) = d phi/dt; even in t and finite at t = 0."""
+        x1, t = _finite_args(x1, t, "t")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _maybe_scalar(self.kernel.dphi(self, x1, t))
 
     def Phi(self, x1, t):
         """Phi(x,t) = integral of phi from 0 to |t| (even extension)."""
@@ -529,13 +576,18 @@ def _with_m_lower(family, t_lo=1e-4, t_hi=1e4, nt=181):
 
 
 _KERNELS = {
-    "power": _Kernel(_power_phi, _power_Phi, _power_phi_inv, p_min=2.0),
+    "power": _Kernel(_power_phi, _power_Phi, _power_phi_inv, dphi=_power_dphi,
+                     p_min=2.0),
     "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi,
-                            phi_elasticity=_log_quotient_elasticity, p_min=3.0,
+                            phi_elasticity=_log_quotient_elasticity,
+                            dphi=functools.partial(_elastic_dphi, _log_quotient_dphi0),
+                            p_min=3.0,
                             phi0_drop=1.0, estimates=(_with_m_lower,),
                             shifted_lower_bound=True),
     "log-weight": _Kernel(_log_weight_phi, _log_weight_Phi,
-                          phi_elasticity=_log_weight_elasticity, p_min=2.0,
+                          phi_elasticity=_log_weight_elasticity,
+                          dphi=functools.partial(_elastic_dphi, _log_weight_dphi0),
+                          p_min=2.0,
                           estimates=(_with_refined_sup, _with_m_lower),
                           uses_alpha=True),
 }

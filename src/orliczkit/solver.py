@@ -1,20 +1,26 @@
-"""Energy minimization by Armijo-backtracked L-BFGS, thresholds, and probes.
+"""Energy minimization by Armijo-backtracked damped Newton, thresholds, and probes.
 
-``minimize`` is limited-memory BFGS (Liu & Nocedal 1989; Nocedal & Wright,
-*Numerical Optimization*, ch. 7) in the quadrature-weighted inner product
-<a,b>_w = sum(w a b).  The weight-normalized residual r is the gradient of
-the energy in that inner product, so this is L-BFGS preconditioned by the
-lumped mass matrix.  The search direction d = -H r comes from the two-loop
-recursion over the last few (s, y) pairs; it falls back to -r, with the
-history cleared, whenever it is not a descent direction.  Every line search
-starts from ``initial_step`` (by default the unit step, the natural
-quasi-Newton step) and backtracks until the Armijo test
+``minimize`` works in the quadrature-weighted inner product
+<a,b>_w = sum(w a b), in which the weight-normalized residual r is the
+gradient of the energy.  Its direction solves H d = -r for the Newton model
+H of ``_newton_model``: the Hessian of the discrete energy with the flux
+tangent clipped at >= 0 and the zeroth-order coefficient clipped below at a
+small positive floor (``_C_FLOOR``), so H is positive definite and exact
+wherever that floor is inactive, near a stable minimizer in particular
+(Nocedal & Wright, *Numerical Optimization*, ch. 3.4 and 7.1).  In 1-d the
+model is pentadiagonal and the step is one banded direct solve; in 2-d it
+is CG on the matrix-free model, truncated by the Eisenstat-Walker forcing
+min(``_ETA_MAX``, sqrt(|r|_w)) and at non-positive curvature (Steihaug).  A
+direction that is not a descent direction is replaced by -r.  Every line
+search starts from ``initial_step`` (by default the unit step, the natural
+Newton step) and backtracks until the Armijo test
 J(u + t d) <= J(u) + c1 t <r,d>_w holds, so each accepted step decreases
 the energy; the iteration stops when the sup-norm of the residual (the
 weak-solution defect) reaches its tolerance.  A converged report is a
 discrete critical-point certificate in the spirit of a Palais-Smale
 sequence: energies recorded along the way are nonincreasing and the final
-derivative is small against every direction.
+derivative is small against every direction.  The report also counts the
+``energy`` and ``residual`` evaluations the run made.
 
 ``lambda_star_formula`` evaluates the small-parameter existence threshold
 
@@ -35,7 +41,6 @@ settings are the module constants ``_BUMP_T_SCAN``, ``_COERCIVITY_T``,
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +48,8 @@ import numpy as np
 from .energy import EnergyConfig, energy, residual
 from .errors import InputError
 from .families import power_family
-from .grid import (DomainGrid, GridFunction, _random_fields, bump_function, integrate,
-                   quad_weights)
+from .grid import (DomainGrid, GridFunction, _gradient, _random_fields, bump_function,
+                   gradient, gradient_adjoint, integrate, quad_weights)
 from .spaces import (_stack_luxemburg_norm, _stack_sobolev_norm, sobolev_modular,
                      sobolev_norm)
 
@@ -55,10 +60,10 @@ __all__ = [
 ]
 
 
-# number of (s, y) pairs the L-BFGS direction is built from
-LBFGS_HISTORY = 8
-# a pair enters the history only if <s,y>_w > _CURVATURE_EPS |s|_w |y|_w
-_CURVATURE_EPS = 1e-10
+# c = phi'(|u|) - lam g'(u) is clipped below at _C_FLOOR max(1, max|c|)
+_C_FLOOR = 1e-4
+# CG stops at |H d + r|_w <= eta |r|_w, eta = min(_ETA_MAX, sqrt(|r|_w))
+_ETA_MAX = 0.5
 
 _BUMP_T_SCAN = (1e-6, 0.25, 40)      # np.geomspace arguments
 _COERCIVITY_T = (10.0, 100.0, 1000.0)
@@ -95,38 +100,100 @@ class SolveReport:
     converged: bool
     trajectory: np.ndarray          # rows (energy, residual_sup)
     message: str = ""
+    energy_evals: int = 0
+    residual_evals: int = 0
 
 
 def _dot(w, a, b) -> float:
     return float(np.sum(w * a * b))
 
 
-def _lbfgs_direction(r, pairs, w):
-    """-H r by the two-loop recursion; H is the identity without history."""
-    if not pairs:
-        return -r
-    q = r.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * _dot(w, s, q)
-        q -= a * y
-        alphas.append(a)
-    _, y, rho = pairs[-1]
-    z = q / (rho * _dot(w, y, y))          # initial scaling <s,y>_w / <y,y>_w
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        z += (a - rho * _dot(w, y, z)) * s
-    return -z
+def _newton_direction(config: EnergyConfig, u: GridFunction, r, w):
+    """d with H d = -r for the clipped Newton model H of J at u, in the
+    w-inner product.
+
+    H v = D^T (w K D v) / w + c v with, per node, s = |grad u|, n = grad u / s,
+    a = phi(s)/s (phi'(0) at s = 0), the flux tangent
+    K = a (I - n n^T) + phi'(s) n n^T with both eigenvalues clipped at >= 0,
+    and c = phi'(|u|) - lam g'(u) clipped below at _C_FLOOR max(1, max|c|).
+    H is positive definite, and it is the Hessian of the discrete energy
+    wherever c is above its floor.  In 1-d K is phi'(s) and d comes from one
+    banded solve; in 2-d from truncated CG on v -> H v.
+    """
+    fam, grid = config.family, u.grid
+    x1 = grid.coords_first
+    gu = gradient(u)
+    s = np.sqrt(np.sum(gu * gu, axis=0))
+    radial = np.maximum(np.asarray(fam.dphi(x1, s)), 0.0)
+    c = (np.asarray(fam.dphi(x1, u.values))
+         - config.lam * np.asarray(config.reaction.dg(x1, u.values)))
+    c = np.maximum(c, _C_FLOOR * max(1.0, float(np.max(np.abs(c)))))
+    if grid.dim == 1:
+        return _banded_newton_step(grid, w * radial, w * c, -w * r)
+
+    live = s > 0.0
+    safe = np.where(live, s, 1.0)
+    a = np.maximum(np.where(live, np.asarray(fam.phi(x1, safe)) / safe, radial), 0.0)
+    n = gu / safe
+
+    def apply(v):
+        gv = _gradient(grid, v)
+        flux = a * gv + (radial - a) * n * np.sum(n * gv, axis=0)
+        return gradient_adjoint(w * flux, grid) / w + c * v
+
+    return _truncated_cg_step(apply, r, w)
+
+
+def _banded_newton_step(grid: DomainGrid, wk, wc, rhs):
+    """Solve (D^T diag(wk) D + diag(wc)) d = rhs on a 1-d grid.  The central
+    stencil skips the neighbour and its boundary rows are zero, so the
+    matrix is pentadiagonal with offsets 0 and +-2."""
+    from scipy.linalg import solve_banded    # deferred: import orliczkit loads no scipy
+
+    m = wk[1:-1] / (2.0 * grid.spacing[0]) ** 2
+    bands = np.zeros((5, rhs.size))
+    bands[2] = wc
+    bands[2, 2:] += m
+    bands[2, :-2] += m
+    bands[0, 2:] = bands[4, :-2] = -m
+    return solve_banded((2, 2), bands, rhs)
+
+
+def _truncated_cg_step(apply, r, w):
+    """d with |H d + r|_w <= eta |r|_w, eta = min(_ETA_MAX, sqrt(|r|_w)), by CG
+    in the w-inner product on H = apply (Eisenstat-Walker forcing).  CG stops
+    early at non-positive curvature (Steihaug) and then returns its last
+    iterate, or -r if there is none."""
+    d = np.zeros(r.shape)
+    res = -r
+    p = res
+    rr = _dot(w, res, res)
+    stop = min(_ETA_MAX ** 2, math.sqrt(rr)) * rr
+    for _ in range(r.size):
+        if rr <= stop:
+            break
+        hp = apply(p)
+        curvature = _dot(w, p, hp)
+        if not curvature > 0.0:
+            return d if np.any(d) else -r
+        step = rr / curvature
+        d = d + step * p
+        res = res - step * hp
+        rr, rr_old = _dot(w, res, res), rr
+        p = res + (rr / rr_old) * p
+    return d
 
 
 def minimize(config: EnergyConfig, u0: GridFunction,
              opts: SolverOptions | None = None) -> SolveReport:
-    """Armijo-backtracked L-BFGS in the quadrature-weighted inner product from u0."""
+    """Armijo-backtracked damped Newton from u0, in the quadrature-weighted
+    inner product."""
     opts = opts or SolverOptions()
     w = quad_weights(u0.grid)
     u = u0
     J = energy(config, u)
     r = residual(config, u)
-    pairs = deque(maxlen=LBFGS_HISTORY)
+    energy_evals = residual_evals = 1
     traj = []
     message = "reached max_iters"
     iterations = 0
@@ -137,10 +204,9 @@ def minimize(config: EnergyConfig, u0: GridFunction,
         if res_sup <= opts.tol_res:
             message = "residual below tolerance"
             break
-        d = _lbfgs_direction(r.values, pairs, w)
+        d = _newton_direction(config, u, r.values, w)
         slope = _dot(w, r.values, d)
         if not slope < 0.0:
-            pairs.clear()
             d = -r.values
             slope = _dot(w, r.values, d)
         step = opts.initial_step
@@ -150,6 +216,7 @@ def minimize(config: EnergyConfig, u0: GridFunction,
             if np.all(np.isfinite(trial_values)):
                 trial = GridFunction(u.grid, trial_values)
                 J_trial = energy(config, trial)
+                energy_evals += 1
                 if np.isfinite(J_trial) and J_trial <= J + opts.armijo_c1 * step * slope:
                     accepted = True
                     break
@@ -157,18 +224,15 @@ def minimize(config: EnergyConfig, u0: GridFunction,
         if not accepted:
             message = "line search failure (step underflow)"
             break
-        r_trial = residual(config, trial)
-        s, y = trial_values - u.values, r_trial.values - r.values
-        sy = _dot(w, s, y)
-        if sy > _CURVATURE_EPS * math.sqrt(_dot(w, s, s) * _dot(w, y, y)):
-            pairs.append((s, y, 1.0 / sy))
-        u, J, r = trial, J_trial, r_trial
+        u, J, r = trial, J_trial, residual(config, trial)
+        residual_evals += 1
     else:
         iterations = opts.max_iters
 
     res_sup = r.sup_norm()
     return SolveReport(u, J, res_sup, iterations, res_sup <= opts.tol_res,
-                       np.array(traj) if traj else np.zeros((0, 2)), message)
+                       np.array(traj) if traj else np.zeros((0, 2)), message,
+                       energy_evals, residual_evals)
 
 
 # ---------------------------------------------------------------------------

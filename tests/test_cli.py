@@ -109,7 +109,30 @@ def test_solve_constant_recovery(solve_config, tmp_path, capsys):
     assert lines[0] == "iteration,energy,residual_sup"
     energies = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(b <= a for a, b in zip(energies, energies[1:]))
-    assert "converged = True" in rep.read_text()
+    summary = rep.read_text()
+    assert "converged = True" in summary
+    counts = dict(ln.split(" = ") for ln in summary.splitlines()
+                  if ln.startswith(("energy_evals", "residual_evals")))
+    assert int(counts["residual_evals"]) == len(energies)
+    assert int(counts["energy_evals"]) >= len(energies)
+
+
+@pytest.mark.parametrize("file_lambda", ["lambda = 0\n", ""], ids=["invalid", "missing"])
+def test_solve_lambda_flag_replaces_file_lambda(tmp_path, capsys, file_lambda):
+    path = tmp_path / "energy.cfg"
+    path.write_text(SOLVE_CONFIG.replace("lambda = 1.0\n", file_lambda))
+    assert main(["solve", "--config", str(path), "--lambda", "1"]) == 0
+    assert "converged = True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("file_lambda", ["lambda = 0\n", "lambda = x\n", ""],
+                         ids=["invalid", "malformed", "missing"])
+def test_sweep_does_not_read_file_lambda(tmp_path, capsys, file_lambda):
+    path = tmp_path / "energy.cfg"
+    path.write_text(SOLVE_CONFIG.replace("lambda = 1.0\n", file_lambda))
+    assert main(["sweep", "--config", str(path), "--lambdas", "2",
+                 "--strategy", "constant"]) == 0
+    assert capsys.readouterr().out.startswith("lambda_star_formula = ")
 
 
 def test_solve_nonconvergence_exit(solve_config):

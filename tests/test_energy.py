@@ -63,6 +63,24 @@ def test_primitive_consistency(reactions, rng):
         assert np.all(np.abs(fd - g) <= 1e-6 * (1.0 + np.abs(g)))
 
 
+def test_dg_matches_central_difference(reactions, reaction_q2, rng):
+    raw = rng.uniform(-1.0, 1.0, 300)
+    t = np.sign(raw) * (1e-3 + np.abs(raw) * 4.999)
+    x = rng.uniform(0.0, 1.0, 300)
+    for r in [reaction_q2, *reactions.values()]:
+        h = 1e-6 * (1.0 + np.abs(t))
+        fd = (np.asarray(r.g(x, t + h)) - np.asarray(r.g(x, t - h))) / (2.0 * h)
+        dg = np.asarray(r.dg(x, t))
+        assert np.all(np.abs(fd - dg) <= 1e-6 * (1.0 + np.abs(dg)))
+
+
+def test_dg_at_zero(reactions, reaction_q2):
+    # g(t) = 2t for q = 2, so g'(0) = 2 is not zeroed like g(0) and G(0)
+    assert reaction_q2.dg(0.3, 0.0) == 2.0
+    for r in reactions.values():
+        assert r.dg(0.3, 0.0) == 0.0
+
+
 def test_growth_envelopes_with_certified_constants(reactions, rng):
     lo, hi = CERTIFICATION_T_RANGE
     mag = np.exp(rng.uniform(np.log(lo), np.log(hi), 500))

@@ -146,6 +146,38 @@ def test_phi_elasticity_matches_log_difference(family_logquot_affine, family_log
             assert np.max(np.abs(elasticity - (up - down) / (2.0 * h))) <= 1e-7
 
 
+@pytest.mark.parametrize("x", [0.0, 0.37, 1.0])
+def test_dphi_matches_central_difference(all_families, x):
+    ts = np.geomspace(1e-6, 1e6, 61)
+    h = 1e-6 * ts
+    for fam in all_families:
+        fd = (np.asarray(fam.phi(x, ts + h)) - np.asarray(fam.phi(x, ts - h))) / (2.0 * h)
+        np.testing.assert_allclose(fam.dphi(x, ts), fd, rtol=1e-8)
+        np.testing.assert_array_equal(fam.dphi(x, -ts), fam.dphi(x, ts))
+
+
+def test_dphi_at_zero_is_the_limit(all_families):
+    # the families' p(x) = p- + x is at p_min at x = 0, where phi'(0) > 0:
+    # power p = 2 -> 2, log-quotient p = 3 -> 3, log-weight p = 2, alpha = 1
+    # -> 2 log 2; above p_min phi'(0) = 0
+    power, log_quotient, log_weight = all_families
+    assert power.dphi(0.0, 0.0) == 2.0
+    assert log_quotient.dphi(0.0, 0.0) == 3.0
+    assert log_weight.dphi(0.0, 0.0) == pytest.approx(2.0 * np.log(2.0), rel=1e-15)
+    for fam in all_families:
+        assert fam.dphi(0.37, 0.0) == 0.0
+    assert ok.power_family(ok.ExponentField.constant(4.0)).dphi(0.5, 0.0) == 0.0
+
+
+def test_custom_dphi_is_a_central_difference():
+    fam = ok.custom_family(lambda x, t: 4.0 * np.abs(t) ** 2 * t,
+                           Phi_fn=lambda x, t: np.abs(t) ** 4,
+                           p=ok.ExponentField.constant(4.0))
+    ts = np.geomspace(1e-6, 1e6, 61)
+    np.testing.assert_allclose(fam.dphi(0.5, ts), 12.0 * ts ** 2, rtol=1e-9)
+    assert abs(fam.dphi(0.5, 0.0)) <= 1e-300
+
+
 def test_phi_inv_batch_takes_few_phi_evaluations(family_logquot_affine, family_logweight):
     # one 129^2 batch: safeguarded Newton needs a handful of phi calls where
     # a log-space bisection to full precision needs over a hundred

@@ -8,7 +8,7 @@ import pytest
 
 import orliczkit as ok
 from orliczkit.errors import InputError
-from orliczkit.solver import SolverOptions, _default_rho
+from orliczkit.solver import _C_FLOOR, SolverOptions, _default_rho
 
 
 @pytest.fixture(scope="module")
@@ -49,30 +49,57 @@ def test_minimize_max_iters_reports_nonconvergence(config_p4_q2, grid_1d):
     assert "max_iters" in rep.message
 
 
+def _dense_newton_direction(config, u):
+    """-H^{-1} r from the dense clipped Newton model, assembled column by
+    column through the gradient stencil (1-d)."""
+    grid = u.grid
+    w = ok.quad_weights(grid)
+    x = grid.coords_first
+    D = np.stack([ok.gradient(ok.GridFunction(grid, e))[0] for e in np.eye(grid.size)],
+                 axis=1)
+    fam = config.family
+    c = fam.dphi(x, u.values) - config.lam * config.reaction.dg(x, u.values)
+    c = np.maximum(c, _C_FLOOR * max(1.0, np.max(np.abs(c))))
+    H = D.T @ np.diag(w * fam.dphi(x, D @ u.values)) @ D + np.diag(w * c)
+    r = ok.residual(config, u).values
+    return np.linalg.solve(H, -w * r), r
+
+
 @pytest.mark.parametrize("rough, initial_step", [(True, 1.0), (False, 0.5)],
-                         ids=["rough-backtracked", "constant-first-trial"])
-def test_first_step_is_armijo_backtracked_steepest_descent(config_p4_q2, grid_1d,
-                                                           rough, initial_step):
-    # without history the L-BFGS direction is -r: the single step must be
-    # the Armijo backtrack along -r from u0 that starts at initial_step,
-    # computed here by hand.  The rough start backtracks ~23 times; on the
-    # constant start the first trial (0.5) and twice it both pass Armijo.
+                         ids=["rough", "constant"])
+def test_first_step_is_armijo_backtracked_newton_step(config_p4_q2, rough, initial_step):
+    # the single step must be the Armijo backtrack, from initial_step, along
+    # the Newton direction of the dense clipped model, computed here by hand
+    grid = ok.make_grid(1, [(0.0, 1.0)], [21])
     opts = SolverOptions(max_iters=1, tol_res=1e-12, initial_step=initial_step)
-    u0 = (ok.random_function(grid_1d, 4, 0.5, 3) if rough
-          else ok.GridFunction.constant(grid_1d, 0.3))
+    u0 = (ok.random_function(grid, 4, 0.5, 3) if rough
+          else ok.GridFunction.constant(grid, 0.3))
     rep = ok.minimize(config_p4_q2, u0, opts)
-    w = ok.quad_weights(grid_1d)
-    r = ok.residual(config_p4_q2, u0).values
+    d, r = _dense_newton_direction(config_p4_q2, u0)
+    w = ok.quad_weights(grid)
     J0 = ok.energy(config_p4_q2, u0)
-    slope = -float(np.sum(w * r * r))
-    t = opts.initial_step
-    while (ok.energy(config_p4_q2, ok.GridFunction(grid_1d, u0.values - t * r))
+    slope = float(np.sum(w * r * d))
+    assert slope < 0.0
+    t, trials = opts.initial_step, 1
+    while (ok.energy(config_p4_q2, ok.GridFunction(grid, u0.values + t * d))
            > J0 + opts.armijo_c1 * t * slope):
         t *= opts.backtrack
+        trials += 1
     assert rep.iterations == 1
-    np.testing.assert_array_equal(rep.final_u.values, u0.values - t * r)
+    assert rep.energy_evals == 1 + trials and rep.residual_evals == 2
+    np.testing.assert_allclose(rep.final_u.values, u0.values + t * d, rtol=1e-10, atol=1e-14)
     assert rep.final_energy == ok.energy(config_p4_q2, rep.final_u)
     assert rep.trajectory[0, 0] == J0
+
+
+def test_rough_start_accepts_an_early_trial(config_p4_q2, grid_1d):
+    # steepest descent backtracked 23 times from this start; the Newton step
+    # is accepted at its first or second trial
+    u0 = ok.random_function(grid_1d, 4, 0.5, 3)
+    rep = ok.minimize(config_p4_q2, u0, SolverOptions(max_iters=1, tol_res=1e-12))
+    assert rep.iterations == 1
+    assert rep.energy_evals <= 3
+    assert rep.final_energy < ok.energy(config_p4_q2, u0)
 
 
 def _cosine_start(grid, seed):
@@ -81,13 +108,49 @@ def _cosine_start(grid, seed):
     return ok.GridFunction(grid, 0.5 + 0.3 * np.cos(np.pi * x) + noise)
 
 
-@pytest.mark.parametrize("nodes", [201, 401])
+def _cosine_start_2d(grid, seed):
+    x, y = grid.axis_coords(0)[:, None], grid.axis_coords(1)[None, :]
+    noise = ok.random_function(grid, seed, 0.1, 0).values
+    return ok.GridFunction(grid, 0.5 + 0.3 * (np.cos(np.pi * x) + np.cos(np.pi * y)) + noise)
+
+
+@pytest.mark.parametrize("nodes", [201, 401, 1601])
 def test_minimize_converges_on_fine_grids(config_p4_q2, nodes):
     grid = ok.make_grid(1, [(0.0, 1.0)], [nodes])
     rep = ok.minimize(config_p4_q2, _cosine_start(grid, nodes))
     assert rep.converged
     assert rep.residual_sup <= 1e-6
     assert rep.final_energy == pytest.approx(-0.25, abs=1e-6)
+
+
+@pytest.mark.parametrize("coarse, fine, start", [
+    ((101,), (1601,), _cosine_start),
+    ((33, 33), (65, 65), _cosine_start_2d),
+], ids=["1d-101-1601", "2d-33-65"])
+def test_newton_iterations_are_mesh_independent(config_p4_q2, coarse, fine, start):
+    iterations = []
+    for nodes in (coarse, fine):
+        grid = ok.make_grid(len(nodes), [(0.0, 1.0)] * len(nodes), nodes)
+        rep = ok.minimize(config_p4_q2, start(grid, nodes[0]))
+        assert rep.converged
+        iterations.append(rep.iterations)
+    assert iterations[1] <= 2 * iterations[0]
+
+
+def test_minimize_custom_family_reaches_power_minimizer(config_p4_q2, grid_1d):
+    # phi = 4|t|^2 t is power p = 4 without its closed-form phi', so the
+    # Newton model runs on the central-difference fallback
+    custom = ok.custom_family(lambda x, t: 4.0 * np.abs(t) ** 2 * t,
+                              Phi_fn=lambda x, t: np.abs(t) ** 4,
+                              p=ok.ExponentField.constant(4.0))
+    config = dataclasses.replace(config_p4_q2, family=custom)
+    u0 = _cosine_start(grid_1d, 7)
+    rep = ok.minimize(config, u0)
+    ref = ok.minimize(config_p4_q2, u0)
+    assert rep.converged and ref.converged
+    np.testing.assert_allclose(rep.final_u.values, ref.final_u.values, atol=1e-7)
+    assert np.max(np.abs(rep.final_u.values - 2.0 ** -0.5)) <= 1e-7
+    assert rep.final_energy == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_small_lambda_solve_converges_on_201_nodes():
