@@ -70,10 +70,7 @@ def _cmd_value(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        max_iters=args.max_iters, tol_res=args.tol_res,
-        armijo_c1=args.armijo, backtrack=args.backtrack,
-        initial_step=args.step)
+    return SolverOptions(max_iters=args.max_iters, tol_res=args.tol_res)
 
 
 def _cmd_solve(args) -> int:
@@ -107,8 +104,7 @@ def _cmd_sweep(args) -> int:
     if not lam_text:
         raise InputError("sweep needs --lambdas or a 'lambdas' config entry")
     lams = [cfg.finite_float(v, "lambdas") for v in lam_text.replace(",", " ").split()]
-    report = sweep_lambda(family, reaction, grid, lams,
-                          u0_strategy=args.strategy, opts=_solver_options(args),
+    report = sweep_lambda(family, reaction, grid, lams, opts=_solver_options(args),
                           seed=args.seed)
     if args.out:
         report.save_csv(args.out)
@@ -212,8 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", help="comma or space separated values")
     p.add_argument("--out", help="sweep CSV file")
     p.add_argument("--report", help="threshold summary file")
-    p.add_argument("--strategy", default="all",
-                   choices=["bump", "constant", "zero", "all"])
     p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_sweep)
@@ -232,10 +226,6 @@ def _add_solver_flags(p):
     defaults = SolverOptions()
     p.add_argument("--max-iters", type=int, default=defaults.max_iters)
     p.add_argument("--tol-res", type=float, default=defaults.tol_res)
-    p.add_argument("--armijo", type=float, default=defaults.armijo_c1)
-    p.add_argument("--backtrack", type=float, default=defaults.backtrack)
-    p.add_argument("--step", type=float, default=defaults.initial_step,
-                   help="first trial step of each line search")
 
 
 def main(argv=None) -> int:

@@ -127,7 +127,7 @@ class ReactionFamily:
         t = np.asarray(t, dtype=float)
         q = self.q(x1)
         at = np.abs(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = formula(q, at, t)
         if zero_at_0:
             out = np.where(at == 0.0, 0.0, out)
@@ -149,8 +149,12 @@ def _reaction(example_id, q):
     tt = t[None, :]
     qq = q(xs)[:, None]
     at = np.abs(tt)
-    ratio_G = np.asarray(reaction.G(xs[:, None], tt)) / at ** qq
-    ratio_g = np.abs(np.asarray(reaction.g(xs[:, None], tt))) / at ** (qq - 1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio_G = np.asarray(reaction.G(xs[:, None], tt)) / at ** qq
+        ratio_g = np.abs(np.asarray(reaction.g(xs[:, None], tt))) / at ** (qq - 1.0)
+    if not (np.all(np.isfinite(ratio_G)) and np.all(np.isfinite(ratio_g))):
+        raise InputError(f"{example_id} reaction with q(x) up to {q.p_plus:g}: "
+                         f"its envelope constants overflow")
     pad = 1e-3
     return replace(reaction,
                    C0=float(np.max(ratio_g)) * (1.0 + pad),

@@ -332,13 +332,13 @@ class MusielakFamily:
     def phi(self, x1, t):
         """phi(x,t); odd in t, phi(x,0) = 0."""
         x1, t = _finite_args(x1, t, "t")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return _maybe_scalar(self.kernel.phi(self, x1, t))
 
     def dphi(self, x1, t):
         """phi'(x,t) = d phi/dt; even in t and finite at t = 0."""
         x1, t = _finite_args(x1, t, "t")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return _maybe_scalar(self.kernel.dphi(self, x1, t))
 
     def Phi(self, x1, t):

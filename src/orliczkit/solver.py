@@ -3,7 +3,7 @@
 ``minimize`` works in the quadrature-weighted inner product
 <a,b>_w = sum(w a b), in which the weight-normalized residual r is the
 gradient of the energy.  Its direction solves H d = -r for the Newton model
-H of ``_newton_model``: the Hessian of the discrete energy with the flux
+H of ``_newton_direction``: the Hessian of the discrete energy with the flux
 tangent clipped at >= 0 and the zeroth-order coefficient clipped below at a
 small positive floor (``_C_FLOOR``), so H is positive definite and exact
 wherever that floor is inactive, near a stable minimizer in particular
@@ -12,15 +12,15 @@ model is pentadiagonal and the step is one banded direct solve; in 2-d it
 is CG on the matrix-free model, truncated by the Eisenstat-Walker forcing
 min(``_ETA_MAX``, sqrt(|r|_w)) and at non-positive curvature (Steihaug).  A
 direction that is not a descent direction is replaced by -r.  Every line
-search starts from ``initial_step`` (by default the unit step, the natural
-Newton step) and backtracks until the Armijo test
-J(u + t d) <= J(u) + c1 t <r,d>_w holds, so each accepted step decreases
-the energy; the iteration stops when the sup-norm of the residual (the
-weak-solution defect) reaches its tolerance.  A converged report is a
-discrete critical-point certificate in the spirit of a Palais-Smale
-sequence: energies recorded along the way are nonincreasing and the final
-derivative is small against every direction.  The report also counts the
-``energy`` and ``residual`` evaluations the run made.
+search starts from the unit step, the natural Newton step, and halves it
+until the Armijo test J(u + t d) <= J(u) + 1e-4 t <r,d>_w holds (ibid.
+ch. 3.1), so each accepted step decreases the energy; the iteration stops
+when the sup-norm of the residual (the weak-solution defect) reaches its
+tolerance.  A converged report is a discrete critical-point certificate in
+the spirit of a Palais-Smale sequence: energies recorded along the way are
+nonincreasing and the final derivative is small against every direction.
+The report also counts the ``energy`` and ``residual`` evaluations the run
+made.
 
 ``lambda_star_formula`` evaluates the small-parameter existence threshold
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyConfig, energy, residual
-from .errors import InputError
+from .errors import DomainError, InputError
 from .families import power_family
 from .grid import (DomainGrid, GridFunction, _gradient, _random_fields, bump_function,
                    gradient, gradient_adjoint, integrate, quad_weights)
@@ -64,6 +64,11 @@ __all__ = [
 _C_FLOOR = 1e-4
 # CG stops at |H d + r|_w <= eta |r|_w, eta = min(_ETA_MAX, sqrt(|r|_w))
 _ETA_MAX = 0.5
+# line search: the first t = 1, 1/2, 1/4, ... >= _STEP_FLOOR with
+# J(u + t d) <= J(u) + _ARMIJO_C1 t <r,d>_w
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+_STEP_FLOOR = 1e-18
 
 _BUMP_T_SCAN = (1e-6, 0.25, 40)      # np.geomspace arguments
 _COERCIVITY_T = (10.0, 100.0, 1000.0)
@@ -76,19 +81,10 @@ _NONTRIVIAL_NORM = 1e-6
 class SolverOptions:
     max_iters: int = 100_000
     tol_res: float = 1e-6
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise InputError("armijo_c1 must lie in (0, 1)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise InputError("backtrack ratio must lie in (0, 1)")
-        if not (self.max_iters >= 1 and 0.0 < self.tol_res < math.inf
-                and 0.0 < self.initial_step < math.inf):
-            raise InputError("max_iters, tol_res and initial_step must be positive "
-                             "and finite")
+        if not (self.max_iters >= 1 and 0.0 < self.tol_res < math.inf):
+            raise InputError("max_iters and tol_res must be positive and finite")
 
 
 @dataclass
@@ -118,7 +114,8 @@ def _newton_direction(config: EnergyConfig, u: GridFunction, r, w):
     and c = phi'(|u|) - lam g'(u) clipped below at _C_FLOOR max(1, max|c|).
     H is positive definite, and it is the Hessian of the discrete energy
     wherever c is above its floor.  In 1-d K is phi'(s) and d comes from one
-    banded solve; in 2-d from truncated CG on v -> H v.
+    banded solve; in 2-d from truncated CG on v -> H v.  Where phi' or
+    lam g' overflows there is no model, and d is -r.
     """
     fam, grid = config.family, u.grid
     x1 = grid.coords_first
@@ -127,6 +124,8 @@ def _newton_direction(config: EnergyConfig, u: GridFunction, r, w):
     radial = np.maximum(np.asarray(fam.dphi(x1, s)), 0.0)
     c = (np.asarray(fam.dphi(x1, u.values))
          - config.lam * np.asarray(config.reaction.dg(x1, u.values)))
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(radial))):
+        return -r
     c = np.maximum(c, _C_FLOOR * max(1.0, float(np.max(np.abs(c)))))
     if grid.dim == 1:
         return _banded_newton_step(grid, w * radial, w * c, -w * r)
@@ -184,6 +183,9 @@ def _truncated_cg_step(apply, r, w):
     return d
 
 
+# overflow is silent: a non-finite model, slope, trial, energy or residual is
+# rejected where it is used
+@np.errstate(over="ignore", invalid="ignore")
 def minimize(config: EnergyConfig, u0: GridFunction,
              opts: SolverOptions | None = None) -> SolveReport:
     """Armijo-backtracked damped Newton from u0, in the quadrature-weighted
@@ -191,8 +193,12 @@ def minimize(config: EnergyConfig, u0: GridFunction,
     opts = opts or SolverOptions()
     w = quad_weights(u0.grid)
     u = u0
-    J = energy(config, u)
-    r = residual(config, u)
+    try:
+        J, r = energy(config, u), residual(config, u)
+    except (DomainError, InputError):     # |grad u| or the residual overflowed
+        J = math.nan
+    if not math.isfinite(J):
+        raise InputError("the initial guess has a non-finite energy or residual")
     energy_evals = residual_evals = 1
     traj = []
     message = "reached max_iters"
@@ -209,18 +215,21 @@ def minimize(config: EnergyConfig, u0: GridFunction,
         if not slope < 0.0:
             d = -r.values
             slope = _dot(w, r.values, d)
-        step = opts.initial_step
+        step = 1.0
         accepted = False
-        while step >= 1e-18 * opts.initial_step:
+        while step >= _STEP_FLOOR:
             trial_values = u.values + step * d
             if np.all(np.isfinite(trial_values)):
                 trial = GridFunction(u.grid, trial_values)
-                J_trial = energy(config, trial)
+                try:
+                    J_trial = energy(config, trial)
+                except DomainError:      # |grad u| overflowed: no finite energy
+                    J_trial = math.inf
                 energy_evals += 1
-                if np.isfinite(J_trial) and J_trial <= J + opts.armijo_c1 * step * slope:
+                if np.isfinite(J_trial) and J_trial <= J + _ARMIJO_C1 * step * slope:
                     accepted = True
                     break
-            step *= opts.backtrack
+            step *= _BACKTRACK
         if not accepted:
             message = "line search failure (step underflow)"
             break
@@ -393,21 +402,20 @@ def bump_seed(config: EnergyConfig, grid: DomainGrid) -> GridFunction:
 
 
 def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
-                 u0_strategy: str = "all", opts: SolverOptions | None = None,
-                 seed: int = 0) -> SweepReport:
+                 opts: SolverOptions | None = None, seed: int = 0) -> SweepReport:
     """Minimize the energy across a sorted list of positive parameters.
 
-    Seeds per the strategy: "bump" (scaled small bump), "constant" (_SWEEP_T0
-    times the unit field), "zero", or "all".  Nontriviality of a run means it
-    converged with negative energy and norm above _NONTRIVIAL_NORM.
+    Each parameter runs from the seeds "bump" (``bump_seed``) and "constant"
+    (_SWEEP_T0 times the unit field); its row is the run of lower energy, a
+    converged one first.  u = 0, critical for every parameter, is no seed:
+    its trivial run would hide a failed solve.  Nontriviality of a run means
+    it converged with negative energy and norm above _NONTRIVIAL_NORM.
     """
     lams = [float(v) for v in lambda_list]
     if any(v <= 0.0 for v in lams):
         raise InputError("all sweep parameters must be positive")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise InputError("lambda_list must be strictly increasing")
-    if u0_strategy not in ("bump", "constant", "zero", "all"):
-        raise InputError(f"unknown u0 strategy {u0_strategy!r}")
     opts = opts or SolverOptions()
 
     u_const = GridFunction.constant(grid, _SWEEP_T0)
@@ -430,15 +438,8 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
         config = EnergyConfig(family, reaction, lam)
         if math.isnan(lam_upper_emp) and energy(config, u_const) < 0.0:
             lam_upper_emp = lam
-        seeds = []
-        if u0_strategy in ("bump", "all"):
-            seeds.append(("bump", bump_seed(config, grid)))
-        if u0_strategy in ("constant", "all"):
-            seeds.append(("constant", u_const))
-        if u0_strategy in ("zero", "all"):
-            seeds.append(("zero", GridFunction.constant(grid, 0.0)))
         best = None
-        for name, u0 in seeds:
+        for name, u0 in (("bump", bump_seed(config, grid)), ("constant", u_const)):
             rep = minimize(config, u0, opts)
             norm = sobolev_norm(family, rep.final_u)
             nontrivial = rep.converged and rep.final_energy < 0.0 and norm > _NONTRIVIAL_NORM
@@ -446,7 +447,7 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
             if best is None or key < best[0]:
                 best = (key, name, rep, norm, nontrivial)
             if name == "bump" and nontrivial:
-                lam_star_emp = lam if math.isnan(lam_star_emp) else max(lam_star_emp, lam)
+                lam_star_emp = lam        # the parameters increase
         _, name, rep, norm, nontrivial = best
         rows.append(SweepRow(lam, rep.final_energy, rep.residual_sup, norm,
                              nontrivial, rep.iterations, rep.converged, name))

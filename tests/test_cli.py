@@ -130,8 +130,7 @@ def test_solve_lambda_flag_replaces_file_lambda(tmp_path, capsys, file_lambda):
 def test_sweep_does_not_read_file_lambda(tmp_path, capsys, file_lambda):
     path = tmp_path / "energy.cfg"
     path.write_text(SOLVE_CONFIG.replace("lambda = 1.0\n", file_lambda))
-    assert main(["sweep", "--config", str(path), "--lambdas", "2",
-                 "--strategy", "constant"]) == 0
+    assert main(["sweep", "--config", str(path), "--lambdas", "2"]) == 0
     assert capsys.readouterr().out.startswith("lambda_star_formula = ")
 
 
@@ -241,12 +240,11 @@ def test_non_finite_input_exits_3(tmp_path, capsys, family_text, config_text, ar
 
 
 @pytest.mark.parametrize("command, argv, message", [
-    ("solve", ["--step", "inf"], "must be positive and finite"),
     ("solve", ["--tol-res", "inf"], "must be positive and finite"),
     ("solve", ["--tol-res", "nan"], "must be positive and finite"),
     ("norm", ["--const", "1", "--domain", "0", "inf", "--nodes", "11"],
      "extents must be finite"),
-], ids=["flag-step-inf", "flag-tol-res-inf", "flag-tol-res-nan", "flag-domain-inf"])
+], ids=["flag-tol-res-inf", "flag-tol-res-nan", "flag-domain-inf"])
 def test_non_finite_solver_or_grid_flag_exits_3(family_file, solve_config, capsys,
                                                 command, argv, message):
     source = ["--config", solve_config] if command == "solve" else ["--family", family_file]
@@ -258,16 +256,58 @@ def test_non_finite_solver_or_grid_flag_exits_3(family_file, solve_config, capsy
 
 
 def test_solver_flag_defaults_match_solver_options():
-    from orliczkit.cli import _build_parser
-    args = _build_parser().parse_args(["solve", "--config", "x.cfg"])
-    defaults = ok.SolverOptions()
-    assert (args.max_iters, args.tol_res, args.armijo, args.backtrack, args.step) == (
-        defaults.max_iters, defaults.tol_res, defaults.armijo_c1,
-        defaults.backtrack, defaults.initial_step)
+    from orliczkit.cli import _build_parser, _solver_options
+    for command in ("solve", "sweep"):
+        args = _build_parser().parse_args([command, "--config", "x.cfg"])
+        assert _solver_options(args) == ok.SolverOptions()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("solve", ["--armijo", "0.1"]),
+    ("solve", ["--backtrack", "0.3"]),
+    ("solve", ["--step", "0.5"]),
+    ("sweep", ["--strategy", "all"]),
+], ids=["armijo", "backtrack", "step", "strategy"])
+def test_retired_solver_flags_exit_3(solve_config, capsys, command, argv):
+    assert main([command, "--config", solve_config] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
+
+
+def test_sweep_nonconvergence_exit(tmp_path, capsys):
+    # u = 0 is critical for every lambda, so a trivial seed would report
+    # these unconverged solves as converged rows and exit 0
+    path = tmp_path / "energy.cfg"
+    path.write_text(SOLVE_CONFIG.replace("nodes = 101", "nodes = 41"))
+    assert main(["sweep", "--config", str(path), "--lambdas", "1,2", "--max-iters", "1"]) == 2
+    rows = capsys.readouterr().out.splitlines()[-2:]
+    assert [row.split(",")[0] for row in rows] == ["1.0", "2.0"]
+    assert all(float(row.split(",")[1]) != 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("edit, code", [
+    (("u0.value = 0.3", "u0.value = 1e150"), 3),
+    (("lambda = 1.0", "lambda = 1e300"), 2),
+    (("lambda = 1.0", "lambda = 1e308"), 2),
+], ids=["huge-initial-guess", "huge-lambda", "lambda-g-prime-overflows"])
+def test_solve_overflow_is_silent(tmp_path, edit, code):
+    # overflow inside the solve prints no numpy warning; a non-finite
+    # initial guess is reported as such
+    path = tmp_path / "energy.cfg"
+    path.write_text(SOLVE_CONFIG.replace("nodes = 101", "nodes = 11").replace(*edit))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ok.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "orliczkit.cli", "solve",
+                           "--config", str(path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error: the initial guess")
 
 
 def test_import_loads_no_scipy():
-    # scipy.integrate is imported only where adaptive quadrature runs
+    # scipy is imported only where it runs: scipy.integrate by adaptive
+    # quadrature, scipy.linalg by the first 1-d Newton step
     code = ("import sys, orliczkit, orliczkit.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ok.__file__)))

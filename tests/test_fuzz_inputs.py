@@ -1,10 +1,13 @@
 """Malformed-input fuzzing of the command-line front end.
 
-Whatever descriptor text, solution file or ``norm``/``modular``/``conjugate``
-argv is drawn, ``cli.main`` must return one of the documented exit codes
-(0/1/2/3) and print no traceback.  Draws are derandomized so the suite is
+Whatever descriptor text, solution file, energy config or argv is drawn,
+``cli.main`` must return one of the documented exit codes (0/1/2/3) and
+print no traceback; under the suite's ``error::RuntimeWarning`` filter an
+unguarded overflow fails too.  Draws are derandomized so the suite is
 deterministic.  They favour the power and log-quotient families, because a
-log-weight descriptor pays the numerical phi_sup refinement on every build.
+log-weight descriptor pays the numerical phi_sup refinement on every build,
+and ``solve``/``sweep`` draws keep grids at <= 11 nodes and at most 50
+iterations.
 """
 
 import contextlib
@@ -26,7 +29,6 @@ number = st.one_of(
     st.floats(-2.0, 8.0, allow_nan=False).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "", "3,5", "0x10"]),
 )
-numbers = st.lists(number, max_size=4).map(" ".join)
 
 
 def _run(argv):
@@ -51,7 +53,7 @@ DESCRIPTOR_KEYS = ["family", "p.kind", "p.coeffs", "p.x1_range", "p.x1", "p.valu
 
 
 @st.composite
-def _mutated(draw, entries, keys):
+def _mutated(draw, entries, keys, value=number):
     """Drop or garble up to two entries of a well-formed key-value mapping."""
     for _ in range(draw(st.integers(0, 2))):
         key = draw(st.sampled_from(keys))
@@ -59,7 +61,8 @@ def _mutated(draw, entries, keys):
         if action == "drop":
             entries.pop(key, None)
         else:
-            entries[key] = draw(number if action == "value" else numbers)
+            entries[key] = draw(value if action == "value"
+                                else st.lists(value, max_size=4).map(" ".join))
     return entries
 
 
@@ -132,3 +135,64 @@ def test_fuzz_value_argv(workdir, command, const, domain, nodes):
             continue
         argv += [flag] + (value if isinstance(value, list) else [value])
     _run(argv)
+
+
+extreme = st.one_of(number, st.sampled_from(
+    ["1e10", "1e150", "1e300", "1e308", "-1e300", "1e-300", "nan", "abc", "zero", "bump",
+     "file"]))
+# the numeric keys twice, since a garbled kind or dim only reaches the parser
+ENERGY_KEYS = ["reaction.example", "reaction.q.kind", "grid.dim", "grid.nodes", "u0.kind"] \
+    + 2 * ["reaction.q.coeffs", "grid.extents", "lambda", "u0.value"]
+RETIRED_FLAGS = [["--armijo", "0.1"], ["--backtrack", "0.3"], ["--step", "0.5"],
+                 ["--strategy", "all"]]
+
+
+@st.composite
+def _often(draw, usual, rare):
+    """A draw of ``usual`` in about three draws of four, else of ``rare``."""
+    return draw(rare if draw(st.sampled_from([False] * 3 + [True])) else usual)
+
+
+@st.composite
+def energy_config_text(draw):
+    example = draw(st.sampled_from(["power", "power-log", "power-sin"]))
+    q = {"power": "2", "power-log": "4", "power-sin": "3"}[example]
+    nodes = draw(st.sampled_from(["11", "5 5"]))
+    entries = {"family.family": "power", "family.p.kind": "constant",
+               "family.p.coeffs": draw(exponent),
+               "reaction.example": example, "reaction.q.kind": "constant",
+               "reaction.q.coeffs": q, "lambda": draw(st.sampled_from(["0.5", "1", "4"])),
+               "grid.dim": str(len(nodes.split())), "grid.nodes": nodes,
+               "grid.extents": " ".join(["0", "1"] * len(nodes.split())),
+               "u0.kind": draw(st.sampled_from(["zero", "constant", "bump"])),
+               "u0.value": draw(st.sampled_from(["0.3", "1", "-2"]))}
+    entries = draw(_often(st.just(entries), _mutated(entries, ENERGY_KEYS, extreme)))
+    return "\n".join(f"{key} = {value}" for key, value in entries.items()) + "\n"
+
+
+sorted_lambdas = st.lists(st.sampled_from(["0.5", "1", "2", "6"]), min_size=1, max_size=3,
+                          unique=True).map(lambda v: ",".join(sorted(v, key=float)))
+any_lambdas = st.lists(extreme, min_size=1, max_size=3).map(",".join)
+
+
+@FUZZ
+@given(text=energy_config_text(), command=st.sampled_from(["solve", "sweep"]),
+       max_iters=_often(st.integers(1, 50).map(str), st.sampled_from(["0", "2.5", "x"])),
+       tol_res=_often(st.none(), extreme), lam=_often(st.none(), extreme),
+       lams=_often(sorted_lambdas, any_lambdas),
+       retired=_often(st.none(), st.sampled_from(RETIRED_FLAGS)))
+def test_fuzz_solve_and_sweep(workdir, text, command, max_iters, tol_res, lam, lams, retired):
+    path = workdir / "energy.cfg"
+    path.write_text(text)
+    argv = [command, "--config", str(path), "--max-iters", max_iters]
+    if tol_res is not None:
+        argv += ["--tol-res", tol_res]
+    if command == "sweep":
+        argv += ["--lambdas", lams]
+    elif lam is not None:
+        argv += ["--lambda", lam]
+    if retired is not None:
+        argv += retired
+    code = _run(argv)
+    if retired is not None:
+        assert code == 3

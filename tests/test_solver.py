@@ -8,7 +8,7 @@ import pytest
 
 import orliczkit as ok
 from orliczkit.errors import InputError
-from orliczkit.solver import _C_FLOOR, SolverOptions, _default_rho
+from orliczkit.solver import _ARMIJO_C1, _BACKTRACK, _C_FLOOR, SolverOptions, _default_rho
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +65,12 @@ def _dense_newton_direction(config, u):
     return np.linalg.solve(H, -w * r), r
 
 
-@pytest.mark.parametrize("rough, initial_step", [(True, 1.0), (False, 0.5)],
-                         ids=["rough", "constant"])
-def test_first_step_is_armijo_backtracked_newton_step(config_p4_q2, rough, initial_step):
-    # the single step must be the Armijo backtrack, from initial_step, along
+@pytest.mark.parametrize("rough", [True, False], ids=["rough", "constant"])
+def test_first_step_is_armijo_backtracked_newton_step(config_p4_q2, rough):
+    # the single step must be the Armijo backtrack, from the unit step, along
     # the Newton direction of the dense clipped model, computed here by hand
     grid = ok.make_grid(1, [(0.0, 1.0)], [21])
-    opts = SolverOptions(max_iters=1, tol_res=1e-12, initial_step=initial_step)
+    opts = SolverOptions(max_iters=1, tol_res=1e-12)
     u0 = (ok.random_function(grid, 4, 0.5, 3) if rough
           else ok.GridFunction.constant(grid, 0.3))
     rep = ok.minimize(config_p4_q2, u0, opts)
@@ -80,10 +79,10 @@ def test_first_step_is_armijo_backtracked_newton_step(config_p4_q2, rough, initi
     J0 = ok.energy(config_p4_q2, u0)
     slope = float(np.sum(w * r * d))
     assert slope < 0.0
-    t, trials = opts.initial_step, 1
+    t, trials = 1.0, 1
     while (ok.energy(config_p4_q2, ok.GridFunction(grid, u0.values + t * d))
-           > J0 + opts.armijo_c1 * t * slope):
-        t *= opts.backtrack
+           > J0 + _ARMIJO_C1 * t * slope):
+        t *= _BACKTRACK
         trials += 1
     assert rep.iterations == 1
     assert rep.energy_evals == 1 + trials and rep.residual_evals == 2
@@ -170,20 +169,32 @@ def test_small_lambda_solve_converges_on_201_nodes():
 
 def test_solver_options_validation():
     with pytest.raises(InputError):
-        SolverOptions(armijo_c1=1.5)
-    with pytest.raises(InputError):
-        SolverOptions(backtrack=1.0)
-    with pytest.raises(InputError):
         SolverOptions(max_iters=0)
+    with pytest.raises(InputError):
+        SolverOptions(tol_res=0.0)
 
 
-@pytest.mark.parametrize("key", ["tol_res", "initial_step"])
+@pytest.mark.parametrize("key", ["tol_res"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_solver_options_reject_non_finite(key, value):
-    # an infinite step never backtracks below its floor, an infinite
-    # tolerance reports any iterate as converged, and a NaN one never does
+    # an infinite tolerance reports any iterate as converged, and a NaN one
+    # never does
     with pytest.raises(InputError, match="positive and finite"):
         SolverOptions(**{key: value})
+
+
+@pytest.mark.parametrize("retired", ["armijo_c1", "backtrack", "initial_step"])
+def test_line_search_settings_are_not_options(retired):
+    # the unit first trial, halving and c1 = 1e-4 are fixed
+    with pytest.raises(TypeError):
+        SolverOptions(**{retired: 0.5})
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == ["max_iters", "tol_res"]
+
+
+def test_minimize_rejects_initial_guess_with_non_finite_energy(config_p4_q2, grid_1d):
+    # Phi(1e150) = 1e600 overflows; the error names the initial guess
+    with pytest.raises(InputError, match="initial guess"):
+        ok.minimize(config_p4_q2, ok.GridFunction.constant(grid_1d, 1e150))
 
 
 def test_settings_objects_are_frozen(config_p4_q2):
@@ -332,8 +343,8 @@ def test_sweep_rejects_bad_lambdas(grid_1d):
         ok.sweep_lambda(fam, react, grid_1d, [0.0, 1.0])
     with pytest.raises(InputError):
         ok.sweep_lambda(fam, react, grid_1d, [2.0, 1.0])
-    with pytest.raises(InputError):
-        ok.sweep_lambda(fam, react, grid_1d, [1.0], u0_strategy="nope")
+    with pytest.raises(TypeError):      # the seeds are fixed: bump, then constant
+        ok.sweep_lambda(fam, react, grid_1d, [1.0], u0_strategy="all")
 
 
 def test_sweep_csv_format(grid_1d):
