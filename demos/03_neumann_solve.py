@@ -1,11 +1,11 @@
-"""Minimizing the Neumann energy by Armijo-backtracked damped Newton.
+"""Minimizing the Neumann energy by trust-region Newton.
 
 First a configuration with a closed-form answer: Phi = t^4, G = t^2,
 lam = 1 on (0,1).  Constants c are critical exactly when 4c^3 = 2c, so the
 nontrivial solution is c = 2^{-1/2} with energy c^4 - c^2 = -1/4.  Then a
 variable-exponent solve from a small bump seed, saved to a solution file.
-Each Newton step on this 101-node interval is one banded linear solve; the
-closed-form case takes about 5 steps, the bump-seed case about 20.
+Each trial step on this 101-node interval is one banded Cholesky solve; the
+closed-form case takes 6 steps, the bump-seed case 16.
 """
 
 import numpy as np

@@ -4,7 +4,7 @@ The package computes modulars, Luxemburg-type norms and Sobolev-level norms
 for x-dependent Young functions, certifies their structural inequalities on
 random samples, and minimizes the associated nonlinear Neumann energy
 J(u) = integral[Phi(x,|grad u|) + Phi(x,|u|)] - lam * integral G(x,u)
-by Armijo-backtracked damped Newton, with threshold formulas and qualitative
+by trust-region Newton, with threshold formulas and qualitative
 probes for the small- and large-parameter existence regimes.
 """
 

@@ -1,26 +1,25 @@
-"""Energy minimization by Armijo-backtracked damped Newton, thresholds, and probes.
+"""Energy minimization by trust-region Newton, thresholds, and probes.
 
 ``minimize`` works in the quadrature-weighted inner product
 <a,b>_w = sum(w a b), in which the weight-normalized residual r is the
-gradient of the energy.  Its direction solves H d = -r for the Newton model
-H of ``_newton_direction``: the Hessian of the discrete energy with the flux
-tangent clipped at >= 0 and the zeroth-order coefficient clipped below at a
-small positive floor (``_C_FLOOR``), so H is positive definite and exact
-wherever that floor is inactive, near a stable minimizer in particular
-(Nocedal & Wright, *Numerical Optimization*, ch. 3.4 and 7.1).  In 1-d the
-model is pentadiagonal and the step is one banded direct solve; in 2-d it
-is CG on the matrix-free model, truncated by the Eisenstat-Walker forcing
-min(``_ETA_MAX``, sqrt(|r|_w)) and at non-positive curvature (Steihaug).  A
-direction that is not a descent direction is replaced by -r.  Every line
-search starts from the unit step, the natural Newton step, and halves it
-until the Armijo test J(u + t d) <= J(u) + 1e-4 t <r,d>_w holds (ibid.
-ch. 3.1), so each accepted step decreases the energy; the iteration stops
-when the sup-norm of the residual (the weak-solution defect) reaches its
-tolerance.  A converged report is a discrete critical-point certificate in
-the spirit of a Palais-Smale sequence: energies recorded along the way are
-nonincreasing and the final derivative is small against every direction.
-The report also counts the ``energy`` and ``residual`` evaluations the run
-made.
+gradient of the energy and H of ``_newton_model`` its exact Hessian.  Each
+trial is the Levenberg-Marquardt step (H + mu S) d = -r of a trust region in
+the discrete W^{1,2} metric S v = v + D^T (w D v) / w of the gradient stencil
+D (Conn, Gould & Toint, *Trust-Region Methods*, SIAM 2000, ch. 7; Neuberger,
+*Sobolev Gradients and Differential Equations*, LNM 1670, 1997): one banded
+Cholesky factorization in 1-d, truncated CG in 2-d.  A trial is accepted when
+J falls by more than 0.1 of the decrease its quadratic model predicts (and mu
+then shrinks by 4 if J fell by more than 0.75 of it), or, at the rounding
+level of J (``_PRED_ROUNDING``), when J does not rise and the residual sup
+falls.  Otherwise, or when H + mu S is not positive definite, mu grows to
+max(4 mu, -min c): H + mu S is then semidefinite for increasing phi.  mu starts
+at 1 and carries over; a non-finite model, or mu above ``_MU_MAX``, ends the
+solve as a trust-region failure.  The iteration stops when the sup-norm of
+the residual (the weak-solution defect) reaches its tolerance.  A converged
+report is a discrete critical-point certificate in the spirit of a
+Palais-Smale sequence: energies recorded along the way are nonincreasing and
+the final derivative is small against every direction.  The report also
+counts the ``energy`` and ``residual`` evaluations the run made.
 
 ``lambda_star_formula`` evaluates the small-parameter existence threshold
 
@@ -60,15 +59,12 @@ __all__ = [
 ]
 
 
-# c = phi'(|u|) - lam g'(u) is clipped below at _C_FLOOR max(1, max|c|)
-_C_FLOOR = 1e-4
-# CG stops at |H d + r|_w <= eta |r|_w, eta = min(_ETA_MAX, sqrt(|r|_w))
+# CG stops at |(H + mu S) d + r|_w <= eta |r|_w, eta = min(_ETA_MAX, sqrt(|r|_w))
 _ETA_MAX = 0.5
-# line search: the first t = 1, 1/2, 1/4, ... >= _STEP_FLOOR with
-# J(u + t d) <= J(u) + _ARMIJO_C1 t <r,d>_w
-_ARMIJO_C1 = 1e-4
-_BACKTRACK = 0.5
-_STEP_FLOOR = 1e-18
+# the shift mu stays in [1/_MU_MAX, _MU_MAX]; a larger one ends the solve
+_MU_MAX = 1e30
+# a predicted decrease below _PRED_ROUNDING max(1, |J|) is at the rounding level of J
+_PRED_ROUNDING = 1e-14
 
 _BUMP_T_SCAN = (1e-6, 0.25, 40)      # np.geomspace arguments
 _COERCIVITY_T = (10.0, 100.0, 1000.0)
@@ -104,92 +100,92 @@ def _dot(w, a, b) -> float:
     return float(np.sum(w * a * b))
 
 
-def _newton_direction(config: EnergyConfig, u: GridFunction, r, w):
-    """d with H d = -r for the clipped Newton model H of J at u, in the
-    w-inner product.
+def _newton_model(config: EnergyConfig, u: GridFunction):
+    """Per-node coefficients of the Hessian H of the discrete energy at u,
+    H v = D^T (w K D v) / w + c v in the w-inner product, or None when one
+    of them is not finite.
 
-    H v = D^T (w K D v) / w + c v with, per node, s = |grad u|, n = grad u / s,
-    a = phi(s)/s (phi'(0) at s = 0), the flux tangent
-    K = a (I - n n^T) + phi'(s) n n^T with both eigenvalues clipped at >= 0,
-    and c = phi'(|u|) - lam g'(u) clipped below at _C_FLOOR max(1, max|c|).
-    H is positive definite, and it is the Hessian of the discrete energy
-    wherever c is above its floor.  In 1-d K is phi'(s) and d comes from one
-    banded solve; in 2-d from truncated CG on v -> H v.  Where phi' or
-    lam g' overflows there is no model, and d is -r.
+    c = phi'(|u|) - lam g'(u), and the flux tangent is
+    K = a (I - n n^T) + phi'(s) n n^T with s = |grad u|, n = grad u / s and
+    a = phi(s)/s (phi'(0) at s = 0).  The model is (c, phi'(s)) in 1-d,
+    where K is phi'(s), and (c, phi'(s), a, n) in 2-d.
     """
-    fam, grid = config.family, u.grid
-    x1 = grid.coords_first
+    fam, x1 = config.family, u.grid.coords_first
     gu = gradient(u)
     s = np.sqrt(np.sum(gu * gu, axis=0))
-    radial = np.maximum(np.asarray(fam.dphi(x1, s)), 0.0)
-    c = (np.asarray(fam.dphi(x1, u.values))
-         - config.lam * np.asarray(config.reaction.dg(x1, u.values)))
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(radial))):
-        return -r
-    c = np.maximum(c, _C_FLOOR * max(1.0, float(np.max(np.abs(c)))))
+    model = (np.asarray(fam.dphi(x1, u.values))
+             - config.lam * np.asarray(config.reaction.dg(x1, u.values)),
+             np.asarray(fam.dphi(x1, s)))
+    if u.grid.dim == 2:
+        live = s > 0.0
+        safe = np.where(live, s, 1.0)
+        model += (np.where(live, np.asarray(fam.phi(x1, safe)) / safe, model[1]), gu / safe)
+    return model if all(np.all(np.isfinite(k)) for k in model[:3]) else None
+
+
+def _shifted_step(grid: DomainGrid, model, r, w, mu: float):
+    """Trial step d with (H + mu S) d = -r in the w-inner product and the
+    decrease (mu <d,S d>_w - <r + e, d>_w) / 2 that the quadratic model of J
+    predicts for it, e = (H + mu S) d + r; (None, nan) when H + mu S is not
+    positive definite.  In 1-d d comes from one banded Cholesky factorization
+    (e = 0); in 2-d from CG stopped at |e|_w <= eta |r|_w, eta =
+    min(_ETA_MAX, sqrt(|r|_w)) (Eisenstat-Walker), where non-positive
+    curvature shows an indefinite matrix.
+    """
+    c, radial = model[:2]
     if grid.dim == 1:
-        return _banded_newton_step(grid, w * radial, w * c, -w * r)
+        from scipy.linalg import LinAlgError, solveh_banded  # deferred: import orliczkit loads no scipy
 
-    live = s > 0.0
-    safe = np.where(live, s, 1.0)
-    a = np.maximum(np.where(live, np.asarray(fam.phi(x1, safe)) / safe, radial), 0.0)
-    n = gu / safe
+        # the central stencil skips the neighbour and its boundary rows are
+        # zero, so the matrix is pentadiagonal with offsets 0 and +-2
+        m = w[1:-1] * (radial[1:-1] + mu) / (2.0 * grid.spacing[0]) ** 2
+        bands = np.zeros((3, r.size))
+        bands[2] = w * (c + mu)
+        bands[2, 2:] += m
+        bands[2, :-2] += m
+        bands[0, 2:] = -m
+        try:
+            d = solveh_banded(bands, -w * r)
+        except LinAlgError:
+            return None, math.nan
+        e = 0.0
+    else:
+        a, n = model[2:]
 
-    def apply(v):
-        gv = _gradient(grid, v)
-        flux = a * gv + (radial - a) * n * np.sum(n * gv, axis=0)
-        return gradient_adjoint(w * flux, grid) / w + c * v
+        def apply(v):
+            gv = _gradient(grid, v)
+            flux = (a + mu) * gv + (radial - a) * n * np.sum(n * gv, axis=0)
+            return gradient_adjoint(w * flux, grid) / w + (c + mu) * v
 
-    return _truncated_cg_step(apply, r, w)
-
-
-def _banded_newton_step(grid: DomainGrid, wk, wc, rhs):
-    """Solve (D^T diag(wk) D + diag(wc)) d = rhs on a 1-d grid.  The central
-    stencil skips the neighbour and its boundary rows are zero, so the
-    matrix is pentadiagonal with offsets 0 and +-2."""
-    from scipy.linalg import solve_banded    # deferred: import orliczkit loads no scipy
-
-    m = wk[1:-1] / (2.0 * grid.spacing[0]) ** 2
-    bands = np.zeros((5, rhs.size))
-    bands[2] = wc
-    bands[2, 2:] += m
-    bands[2, :-2] += m
-    bands[0, 2:] = bands[4, :-2] = -m
-    return solve_banded((2, 2), bands, rhs)
-
-
-def _truncated_cg_step(apply, r, w):
-    """d with |H d + r|_w <= eta |r|_w, eta = min(_ETA_MAX, sqrt(|r|_w)), by CG
-    in the w-inner product on H = apply (Eisenstat-Walker forcing).  CG stops
-    early at non-positive curvature (Steihaug) and then returns its last
-    iterate, or -r if there is none."""
-    d = np.zeros(r.shape)
-    res = -r
-    p = res
-    rr = _dot(w, res, res)
-    stop = min(_ETA_MAX ** 2, math.sqrt(rr)) * rr
-    for _ in range(r.size):
-        if rr <= stop:
-            break
-        hp = apply(p)
-        curvature = _dot(w, p, hp)
-        if not curvature > 0.0:
-            return d if np.any(d) else -r
-        step = rr / curvature
-        d = d + step * p
-        res = res - step * hp
-        rr, rr_old = _dot(w, res, res), rr
-        p = res + (rr / rr_old) * p
-    return d
+        d = np.zeros(r.shape)
+        res = -r
+        p = res
+        rr = _dot(w, res, res)
+        stop = min(_ETA_MAX ** 2, math.sqrt(rr)) * rr
+        for _ in range(r.size):
+            if rr <= stop:
+                break
+            hp = apply(p)
+            curvature = _dot(w, p, hp)
+            if not curvature > 0.0:
+                return None, math.nan
+            step = rr / curvature
+            d = d + step * p
+            res = res - step * hp
+            rr, rr_old = _dot(w, res, res), rr
+            p = res + (rr / rr_old) * p
+        e = -res
+    gd = _gradient(grid, d)
+    return d, 0.5 * (mu * (_dot(w, d, d) + float(np.sum(w * gd * gd))) - _dot(w, r + e, d))
 
 
-# overflow is silent: a non-finite model, slope, trial, energy or residual is
+# overflow is silent: a non-finite model, trial, energy or residual is
 # rejected where it is used
 @np.errstate(over="ignore", invalid="ignore")
 def minimize(config: EnergyConfig, u0: GridFunction,
              opts: SolverOptions | None = None) -> SolveReport:
-    """Armijo-backtracked damped Newton from u0, in the quadrature-weighted
-    inner product."""
+    """Trust-region Newton from u0 in the discrete W^{1,2} metric, in the
+    quadrature-weighted inner product."""
     opts = opts or SolverOptions()
     w = quad_weights(u0.grid)
     u = u0
@@ -203,6 +199,7 @@ def minimize(config: EnergyConfig, u0: GridFunction,
     traj = []
     message = "reached max_iters"
     iterations = 0
+    mu = 1.0
 
     for iterations in range(opts.max_iters):
         res_sup = r.sup_norm()
@@ -210,31 +207,29 @@ def minimize(config: EnergyConfig, u0: GridFunction,
         if res_sup <= opts.tol_res:
             message = "residual below tolerance"
             break
-        d = _newton_direction(config, u, r.values, w)
-        slope = _dot(w, r.values, d)
-        if not slope < 0.0:
-            d = -r.values
-            slope = _dot(w, r.values, d)
-        step = 1.0
-        accepted = False
-        while step >= _STEP_FLOOR:
-            trial_values = u.values + step * d
-            if np.all(np.isfinite(trial_values)):
-                trial = GridFunction(u.grid, trial_values)
+        model = _newton_model(config, u)
+        while model is not None and mu <= _MU_MAX:
+            d, pred = _shifted_step(u.grid, model, r.values, w, mu)
+            if d is not None and np.all(np.isfinite(u.values + d)):
+                trial = GridFunction(u.grid, u.values + d)
                 try:
                     J_trial = energy(config, trial)
                 except DomainError:      # |grad u| overflowed: no finite energy
                     J_trial = math.inf
                 energy_evals += 1
-                if np.isfinite(J_trial) and J_trial <= J + _ARMIJO_C1 * step * slope:
-                    accepted = True
-                    break
-            step *= _BACKTRACK
-        if not accepted:
-            message = "line search failure (step underflow)"
+                accept = J - J_trial > 0.1 * pred
+                if accept or (pred <= _PRED_ROUNDING * max(1.0, abs(J)) and J_trial <= J):
+                    r_trial = residual(config, trial)
+                    residual_evals += 1
+                    if accept or r_trial.sup_norm() < res_sup:
+                        if J - J_trial > 0.75 * pred:
+                            mu = max(mu / 4.0, 1.0 / _MU_MAX)
+                        break
+            mu = max(4.0 * mu, -float(np.min(model[0])))
+        else:
+            message = f"trust-region failure ({'shift above 1e30' if model else 'non-finite model'})"
             break
-        u, J, r = trial, J_trial, residual(config, trial)
-        residual_evals += 1
+        u, J, r = trial, J_trial, r_trial
     else:
         iterations = opts.max_iters
 

@@ -8,7 +8,7 @@ import pytest
 
 import orliczkit as ok
 from orliczkit.errors import InputError
-from orliczkit.solver import _ARMIJO_C1, _BACKTRACK, _C_FLOOR, SolverOptions, _default_rho
+from orliczkit.solver import SolverOptions, _default_rho
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +49,12 @@ def test_minimize_max_iters_reports_nonconvergence(config_p4_q2, grid_1d):
     assert "max_iters" in rep.message
 
 
-def _dense_newton_direction(config, u):
-    """-H^{-1} r from the dense clipped Newton model, assembled column by
-    column through the gradient stencil (1-d)."""
+def _dense_shifted_step(config, u, mu):
+    """d with (H + mu S) d = -r, S = M + D^T M D, from the dense Hessian H of
+    the discrete energy, assembled column by column through the gradient
+    stencil (1-d); also the decrease its quadratic model predicts and
+    c = phi'(|u|) - lam g'(u).  d is None when H + mu S is not positive
+    definite."""
     grid = u.grid
     w = ok.quad_weights(grid)
     x = grid.coords_first
@@ -59,34 +62,39 @@ def _dense_newton_direction(config, u):
                  axis=1)
     fam = config.family
     c = fam.dphi(x, u.values) - config.lam * config.reaction.dg(x, u.values)
-    c = np.maximum(c, _C_FLOOR * max(1.0, np.max(np.abs(c))))
     H = D.T @ np.diag(w * fam.dphi(x, D @ u.values)) @ D + np.diag(w * c)
-    r = ok.residual(config, u).values
-    return np.linalg.solve(H, -w * r), r
+    S = np.diag(w) + D.T @ np.diag(w) @ D
+    A = H + mu * S
+    wr = w * ok.residual(config, u).values
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None, math.nan, c
+    d = np.linalg.solve(A, -wr)
+    return d, -(wr @ d) - 0.5 * d @ H @ d, c
 
 
 @pytest.mark.parametrize("rough", [True, False], ids=["rough", "constant"])
-def test_first_step_is_armijo_backtracked_newton_step(config_p4_q2, rough):
-    # the single step must be the Armijo backtrack, from the unit step, along
-    # the Newton direction of the dense clipped model, computed here by hand
+def test_first_step_is_shifted_newton_step(config_p4_q2, rough):
+    # the single step must be the first accepted trial of the trust region,
+    # mu = 1, 4, 16, ... (or -min c), on the dense shifted Newton system
     grid = ok.make_grid(1, [(0.0, 1.0)], [21])
     opts = SolverOptions(max_iters=1, tol_res=1e-12)
     u0 = (ok.random_function(grid, 4, 0.5, 3) if rough
           else ok.GridFunction.constant(grid, 0.3))
     rep = ok.minimize(config_p4_q2, u0, opts)
-    d, r = _dense_newton_direction(config_p4_q2, u0)
-    w = ok.quad_weights(grid)
     J0 = ok.energy(config_p4_q2, u0)
-    slope = float(np.sum(w * r * d))
-    assert slope < 0.0
-    t, trials = 1.0, 1
-    while (ok.energy(config_p4_q2, ok.GridFunction(grid, u0.values + t * d))
-           > J0 + _ARMIJO_C1 * t * slope):
-        t *= _BACKTRACK
-        trials += 1
+    mu, trials = 1.0, 0
+    while True:
+        d, pred, c = _dense_shifted_step(config_p4_q2, u0, mu)
+        if d is not None:
+            trials += 1
+            if J0 - ok.energy(config_p4_q2, ok.GridFunction(grid, u0.values + d)) > 0.1 * pred:
+                break
+        mu = max(4.0 * mu, -np.min(c))
     assert rep.iterations == 1
     assert rep.energy_evals == 1 + trials and rep.residual_evals == 2
-    np.testing.assert_allclose(rep.final_u.values, u0.values + t * d, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(rep.final_u.values, u0.values + d, rtol=1e-10, atol=1e-14)
     assert rep.final_energy == ok.energy(config_p4_q2, rep.final_u)
     assert rep.trajectory[0, 0] == J0
 
@@ -136,6 +144,32 @@ def test_newton_iterations_are_mesh_independent(config_p4_q2, coarse, fine, star
     assert iterations[1] <= 2 * iterations[0]
 
 
+_LADDER_STARTS = {
+    "0.5+0.3cos": lambda config, grid: ok.GridFunction(
+        grid, 0.5 + 0.3 * np.cos(np.pi * grid.axis_coords(0))),
+    "1+0.5cos": lambda config, grid: ok.GridFunction(
+        grid, 1.0 + 0.5 * np.cos(np.pi * grid.axis_coords(0))),
+    "cos": lambda config, grid: ok.GridFunction(grid, np.cos(np.pi * grid.axis_coords(0))),
+    "bump-p3+x": lambda config, grid: ok.bump_seed(config, grid),
+}
+
+
+@pytest.mark.parametrize("nodes", [101, 401, 1601, 6401])
+@pytest.mark.parametrize("start", list(_LADDER_STARTS))
+def test_minimize_work_is_mesh_independent(config_p4_q2, start, nodes):
+    # p = 4, q = 2, lam = 1 from three starts and the criterion-08 family
+    # p = 3 + x from its bump seed: every rung converges in bounded work
+    config = config_p4_q2
+    if start == "bump-p3+x":
+        config = dataclasses.replace(
+            config_p4_q2, family=ok.power_family(ok.ExponentField.affine(3.0, 1.0)))
+    grid = ok.make_grid(1, [(0.0, 1.0)], [nodes])
+    rep = ok.minimize(config, _LADDER_STARTS[start](config, grid), SolverOptions(max_iters=500))
+    assert rep.converged
+    assert rep.iterations <= 60 and rep.energy_evals <= 70
+    assert np.all(np.diff(rep.trajectory[:, 0]) <= 0.0)
+
+
 def test_minimize_custom_family_reaches_power_minimizer(config_p4_q2, grid_1d):
     # phi = 4|t|^2 t is power p = 4 without its closed-form phi', so the
     # Newton model runs on the central-difference fallback
@@ -167,6 +201,34 @@ def test_small_lambda_solve_converges_on_201_nodes():
     assert np.all(np.diff(rep.trajectory[:, 0]) < 0.0)
 
 
+def test_small_lambda_solves_spend_at_most_two_energy_calls_per_step(grid_1d):
+    # criterion 08's three parameters from the bump seed: rejected trials are
+    # rare, so a step costs at most two energy calls on average
+    fam = ok.power_family(ok.ExponentField.affine(3.0, 1.0))
+    react = ok.power_reaction(ok.ExponentField.constant(2.0))
+    c1 = ok.estimate_embedding_constant(fam, react.q, grid_1d, samples=50, seed=0)
+    lam_star = ok.lambda_star_formula(_default_rho(c1), react.C2, c1, fam.phi_sup,
+                                      react.q.p_minus)
+    for lam in (lam_star, lam_star / 2.0, lam_star / 10.0):
+        config = ok.EnergyConfig(fam, react, lam)
+        rep = ok.minimize(config, ok.bump_seed(config, grid_1d))
+        assert rep.converged
+        assert rep.energy_evals <= 2 * rep.iterations
+
+
+@pytest.mark.parametrize("lam", [1e300, 1e308])
+def test_huge_lambda_ends_at_once_as_trust_region_failure(config_p4_q2, lam):
+    # c = phi'(u) - lam g'(u) is -2e300, so the first shift exceeds the cap,
+    # or lam g'(u) overflows and there is no finite model: no trial energy
+    # is evaluated
+    grid = ok.make_grid(1, [(0.0, 1.0)], [11])
+    rep = ok.minimize(dataclasses.replace(config_p4_q2, lam=lam),
+                      ok.GridFunction.constant(grid, 0.3))
+    assert not rep.converged
+    assert rep.energy_evals <= 2
+    assert "trust-region" in rep.message
+
+
 def test_solver_options_validation():
     with pytest.raises(InputError):
         SolverOptions(max_iters=0)
@@ -185,7 +247,7 @@ def test_solver_options_reject_non_finite(key, value):
 
 @pytest.mark.parametrize("retired", ["armijo_c1", "backtrack", "initial_step"])
 def test_line_search_settings_are_not_options(retired):
-    # the unit first trial, halving and c1 = 1e-4 are fixed
+    # the retired line-search settings stay retired; the trust-region rule is fixed
     with pytest.raises(TypeError):
         SolverOptions(**{retired: 0.5})
     assert [f.name for f in dataclasses.fields(SolverOptions)] == ["max_iters", "tol_res"]
