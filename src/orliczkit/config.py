@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputError
 from .exponents import ExponentField
 from .grid import DomainGrid, GridFunction, bump_function, load_function, make_grid
-from .energy import _REACTIONS, EnergyConfig, ReactionFamily, _reaction
+from .energy import EnergyConfig, ReactionFamily
 
 __all__ = [
     "parse_kv_text", "read_kv_file", "finite_float", "exponent_from_kv", "reaction_from_kv",
@@ -90,10 +90,7 @@ def reaction_from_kv(kv: dict) -> ReactionFamily:
     example = kv.get("reaction.example")
     if example is None:
         raise InputError("missing 'reaction.example'")
-    q = exponent_from_kv(kv, "reaction.q.")
-    if example not in _REACTIONS:
-        raise InputError(f"unknown reaction example {example!r}")
-    return _reaction(example, q)
+    return ReactionFamily(example, exponent_from_kv(kv, "reaction.q."))
 
 
 def grid_from_kv(kv: dict) -> DomainGrid:
@@ -133,7 +130,7 @@ def initial_guess_from_kv(kv: dict, grid: DomainGrid) -> GridFunction:
         if path is None:
             raise InputError("u0.kind = file needs 'u0.path'")
         u = load_function(path)
-        if u.grid.shape != grid.shape or u.grid.extents != grid.extents:
+        if u.grid != grid:
             raise InputError("u0 file grid does not match the configured grid")
         return u
     raise InputError(f"unknown u0 kind {kind!r}")

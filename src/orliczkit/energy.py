@@ -27,17 +27,20 @@ Three reaction families are built in, one entry each of the table
 * ``power-sin``  G = |t|^q + sin(sin t)|t|^{q-1},    g = dG/dt          (q >= 3)
 
 Each entry also carries g' = dg/dt in closed form, which the Newton model
-of the solver needs.  Envelope constants C0, C1, C2 with |g| <= C0|t|^{q-1} and
-C1|t|^q <= G <= C2|t|^q are analytic for ``power`` and certified by dense
-sampling over |t| in [1e-3, 10] for the other two (slot ``certified``),
-before the frozen descriptor is built (the sin family genuinely degenerates
-as t -> 0^- so a global positive C1 does not exist for it).
+of the solver needs.  A ``ReactionFamily`` holds only its inputs, the
+example id and q; ``__post_init__`` checks them (a known id, q- at or above
+the entry's floor) and computes the envelope constants C0, C1, C2 with
+|g| <= C0|t|^{q-1} and C1|t|^q <= G <= C2|t|^q once, as fields that are not
+constructor arguments.  They are analytic for ``power`` and certified by
+dense sampling over |t| in [1e-3, 10] for the other two (slot
+``certified``); the sin family genuinely degenerates as t -> 0^- so a global
+positive C1 does not exist for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -104,13 +107,25 @@ _REACTIONS = {
 
 @dataclass(frozen=True)
 class ReactionFamily:
-    """A nonlinearity g with primitive G and growth-envelope constants."""
+    """The nonlinearity ``example_id`` of the table with exponent q; its
+    growth-envelope constants C0, C1, C2 are computed from the two inputs
+    (certified ones by dense sampling over the certification window)."""
 
     example_id: str
     q: ExponentField
-    C0: float
-    C1: float
-    C2: float
+    C0: float = field(init=False)
+    C1: float = field(init=False)
+    C2: float = field(init=False)
+
+    def __post_init__(self):
+        kernel = _REACTIONS.get(self.example_id)
+        if kernel is None:
+            raise InputError(f"unknown reaction example {self.example_id!r}")
+        if self.q.p_minus < kernel.q_min:
+            raise InputError(f"{self.example_id} reaction requires q(x) >= {kernel.q_min:g}")
+        constants = _certify(self) if kernel.certified else (self.q.p_plus, 1.0, 1.0)
+        for name, value in zip(("C0", "C1", "C2"), constants):
+            object.__setattr__(self, name, value)
 
     def g(self, x1, t):
         return self._eval(_REACTIONS[self.example_id].g, x1, t, zero_at_0=True)
@@ -134,44 +149,38 @@ class ReactionFamily:
         return float(out) if out.ndim == 0 else out
 
 
-def _reaction(example_id, q):
-    """Reaction ``example_id`` of the table with exponent q; certified
-    constants come from dense sampling over the certification window."""
-    kernel = _REACTIONS[example_id]
-    if q.p_minus < kernel.q_min:
-        raise InputError(f"{example_id} reaction requires q(x) >= {kernel.q_min:g}")
-    if not kernel.certified:
-        return ReactionFamily(example_id, q, C0=q.p_plus, C1=1.0, C2=1.0)
-    reaction = ReactionFamily(example_id, q, 0.0, 0.0, 0.0)
+def _certify(reaction):
+    """(C0, C1, C2) of ``reaction``, sampled densely over the certification
+    window and padded by a relative 1e-3 to the safe side."""
+    q = reaction.q
     lo, hi = CERTIFICATION_T_RANGE
-    t = np.concatenate([-np.geomspace(lo, hi, 2500)[::-1], np.geomspace(lo, hi, 2500)])
+    t = np.geomspace(lo, hi, 2500)
+    t = np.concatenate([-t[::-1], t])[None, :]
     xs = q.sample_points(21)
-    tt = t[None, :]
     qq = q(xs)[:, None]
-    at = np.abs(tt)
+    at = np.abs(t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio_G = np.asarray(reaction.G(xs[:, None], tt)) / at ** qq
-        ratio_g = np.abs(np.asarray(reaction.g(xs[:, None], tt))) / at ** (qq - 1.0)
+        ratio_G = np.asarray(reaction.G(xs[:, None], t)) / at ** qq
+        ratio_g = np.abs(np.asarray(reaction.g(xs[:, None], t))) / at ** (qq - 1.0)
     if not (np.all(np.isfinite(ratio_G)) and np.all(np.isfinite(ratio_g))):
-        raise InputError(f"{example_id} reaction with q(x) up to {q.p_plus:g}: "
+        raise InputError(f"{reaction.example_id} reaction with q(x) up to {q.p_plus:g}: "
                          f"its envelope constants overflow")
     pad = 1e-3
-    return replace(reaction,
-                   C0=float(np.max(ratio_g)) * (1.0 + pad),
-                   C1=max(float(np.min(ratio_G)) * (1.0 - pad), 0.0),
-                   C2=float(np.max(ratio_G)) * (1.0 + pad))
+    return (float(np.max(ratio_g)) * (1.0 + pad),
+            max(float(np.min(ratio_G)) * (1.0 - pad), 0.0),
+            float(np.max(ratio_G)) * (1.0 + pad))
 
 
 def power_reaction(q: ExponentField) -> ReactionFamily:
-    return _reaction("power", q)
+    return ReactionFamily("power", q)
 
 
 def power_log_reaction(q: ExponentField) -> ReactionFamily:
-    return _reaction("power-log", q)
+    return ReactionFamily("power-log", q)
 
 
 def power_sin_reaction(q: ExponentField) -> ReactionFamily:
-    return _reaction("power-sin", q)
+    return ReactionFamily("power-sin", q)
 
 
 # ---------------------------------------------------------------------------

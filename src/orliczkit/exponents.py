@@ -5,14 +5,18 @@ first spatial coordinate.  Three kinds are supported:
 
 * ``constant``:   p(x) = c
 * ``affine``:     p(x) = a + b*x1, with a declared x1-range fixing inf/sup
-* ``tabulated``:  nodal values on a 1-d coordinate table, nearest lookup
+* ``tabulated``:  nodal values on a sorted 1-d coordinate table, nearest lookup
 
-The same type serves both the Young-function exponent p and the reaction
-exponent q.
+A field holds only these inputs, as tuples, so it is immutable and hashes;
+its bounds ``p_minus`` and ``p_plus`` are computed from them.  Every
+construction, through a builder or directly, is checked once in
+``__post_init__``: the values are finite and p_minus > 1.  The same type
+serves both the Young-function exponent p and the reaction exponent q.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,65 +28,70 @@ __all__ = ["ExponentField"]
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Exponent field with known bounds p_minus <= p(x) <= p_plus, p_minus > 1."""
+    """Exponent field with bounds p_minus <= p(x) <= p_plus, p_minus > 1."""
 
     kind: str
     coeffs: tuple = ()
     x1_range: tuple = (0.0, 1.0)
-    table_x1: np.ndarray | None = field(default=None, repr=False)
-    table_values: np.ndarray | None = field(default=None, repr=False)
-    p_minus: float = 0.0
-    p_plus: float = 0.0
+    table_x1: tuple = field(default=(), repr=False)
+    table_values: tuple = field(default=(), repr=False)
+
+    def __post_init__(self):
+        x1 = self.table_x1
+        if len(self.coeffs) != {"constant": 1, "affine": 2, "tabulated": 0}.get(self.kind):
+            raise InputError(f"unknown exponent kind {self.kind!r} or wrong coefficient count")
+        if self.kind == "tabulated":
+            if len(x1) != len(self.table_values) or not x1:
+                raise InputError("tabulated exponent needs matching x1/value tables")
+            if not all(map(math.isfinite, x1 + self.table_values)):
+                raise InputError("tabulated exponent tables must be finite")
+            if list(x1) != sorted(x1) or self.x1_range != (x1[0], x1[-1]):
+                raise InputError("tabulated exponent needs a sorted x1 table over x1_range")
+        if self.kind == "affine" and not self.x1_range[1] > self.x1_range[0]:
+            raise InputError("affine exponent needs a nondegenerate x1 range")
+        if not self.p_minus > 1.0:
+            raise InputError(f"exponent field must satisfy inf p(x) > 1, got {self.p_minus}")
+        if not all(map(math.isfinite, self.coeffs + self.x1_range + (self.p_plus,))):
+            raise InputError(f"exponent field must be finite, got sup p(x) = {self.p_plus}")
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def constant(c: float) -> "ExponentField":
-        c = float(c)
-        f = ExponentField(kind="constant", coeffs=(c,), p_minus=c, p_plus=c)
-        f._validate()
-        return f
+        return ExponentField("constant", coeffs=(float(c),))
 
     @staticmethod
     def affine(a: float, b: float, x1_range=(0.0, 1.0)) -> "ExponentField":
         """p(x) = a + b*x1 on the closed coordinate range [lo, hi]."""
-        a, b = float(a), float(b)
-        lo, hi = float(x1_range[0]), float(x1_range[1])
-        if not hi > lo:
-            raise InputError("affine exponent needs a nondegenerate x1 range")
-        vals = (a + b * lo, a + b * hi)
-        f = ExponentField(
-            kind="affine", coeffs=(a, b), x1_range=(lo, hi),
-            p_minus=min(vals), p_plus=max(vals),
-        )
-        f._validate()
-        return f
+        return ExponentField("affine", coeffs=(float(a), float(b)),
+                             x1_range=(float(x1_range[0]), float(x1_range[1])))
 
     @staticmethod
     def tabulated(x1: np.ndarray, values: np.ndarray) -> "ExponentField":
-        """Per-node values over a sorted coordinate table (nearest lookup)."""
+        """Per-node values over a coordinate table (nearest lookup), sorted by x1."""
         x1 = np.asarray(x1, dtype=float).ravel()
         values = np.asarray(values, dtype=float).ravel()
         if x1.size != values.size or x1.size < 1:
             raise InputError("tabulated exponent needs matching x1/value tables")
-        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(values))):
-            raise InputError("tabulated exponent tables must be finite")
         order = np.argsort(x1)
-        x1, values = x1[order], values[order]
-        f = ExponentField(
-            kind="tabulated", table_x1=x1, table_values=values,
-            x1_range=(float(x1[0]), float(x1[-1])),
-            p_minus=float(values.min()), p_plus=float(values.max()),
-        )
-        f._validate()
-        return f
+        x1, values = tuple(x1[order].tolist()), tuple(values[order].tolist())
+        return ExponentField("tabulated", x1_range=(x1[0], x1[-1]),
+                             table_x1=x1, table_values=values)
 
-    def _validate(self):
-        if self.kind not in ("constant", "affine", "tabulated"):
-            raise InputError(f"unknown exponent kind {self.kind!r}")
-        if not self.p_minus > 1.0:
-            raise InputError(
-                f"exponent field must satisfy inf p(x) > 1, got {self.p_minus}")
+    # -- bounds ---------------------------------------------------------
+
+    def _extreme_values(self) -> tuple:
+        if self.kind == "affine":
+            return tuple(self.coeffs[0] + self.coeffs[1] * x for x in self.x1_range)
+        return self.coeffs or self.table_values
+
+    @property
+    def p_minus(self) -> float:
+        return min(self._extreme_values())
+
+    @property
+    def p_plus(self) -> float:
+        return max(self._extreme_values())
 
     # -- evaluation -----------------------------------------------------
 
@@ -94,19 +103,17 @@ class ExponentField:
         if self.kind == "affine":
             a, b = self.coeffs
             return a + b * x1
-        idx = np.searchsorted(self.table_x1, x1)
-        idx = np.clip(idx, 1, self.table_x1.size - 1)
-        left = self.table_x1[idx - 1]
-        right = self.table_x1[idx]
-        use_left = np.abs(x1 - left) <= np.abs(right - x1)
-        return np.where(use_left, self.table_values[idx - 1], self.table_values[idx])
+        xs, values = np.asarray(self.table_x1), np.asarray(self.table_values)
+        idx = np.clip(np.searchsorted(xs, x1), 1, xs.size - 1)
+        use_left = np.abs(x1 - xs[idx - 1]) <= np.abs(xs[idx] - x1)
+        return np.where(use_left, values[idx - 1], values[idx])
 
     def sample_points(self, n: int = 33) -> np.ndarray:
         """Representative first-coordinate samples covering the field's range."""
         if self.kind == "constant":
             return np.array([0.5 * (self.x1_range[0] + self.x1_range[1])])
         if self.kind == "tabulated":
-            return self.table_x1.copy()
+            return np.array(self.table_x1)
         return np.linspace(self.x1_range[0], self.x1_range[1], n)
 
     # -- serialization --------------------------------------------------
@@ -115,21 +122,11 @@ class ExponentField:
         if self.kind == "tabulated":
             return {
                 "kind": "tabulated",
-                "x1": list(map(float, self.table_x1)),
-                "values": list(map(float, self.table_values)),
+                "x1": list(self.table_x1),
+                "values": list(self.table_values),
             }
         return {
             "kind": self.kind,
             "coeffs": list(self.coeffs),
             "x1_range": list(self.x1_range),
         }
-
-    def __eq__(self, other):
-        if not isinstance(other, ExponentField):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "tabulated":
-            return (np.array_equal(self.table_x1, other.table_x1)
-                    and np.array_equal(self.table_values, other.table_values))
-        return self.coeffs == other.coeffs and self.x1_range == other.x1_range

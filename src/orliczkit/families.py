@@ -318,10 +318,10 @@ class MusielakFamily:
     label: str = ""
 
     def __post_init__(self):
-        if not (1.0 < self.phi0 <= self.phi_sup):
-            raise InputError("need 1 < phi0 <= phi_sup")
-        if self.M_lower < 0.0:
-            raise InputError("M_lower must be >= 0")
+        if not (1.0 < self.phi0 <= self.phi_sup < math.inf):
+            raise InputError("need 1 < phi0 <= phi_sup < inf")
+        if not 0.0 <= self.M_lower < math.inf:
+            raise InputError("M_lower must be >= 0 and finite")
 
     def __repr__(self):
         return (f"MusielakFamily({self.label!r}, phi0={self.phi0:g}, "
@@ -496,8 +496,8 @@ def custom_family(phi_fn, Phi_fn=None, p: ExponentField | None = None,
         lo, hi = exponent_bounds(fam, np.geomspace(1e-4, 1e4, 161))
         phi0 = lo if phi0 is None else phi0
         phi_sup = hi if phi_sup is None else phi_sup
-    if not (1.0 < phi0 <= phi_sup):
-        raise InputError("custom family: need 1 < phi0 <= phi_sup "
+    if not (1.0 < phi0 <= phi_sup < math.inf):
+        raise InputError("custom family: need 1 < phi0 <= phi_sup < inf "
                          "(declare them if the sampled estimates are unusable)")
     fam = replace(fam, phi0=float(phi0), phi_sup=float(phi_sup),
                   M_lower=0.0 if M_lower is None else float(M_lower),

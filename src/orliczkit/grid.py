@@ -1,14 +1,17 @@
 """Uniform grids on an interval or rectangle, nodal fields, and quadrature.
 
 The domain is discretized with evenly spaced nodes including the endpoints.
-Integrals use the trapezoid rule (exact for affine data in 1d); the frozen
-grid computes its weights and nodal first coordinates once.  The discrete
-gradient uses central differences with reflected ghost nodes, so the normal
-derivative vanishes identically at boundary nodes -- that is how the
-zero-flux boundary condition enters every weak form built on top of this
-module.  The adjoint of the gradient is provided explicitly so residual
-assembly is an exact transpose of the same stencils.  ``bump_function``
-covers the middle ``_BUMP_WIDTH`` of each axis.
+A grid holds only its extents and node counts, checked in ``__post_init__``
+(finite hi > lo, at least 3 integer nodes per axis); its dimension, spacing
+and measure, its quadrature weights and its nodal first coordinates are
+computed from them once per grid.  Integrals use the trapezoid rule (exact
+for affine data in 1d).  The discrete gradient uses central differences
+with reflected ghost nodes, so the normal derivative vanishes identically
+at boundary nodes -- that is how the zero-flux boundary condition enters
+every weak form built on top of this module.  The adjoint of the gradient
+is provided explicitly so residual assembly is an exact transpose of the
+same stencils.  ``bump_function`` covers the middle ``_BUMP_WIDTH`` of each
+axis.
 """
 
 from __future__ import annotations
@@ -30,11 +33,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DomainGrid:
-    dim: int
-    extents: tuple          # ((lo, hi), ...) per axis
-    nodes: tuple            # node count per axis, each >= 3
-    spacing: tuple
-    measure: float
+    """Uniform grid from its inputs; ``dim``, ``spacing`` and ``measure``
+    are computed from them once per grid, like ``weights``."""
+
+    extents: tuple          # ((lo, hi), ...) per axis, finite with hi > lo
+    nodes: tuple            # integer node count per axis, each >= 3
+
+    def __post_init__(self):
+        if self.dim not in (1, 2) or [len(e) for e in self.extents] != [2] * self.dim:
+            raise InputError("a grid needs 1 or 2 axes, each a (lo, hi) pair and a node count")
+        if not np.all(np.isfinite(self.extents)):
+            raise InputError("extents must be finite")
+        if not all(isinstance(n, (int, np.integer)) and n >= 3 for n in self.nodes):
+            raise InputError(f"need at least 3 nodes per axis, as integers, got {self.nodes}")
+        if not all(hi > lo for lo, hi in self.extents):
+            raise InputError("degenerate extents: need hi > lo on every axis")
+
+    @cached_property
+    def dim(self) -> int:
+        return len(self.nodes)
+
+    @cached_property
+    def spacing(self) -> tuple:
+        return tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(self.extents, self.nodes))
+
+    @cached_property
+    def measure(self) -> float:
+        return math.prod(hi - lo for lo, hi in self.extents)
 
     @property
     def shape(self):
@@ -74,39 +99,36 @@ class DomainGrid:
 
 
 def make_grid(dim: int, extents, nodes) -> DomainGrid:
-    """Build a grid; extents per axis as (lo, hi), nodes per axis >= 3."""
+    """Build a grid; extents per axis as (lo, hi), nodes per axis >= 3
+    (integral counts such as 5.0 are taken as integers)."""
     if dim not in (1, 2):
         raise InputError("dim must be 1 or 2")
     ext = np.atleast_2d(np.asarray(extents, dtype=float))
     if ext.shape != (dim, 2):
         raise InputError(f"extents must be {dim} (lo, hi) pairs")
-    if not np.all(np.isfinite(ext)):
-        raise InputError("extents must be finite")
-    nn = np.atleast_1d(np.asarray(nodes, dtype=int))
+    nn = np.atleast_1d(nodes)
     if nn.shape != (dim,):
         raise InputError(f"nodes must give {dim} per-axis counts")
-    if np.any(nn < 3):
-        raise InputError("need at least 3 nodes per axis")
-    if np.any(ext[:, 1] <= ext[:, 0]):
-        raise InputError("degenerate extents: need hi > lo on every axis")
-    spacing = tuple(float(ext[k, 1] - ext[k, 0]) / (nn[k] - 1) for k in range(dim))
-    measure = float(np.prod(ext[:, 1] - ext[:, 0]))
-    extents = tuple((float(lo), float(hi)) for lo, hi in ext)
-    return DomainGrid(dim, extents, tuple(map(int, nn)), spacing, measure)
+    return DomainGrid(tuple((float(lo), float(hi)) for lo, hi in ext),
+                      tuple(int(n) if float(n).is_integer() else float(n) for n in nn))
 
 
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """A real nodal field on a DomainGrid; values are frozen after creation."""
+    """A real nodal field on a DomainGrid.  Neither attribute can be
+    rebound, and the values array is read-only."""
 
-    def __init__(self, grid: DomainGrid, values):
-        values = np.array(values, dtype=float)
-        if values.shape != grid.shape:
-            values = values.reshape(grid.shape)
+    grid: DomainGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        if values.shape != self.grid.shape:
+            values = values.reshape(self.grid.shape)
         if not np.all(np.isfinite(values)):
             raise InputError("grid function values must be finite")
         values.setflags(write=False)
-        self.grid = grid
-        self.values = values
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def constant(grid, c) -> "GridFunction":

@@ -21,6 +21,7 @@ sample's margin does not depend on the rest of its stack.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -361,9 +362,8 @@ def replay_witness(witness: dict, families, reactions, grids):
     for key, pool in (("family", families), ("reaction", reactions), ("grid", grids)):
         if key in args:
             args[key] = pool[args[key]]
-    args = {k: v for k, v in args.items() if k in
-            EVALUATORS[name].__code__.co_varnames[:EVALUATORS[name].__code__.co_argcount]}
-    margins, _ = EVALUATORS[name](**args)
+    params = inspect.signature(EVALUATORS[name]).parameters
+    margins, _ = EVALUATORS[name](**{k: v for k, v in args.items() if k in params})
     return float(np.asarray(margins).ravel()[idx])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit.energy import CERTIFICATION_T_RANGE
+from orliczkit.energy import CERTIFICATION_T_RANGE, ReactionFamily
 from orliczkit.errors import InputError
 from orliczkit.grid import quad_weights
 
@@ -99,6 +99,16 @@ def test_growth_envelopes_with_certified_constants(reactions, rng):
 def test_power_reaction_constants():
     r = ok.power_reaction(ok.ExponentField.affine(2.0, 1.0))
     assert (r.C0, r.C1, r.C2) == (3.0, 1.0, 1.0)
+
+
+def test_reaction_descriptors_hash_and_derive_their_constants():
+    q = ok.ExponentField.tabulated([0.0, 1.0], [2.0, 3.0])
+    reaction = ok.power_reaction(q)
+    twin = ReactionFamily("power", ok.ExponentField.tabulated([1.0, 0.0], [3.0, 2.0]))
+    assert twin == reaction and hash(twin) == hash(reaction)
+    assert (twin.C0, twin.C1, twin.C2) == (3.0, 1.0, 1.0)
+    with pytest.raises(InputError, match="unknown reaction example 'cubic'"):
+        ReactionFamily("cubic", q)
 
 
 def test_reaction_floor_guards():

@@ -340,6 +340,37 @@ def test_constructor_guards():
         ok.ExponentField.affine(1.0, -2.0)     # dips below 1 on [0, 1]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ok.ExponentField.constant(np.inf),
+    lambda: ok.ExponentField.affine(3.0, 0.0, (0.0, np.inf)),
+    lambda: ok.ExponentField.affine(1e308, 1e308),          # p+ overflows
+    lambda: ok.ExponentField("constant", (np.inf,)),
+    lambda: ok.ExponentField("constant"),                    # no coefficient
+    lambda: ok.ExponentField("tabulated", x1_range=(1.0, 0.0),
+                             table_x1=(1.0, 0.0), table_values=(2.0, 3.0)),
+], ids=["constant-inf", "affine-inf-range", "affine-p+-overflow", "direct-inf",
+        "direct-no-coefficient", "direct-unsorted-table"])
+def test_exponent_field_checks_every_construction(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_exponent_tables_are_read_only():
+    tab = ok.ExponentField.tabulated([0.0, 0.5, 1.0], [3.0, 4.0, 5.0])
+    with pytest.raises(TypeError):
+        tab.table_values[0] = 0.5
+    assert (tab.p_minus, float(tab(0.0))) == (3.0, 3.0)
+
+
+@pytest.mark.parametrize("declared", [dict(phi0=2.0, phi_sup=np.inf),
+                                      dict(phi0=2.0, phi_sup=2.0, M_lower=np.inf),
+                                      dict(phi0=2.0, phi_sup=2.0, M_lower=np.nan)],
+                         ids=["phi_sup-inf", "M_lower-inf", "M_lower-nan"])
+def test_custom_family_rejects_non_finite_constants(declared):
+    with pytest.raises(InputError):
+        ok.custom_family(lambda x, t: 2.0 * t, lambda x, t: t * t, **declared)
+
+
 def test_exponent_field_kinds():
     const = ok.ExponentField.constant(2.5)
     assert const(np.array([0.0, 0.7])).tolist() == [2.5, 2.5]

@@ -6,7 +6,7 @@ import pytest
 import orliczkit as ok
 from orliczkit.config import grid_from_kv, parse_kv_text
 from orliczkit.errors import InputError
-from orliczkit.grid import (_gradient_magnitude, _random_fields, bump_function,
+from orliczkit.grid import (DomainGrid, _gradient_magnitude, _random_fields, bump_function,
                             gradient, gradient_adjoint, gradient_magnitude,
                             integrate, load_function, quad_weights,
                             random_function, save_function)
@@ -31,6 +31,35 @@ def test_make_grid_rejects_degenerate():
         ok.make_grid(1, [(0.0, 1.0)], [2])
     with pytest.raises(InputError):
         ok.make_grid(3, [(0.0, 1.0)] * 3, [5, 5, 5])
+
+
+def test_make_grid_node_counts_must_be_integral():
+    with pytest.raises(InputError, match="as integers"):
+        ok.make_grid(1, [(0.0, 1.0)], [3.7])
+    for count in (5.0, np.int64(5)):
+        g = ok.make_grid(1, [(0.0, 1.0)], [count])
+        assert g.nodes == (5,) and type(g.nodes[0]) is int
+
+
+@pytest.mark.parametrize("extents, nodes", [
+    (((0.0, 1.0),), (2,)),
+    (((0.0, 1.0),), (3.5,)),
+    (((0.0, np.inf),), (3,)),
+    (((1.0, 0.0),), (3,)),
+    (((0.0, 1.0),), (3, 3)),
+    (((0.0, 1.0),) * 3, (3, 3, 3)),
+], ids=["two-nodes", "non-integral-count", "infinite-extent", "hi-below-lo",
+        "count-without-extent", "three-axes"])
+def test_domain_grid_checks_direct_construction(extents, nodes):
+    with pytest.raises(InputError):
+        DomainGrid(extents, nodes)
+
+
+def test_domain_grid_derives_dim_spacing_and_measure():
+    g = DomainGrid(((0.0, 2.0), (-1.0, 1.0)), (5, 3))
+    assert (g.dim, g.spacing, g.measure) == (2, (0.5, 1.0), 4.0)
+    twin = ok.make_grid(2, [(0.0, 2.0), (-1.0, 1.0)], [5.0, 3])
+    assert twin == g and hash(twin) == hash(g)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
@@ -163,6 +192,12 @@ def test_grid_function_immutability(grid_1d):
     u = ok.GridFunction.constant(grid_1d, 1.0)
     with pytest.raises(ValueError):
         u.values[0] = 2.0
+    # rebinding would skip the finiteness check and the read-only flag
+    with pytest.raises(AttributeError):
+        u.values = np.full(grid_1d.shape, np.inf)
+    with pytest.raises(AttributeError):
+        u.grid = ok.make_grid(1, [(0.0, 2.0)], [grid_1d.size])
+    assert u.values.tolist() == [1.0] * grid_1d.size
 
 
 def test_grid_caches_are_per_grid_and_read_only():

@@ -1,5 +1,6 @@
 """Property-suite orchestration: determinism, witnesses, negative controls."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -73,6 +74,44 @@ def test_witness_replay(small_report, suite_inputs):
     for prop in small_report.properties:
         replayed = replay_witness(prop.witness, families, reactions, grids)
         assert replayed == prop.worst_margin, prop.name
+
+
+def test_witness_replays_through_a_wrapped_evaluator(small_report, suite_inputs,
+                                                     monkeypatch):
+    # a functools.wraps wrapper, as a tracer installs, takes *args/**kwargs;
+    # replay must read the evaluator's parameters through __wrapped__
+    calls = []
+    evaluator = verify.EVALUATORS["norm_homogeneity"]
+
+    @functools.wraps(evaluator)
+    def wrapper(*args, **kwargs):
+        calls.append(sorted(kwargs))
+        return evaluator(*args, **kwargs)
+
+    monkeypatch.setitem(verify.EVALUATORS, "norm_homogeneity", wrapper)
+    prop = small_report["norm_homogeneity"]
+    assert replay_witness(prop.witness, *suite_inputs) == prop.worst_margin
+    assert calls == [["amplitude", "family", "grid", "scale", "seed", "smoothness"]]
+
+
+def test_verify_inputs_keep_their_derived_constants():
+    # the descriptors `orliczkit verify` builds; the values are pinned
+    # exactly, as they were when the descriptors stored them as fields
+    exponents = [ok.ExponentField.affine(2.0, 1.0), ok.ExponentField.affine(3.0, 1.0)]
+    assert [(p.p_minus, p.p_plus) for p in exponents] == [(2.0, 3.0), (3.0, 4.0)]
+    reactions = [ok.power_reaction(ok.ExponentField.constant(2.0)),
+                 ok.power_log_reaction(ok.ExponentField.constant(4.0)),
+                 ok.power_sin_reaction(ok.ExponentField.constant(3.0))]
+    assert [(r.q.p_minus, r.q.p_plus) for r in reactions] == [(2.0, 2.0), (4.0, 4.0),
+                                                              (3.0, 3.0)]
+    assert [(r.C0, r.C1, r.C2) for r in reactions] == [
+        (2.0, 1.0, 1.0),
+        (8.00799699700267, 1.045105053963244, 2.0019994995003336),
+        (6.005998331667367, 3.329999002551111e-07, 2.001999666333433)]
+    grids = [ok.make_grid(1, [(0.0, 1.0)], [65]),
+             ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [17, 17])]
+    assert [(g.dim, g.spacing, g.measure) for g in grids] == [
+        (1, (0.015625,), 1.0), (2, (0.0625, 0.0625), 1.0)]
 
 
 def test_every_field_sample_replays_exactly(suite_inputs, monkeypatch):
