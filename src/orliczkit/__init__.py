@@ -11,9 +11,8 @@ probes for the small- and large-parameter existence regimes.
 from .errors import DomainError, InputError, NumericsError
 from .exponents import ExponentField
 from .families import (MusielakFamily, StructureReport, check_structure,
-                       custom_family, exponent_bounds, family_from_text,
-                       family_to_text, log_quotient_family, log_weight_family,
-                       power_family)
+                       custom_family, exponent_bounds, log_quotient_family,
+                       log_weight_family, power_family)
 from .grid import (DomainGrid, GridFunction, bump_function, gradient,
                    gradient_magnitude, integrate, load_function, make_grid,
                    quad_weights, random_function, save_function)
@@ -27,6 +26,7 @@ from .solver import (CoercivityReport, SmallTProbeReport, SolveReport,
                      estimate_embedding_constant, lambda_star_formula,
                      minimize, small_t_probe, sweep_lambda)
 from .verify import VerifyReport, replay_witness, run_property_suite
+from .config import family_from_text, family_to_text
 
 __version__ = "0.1.0"
 

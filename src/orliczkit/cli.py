@@ -5,8 +5,8 @@ norm, the modular, or the conjugate-function norm of a field), ``solve`` and
 ``sweep`` (energy minimization), and ``verify`` (the property suite).
 
 Exit codes: 0 success, 1 verification failure, 2 solver non-convergence,
-3 malformed input.  Every command accepts ``--seed`` so that any randomness
-is reproducible.
+3 malformed input.  ``sweep`` and ``verify``, the commands that draw random
+numbers, take ``--seed`` so that their runs are reproducible.
 """
 
 from __future__ import annotations
@@ -190,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lo hi [lo2 hi2] extents for --const")
         p.add_argument("--nodes", type=int, nargs="+", help="nodes per axis")
         p.add_argument("--csv", help="append 'command,value' to this CSV")
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=_cmd_value, evaluate=evaluate)
 
     p = sub.add_parser("solve", help="minimize the energy from a config file")
@@ -199,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", help="per-iteration CSV")
     p.add_argument("--report", help="summary text file")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_solve)
 

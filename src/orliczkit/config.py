@@ -5,7 +5,9 @@ insensitive, locale-independent decimal numbers.  Nested objects use dotted
 prefixes, e.g. an energy config contains ``family.family``, ``family.p.kind``,
 ``reaction.example``, ``grid.dim``, ``lambda``, ``u0.kind``.  A family block
 may instead point at a standalone descriptor file via ``family.file``.  The
-``reaction.``, ``grid.`` and ``u0.`` prefixes are fixed.
+``reaction.``, ``grid.`` and ``u0.`` prefixes are fixed.  In a family
+descriptor, phi0, phi_sup and M_lower are either a declared number or the
+word ``estimate``: computed from the other inputs on load.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import numpy as np
 
 from .errors import InputError
 from .exponents import ExponentField
+from .families import MusielakFamily
 from .grid import DomainGrid, GridFunction, bump_function, load_function, make_grid
 from .energy import EnergyConfig, ReactionFamily
 
 __all__ = [
     "parse_kv_text", "read_kv_file", "finite_float", "exponent_from_kv", "reaction_from_kv",
     "grid_from_kv", "load_problem", "load_energy_setup", "initial_guess_from_kv",
+    "family_from_kv", "family_from_text", "family_to_text",
 ]
+
 
 
 def parse_kv_text(text: str) -> dict:
@@ -109,12 +114,46 @@ def grid_from_kv(kv: dict) -> DomainGrid:
     return make_grid(dim, extents, nodes)
 
 
+def family_from_kv(kv: dict, prefix: str = "") -> MusielakFamily:
+    """Built-in family from descriptor keys under ``prefix``; a declared
+    phi0/phi_sup/M_lower number overrides, the word ``estimate`` recomputes."""
+    fid = kv.get(prefix + "family")
+    if fid is None:
+        raise InputError("family descriptor missing 'family' key")
+    p = exponent_from_kv(kv, prefix + "p.")
+    alpha = kv.get(prefix + "alpha")
+    declared = {"declared_" + name: finite_float(raw, prefix + name)
+                for name in ("phi0", "phi_sup", "M_lower")
+                if (raw := kv.get(prefix + name)) not in (None, "estimate")}
+    return MusielakFamily(fid, p, None if alpha is None else finite_float(alpha, prefix + "alpha"),
+                          **declared)
+
+
+def family_from_text(text: str) -> MusielakFamily:
+    """Rebuild a family from key-value text produced by family_to_text."""
+    return family_from_kv(parse_kv_text(text))
+
+
+def family_to_text(family: MusielakFamily) -> str:
+    """Serialize a built-in family descriptor to key-value text: its inputs,
+    with each constant that was not declared written as ``estimate``."""
+    if family.family_id == "custom":
+        raise InputError("custom families (callable-backed) are not serializable")
+    spec = family.p.to_spec()
+    lines = [f"family = {family.family_id}", f"p.kind = {spec.pop('kind')}"]
+    lines += [f"p.{key} = " + " ".join(repr(v) for v in values)
+              for key, values in spec.items()]
+    if family.alpha is not None:
+        lines.append(f"alpha = {float(family.alpha)!r}")
+    for name in ("phi0", "phi_sup", "M_lower"):
+        value = getattr(family, "declared_" + name)
+        lines.append(f"{name} = " + ("estimate" if value is None else repr(float(value))))
+    return "\n".join(lines) + "\n"
+
+
 def family_from_kv_or_file(kv: dict, prefix: str = "family."):
-    from .families import family_from_kv
     path = kv.get(prefix + "file")
-    if path is not None:
-        return family_from_kv(read_kv_file(path))
-    return family_from_kv(kv, prefix=prefix)
+    return family_from_kv(kv, prefix) if path is None else family_from_kv(read_kv_file(path))
 
 
 def initial_guess_from_kv(kv: dict, grid: DomainGrid) -> GridFunction:

@@ -22,43 +22,41 @@ log kinds), the smallest admissible p- and the phi0 rule):
                          - int_0^{|t|} s^{p(x)}/(1+alpha+s) ds
 
 For ``power`` the bounds are phi0 = p-, phi_sup = p+; for ``log-quotient``
-phi0 = p- - 1, phi_sup = p+; for ``log-weight`` phi0 = p- is exact while
-phi_sup exists but has no closed form and is estimated numerically (stored
-with a small safe-side pad).  Custom families fill the same kernel slots
-from a user-supplied phi callable and get Phi by adaptive quadrature unless
-a Phi callable is given too, and phi' by a central difference of phi.
+phi0 = p- - 1, phi_sup = p+; for ``log-weight`` phi0 = p- and phi_sup is
+estimated numerically.  The ``custom`` entry calls a user phi callable, and
+a Phi callable or else adaptive quadrature of phi.
 
-Descriptors are frozen: a factory builds a provisional descriptor, estimates
-the constants that need phi/Phi on it, and returns a new descriptor through
-``dataclasses.replace``.  The non-elementary correction integrals of the two
-log families split at a cut: the head is 16-node Gauss-Legendre after a
-cubic substitution that removes the endpoint singularity, and the tail is
-integrated only on the elements past the cut, with panels sized per
-element, so every value is independent of its batch; see _quadrature.
-Everything is vectorized over broadcastable (x, t) arrays and free of
-mutable state.  ``check_structure`` passes margins down to -``_STRUCTURE_TOL``
-(-``_DELTA2_REL_TOL`` for the relative doubling margin).
+A descriptor holds only its inputs; ``__post_init__`` checks every
+construction and derives the kernel, phi0/phi_sup/M_lower (declared, by the
+kind's rule or by a numerical estimate) and the set of estimated names.
+The correction integrals of the two log families split at a cut: the head
+is 16-node Gauss-Legendre after a cubic substitution that removes the
+endpoint singularity, and the tail is integrated only on the elements past
+the cut, with panels sized per element, so every value is independent of
+its batch; see _quadrature.  Everything is vectorized over broadcastable
+(x, t) arrays and free of mutable state.  ``check_structure`` passes margins
+down to -``_STRUCTURE_TOL`` (-``_DELTA2_REL_TOL`` for relative doubling).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ._quadrature import gauss01, panel_gauss
-from .config import exponent_from_kv, finite_float, parse_kv_text
 from .errors import DomainError, InputError, NumericsError
 from .exponents import ExponentField
 
 __all__ = [
     "MusielakFamily", "power_family", "log_quotient_family", "log_weight_family",
     "custom_family", "exponent_bounds", "check_structure",
-    "StructureReport", "ConditionCheck", "family_to_text", "family_from_text",
+    "StructureReport", "ConditionCheck",
 ]
 
 
@@ -253,9 +251,9 @@ class _Kernel:
     phi_elasticity = t phi'/phi = d log phi/d log t (t > 0) is known and
     bisecting otherwise.  dphi is the derivative phi' (even in t, finite at
     t = 0); without a formula it is a central difference of phi.
-    The remaining slots describe built-in kinds only: the smallest
-    admissible p-, the rule phi0 = p- - phi0_drop, the constants estimated
-    numerically (helpers applied in order), whether alpha enters the
+    The remaining slots are the smallest admissible p-, the rule
+    phi0 = p- - phi0_drop, the numerical estimates as (names, helper) pairs
+    with helper(family) -> the values of names, whether alpha enters the
     formulas, and whether the companion bound Phi >= t^{p(x)-1} holds.
     """
 
@@ -271,8 +269,10 @@ class _Kernel:
     shifted_lower_bound: bool = False
 
 
-def _quad_Phi(phi_fn, fam, x1, t):
-    """Phi of a custom family by adaptive quadrature of phi_fn, elementwise."""
+def _custom_Phi(fam, x1, t):
+    """Phi of a custom family: Phi_fn, else elementwise quadrature of phi_fn."""
+    if fam.Phi_fn is not None:
+        return fam.Phi_fn(x1, t)
     import scipy.integrate      # deferred: it dominates the package import time
 
     x1b, tb = np.broadcast_arrays(x1, np.abs(t))
@@ -283,7 +283,7 @@ def _quad_Phi(phi_fn, fam, x1, t):
             # the explicit error-estimate check below decides convergence
             warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
             val, err = scipy.integrate.quad(
-                lambda s, xi=flat_x[i]: phi_fn(np.asarray(xi), np.asarray(s)),
+                lambda s, xi=flat_x[i]: fam.phi_fn(np.asarray(xi), np.asarray(s)),
                 0.0, flat_t[i], epsabs=1e-12, epsrel=1e-12, limit=200)
         if err > 1e-10 * (1.0 + abs(val)):
             raise NumericsError(
@@ -297,29 +297,69 @@ def _quad_Phi(phi_fn, fam, x1, t):
 # the family type
 # ---------------------------------------------------------------------------
 
+_CONSTANTS = ("phi0", "phi_sup", "M_lower")
+
+
 @dataclass(frozen=True, eq=False)
 class MusielakFamily:
     """A concrete Phi/phi pair with exponent field and structure constants.
 
-    Instances are frozen dataclasses: assigning a field raises
-    ``dataclasses.FrozenInstanceError``, and a changed constant means a new
-    descriptor from ``dataclasses.replace``.  All evaluation methods are
-    pure, so instances are safe to share across threads.
+    Constructor fields are inputs; ``dataclasses.replace`` re-derives every
+    constant that was not declared.  Instances are frozen and their methods
+    pure, so they are safe to share across threads.
     """
 
     family_id: str
-    kernel: _Kernel
-    p: ExponentField | None
-    phi0: float
-    phi_sup: float
-    M_lower: float = 0.0
-    estimated: frozenset = frozenset()
+    p: ExponentField | None = None
     alpha: float | None = None
-    label: str = ""
+    label: str = ""                         # the kind when empty
+    declared_phi0: float | None = None
+    declared_phi_sup: float | None = None
+    declared_M_lower: float | None = None
+    phi_fn: Callable | None = None          # custom only, required
+    Phi_fn: Callable | None = None          # custom only, optional
+    kernel: _Kernel = field(init=False)
+    phi0: float = field(init=False)
+    phi_sup: float = field(init=False)
+    M_lower: float = field(init=False)
+    estimated: frozenset = field(init=False)    # names set by a numerical estimate
 
     def __post_init__(self):
-        if not (1.0 < self.phi0 <= self.phi_sup < math.inf):
-            raise InputError("need 1 < phi0 <= phi_sup < inf")
+        fid, p, alpha = self.family_id, self.p, self.alpha
+        kernel = _KERNELS.get(fid)
+        if kernel is None:
+            raise InputError(f"unknown family id {fid!r}")
+        custom = fid == "custom"
+        if (not callable(self.phi_fn)) if custom else (self.phi_fn or self.Phi_fn):
+            raise InputError("phi_fn/Phi_fn: custom families only, with a callable phi_fn")
+        if not ((custom and p is None)
+                or (isinstance(p, ExponentField) and p.p_minus >= kernel.p_min)):
+            raise InputError(f"{fid} family requires p(x) >= {kernel.p_min:g}")
+        if kernel.uses_alpha and not (isinstance(alpha, numbers.Real) and 0.0 < alpha < math.inf):
+            raise InputError(f"{fid} family requires alpha > 0")
+        if not kernel.uses_alpha and alpha is not None:
+            raise InputError(f"{fid} family takes no alpha")
+        declared = {name: value for name in _CONSTANTS
+                    if (value := getattr(self, "declared_" + name)) is not None}
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in declared.values()):
+            raise InputError(f"declared constants must be finite numbers, got {declared}")
+        values = {"M_lower": 0.0} if p is None else {
+            "phi0": p.p_minus - kernel.phi0_drop, "phi_sup": p.p_plus, "M_lower": 1.0}
+        object.__setattr__(self, "kernel", kernel)
+        estimated = set()
+        for names, estimate in kernel.estimates:
+            # M_lower bounds Phi by M_lower |t|^p(x): no estimate without p
+            if not set(names) <= declared.keys() and (p is not None or "M_lower" not in names):
+                values.update(zip(names, estimate(self)))
+                estimated.update(names)
+        values.update(declared)
+        for name, value in values.items():
+            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "estimated", frozenset(estimated - declared.keys()))
+        object.__setattr__(self, "label", self.label or fid)
+        if not 1.0 < self.phi0 <= self.phi_sup < math.inf:
+            hint = " (declare them if the sampled estimates are unusable)" if custom else ""
+            raise InputError(f"{fid} family: need 1 < phi0 <= phi_sup < inf{hint}")
         if not 0.0 <= self.M_lower < math.inf:
             raise InputError("M_lower must be >= 0 and finite")
 
@@ -437,25 +477,9 @@ class MusielakFamily:
 # factories
 # ---------------------------------------------------------------------------
 
-def _builtin(family_id, p, alpha=None):
-    """Descriptor of a built-in kind, with its estimated constants filled in."""
-    kernel = _KERNELS[family_id]
-    if p.p_minus < kernel.p_min:
-        raise InputError(f"{family_id} family requires p(x) >= {kernel.p_min:g}")
-    if kernel.uses_alpha and not (alpha is not None and alpha > 0.0):
-        raise InputError(f"{family_id} family requires alpha > 0")
-    fam = MusielakFamily(family_id, kernel, p, phi0=p.p_minus - kernel.phi0_drop,
-                         phi_sup=p.p_plus, M_lower=1.0,
-                         alpha=float(alpha) if kernel.uses_alpha else None,
-                         label=family_id)
-    for estimate in kernel.estimates:
-        fam = estimate(fam)
-    return fam
-
-
 def power_family(p: ExponentField) -> MusielakFamily:
     """Family with Phi(x,t) = |t|^{p(x)}; needs p- >= 2."""
-    return _builtin("power", p)
+    return MusielakFamily("power", p)
 
 
 def log_quotient_family(p: ExponentField) -> MusielakFamily:
@@ -465,7 +489,7 @@ def log_quotient_family(p: ExponentField) -> MusielakFamily:
     limits t->0 and t->inf).  M_lower is a window estimate only: the true
     inf of Phi/t^p over all t is 0 because of the 1/log factor at infinity.
     """
-    return _builtin("log-quotient", p)
+    return MusielakFamily("log-quotient", p)
 
 
 def log_weight_family(p: ExponentField, alpha: float) -> MusielakFamily:
@@ -475,7 +499,7 @@ def log_weight_family(p: ExponentField, alpha: float) -> MusielakFamily:
     (interior maximum), padded by a relative 1e-8 so inequalities tested
     against it stay on the safe side.
     """
-    return _builtin("log-weight", p, alpha)
+    return MusielakFamily("log-weight", p, alpha)
 
 
 def custom_family(phi_fn, Phi_fn=None, p: ExponentField | None = None,
@@ -483,28 +507,11 @@ def custom_family(phi_fn, Phi_fn=None, p: ExponentField | None = None,
     """Family from a user-supplied vectorized phi(x1, t).
 
     Phi comes from Phi_fn if given, else adaptive quadrature of phi.  Ratio
-    bounds are taken as declared or estimated by sampling t in [1e-4, 1e4];
-    estimates are recorded as such.
+    bounds are taken as declared or else estimated by sampling t in [1e-4, 1e4].
     """
-    kernel = _Kernel(phi=lambda fam, x1, t: phi_fn(x1, t),
-                     Phi=(functools.partial(_quad_Phi, phi_fn) if Phi_fn is None
-                          else lambda fam, x1, t: Phi_fn(x1, t)))
-    fam = MusielakFamily("custom", kernel, p, phi0=2.0, phi_sup=2.0, label=label)
-    estimated = frozenset(name for name, value in (("phi0", phi0), ("phi_sup", phi_sup))
-                          if value is None)
-    if estimated:
-        lo, hi = exponent_bounds(fam, np.geomspace(1e-4, 1e4, 161))
-        phi0 = lo if phi0 is None else phi0
-        phi_sup = hi if phi_sup is None else phi_sup
-    if not (1.0 < phi0 <= phi_sup < math.inf):
-        raise InputError("custom family: need 1 < phi0 <= phi_sup < inf "
-                         "(declare them if the sampled estimates are unusable)")
-    fam = replace(fam, phi0=float(phi0), phi_sup=float(phi_sup),
-                  M_lower=0.0 if M_lower is None else float(M_lower),
-                  estimated=estimated)
-    if M_lower is None and p is not None:
-        fam = _with_m_lower(fam)
-    return fam
+    return MusielakFamily("custom", p, label=label, declared_phi0=phi0,
+                          declared_phi_sup=phi_sup, declared_M_lower=M_lower,
+                          phi_fn=phi_fn, Phi_fn=Phi_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +554,9 @@ def _golden_max(f, a, b, iters=70):
     return np.maximum(fc, fd)
 
 
-def _with_refined_sup(family):
-    """family with phi_sup = numerical sup of t*phi/Phi (coarse log grid plus
-    golden polish at every x sample), padded by a relative 1e-8 and recorded
-    as estimated."""
+def _refined_sup(family):
+    """(phi_sup,): the numerical sup of t*phi/Phi (coarse log grid plus golden
+    polish at every x sample), padded by a relative 1e-8."""
     ts = np.geomspace(1e-6, 1e8, 281)
     xs = sample_x1(family, n=21)
     r = _ratio(family, xs[:, None], ts[None, :])
@@ -559,20 +565,18 @@ def _with_refined_sup(family):
     b = np.log(ts[np.minimum(k + 1, ts.size - 1)])
     polished = _golden_max(lambda lt: _ratio(family, xs, np.exp(lt)), a, b)
     best = max(float(np.max(r)), float(np.max(polished)))
-    return replace(family, phi_sup=best * (1.0 + 1e-8),
-                   estimated=family.estimated | {"phi_sup"})
+    return (best * (1.0 + 1e-8),)
 
 
-def _with_m_lower(family, t_lo=1e-4, t_hi=1e4, nt=181):
-    """family with M_lower = inf over the sampling window of Phi(x,t)/t^{p(x)},
-    shaved slightly and recorded as estimated."""
-    ts = np.geomspace(t_lo, t_hi, nt)
+def _m_lower(family):
+    """(M_lower,): the inf over t in [1e-4, 1e4] of Phi(x,t)/t^{p(x)},
+    shaved slightly."""
+    ts = np.geomspace(1e-4, 1e4, 181)
     xs = sample_x1(family)
     p = family.p(xs)[:, None]
     Phi = np.asarray(family.Phi(xs[:, None], ts[None, :]))
     ratio = Phi / ts[None, :] ** p
-    return replace(family, M_lower=max(0.0, float(np.min(ratio)) * (1.0 - 1e-6)),
-                   estimated=family.estimated | {"M_lower"})
+    return (max(0.0, float(np.min(ratio)) * (1.0 - 1e-6)),)
 
 
 _KERNELS = {
@@ -582,14 +586,18 @@ _KERNELS = {
                             phi_elasticity=_log_quotient_elasticity,
                             dphi=functools.partial(_elastic_dphi, _log_quotient_dphi0),
                             p_min=3.0,
-                            phi0_drop=1.0, estimates=(_with_m_lower,),
+                            phi0_drop=1.0, estimates=((("M_lower",), _m_lower),),
                             shifted_lower_bound=True),
     "log-weight": _Kernel(_log_weight_phi, _log_weight_Phi,
                           phi_elasticity=_log_weight_elasticity,
                           dphi=functools.partial(_elastic_dphi, _log_weight_dphi0),
                           p_min=2.0,
-                          estimates=(_with_refined_sup, _with_m_lower),
+                          estimates=((("phi_sup",), _refined_sup), (("M_lower",), _m_lower)),
                           uses_alpha=True),
+    "custom": _Kernel(lambda fam, x1, t: fam.phi_fn(x1, t), _custom_Phi,
+                      estimates=((("phi0", "phi_sup"),
+                                  lambda fam: exponent_bounds(fam, np.geomspace(1e-4, 1e4, 161))),
+                                 (("M_lower",), _m_lower))),
 }
 
 
@@ -713,50 +721,3 @@ def check_structure(family, t_samples=None) -> StructureReport:
             checks.append(_worst("growth_lower_shifted", margin1, xs, ts, tol))
 
     return StructureReport(family.label, checks, all(c.passed for c in checks))
-
-
-# ---------------------------------------------------------------------------
-# descriptor serialization
-# ---------------------------------------------------------------------------
-
-def _fmt_field(family, name):
-    return "estimate" if name in family.estimated else repr(getattr(family, name))
-
-
-def family_to_text(family: MusielakFamily) -> str:
-    """Serialize a standard family descriptor to key-value text."""
-    if family.family_id not in _KERNELS:
-        raise InputError("custom families (callable-backed) are not serializable")
-    spec = family.p.to_spec()
-    lines = [f"family = {family.family_id}", f"p.kind = {spec.pop('kind')}"]
-    lines += [f"p.{key} = " + " ".join(repr(v) for v in values)
-              for key, values in spec.items()]
-    if family.alpha is not None:
-        lines.append(f"alpha = {family.alpha!r}")
-    for name in ("phi0", "phi_sup", "M_lower"):
-        lines.append(f"{name} = {_fmt_field(family, name)}")
-    return "\n".join(lines) + "\n"
-
-
-def family_from_text(text: str) -> MusielakFamily:
-    """Rebuild a family from key-value text produced by family_to_text."""
-    return family_from_kv(parse_kv_text(text))
-
-
-def family_from_kv(kv: dict, prefix: str = "") -> MusielakFamily:
-    """Built-in family from descriptor keys under ``prefix``; a declared
-    phi0/phi_sup/M_lower number overrides, the word ``estimate`` recomputes."""
-    fid = kv.get(prefix + "family")
-    if fid is None:
-        raise InputError("family descriptor missing 'family' key")
-    p = exponent_from_kv(kv, prefix + "p.")
-    if fid not in _KERNELS:
-        raise InputError(f"family id {fid!r} not loadable from text")
-    alpha = kv.get(prefix + "alpha")
-    fam = _builtin(fid, p, None if alpha is None else finite_float(alpha, prefix + "alpha"))
-    declared = {}
-    for name in ("phi0", "phi_sup", "M_lower"):
-        raw = kv.get(prefix + name)
-        if raw is not None and raw != "estimate":
-            declared[name] = finite_float(raw, prefix + name)
-    return replace(fam, estimated=fam.estimated.difference(declared), **declared)

@@ -168,6 +168,16 @@ def test_verify_pass(tmp_path, capsys):
     assert "overall = True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["norm", "modular", "conjugate", "solve"])
+def test_seed_is_rejected_where_nothing_is_drawn(command, family_file, solve_config):
+    # only sweep and verify draw random numbers, so only they take --seed
+    argv = ([command, "--config", solve_config] if command == "solve" else
+            [command, "--family", family_file, "--const", "2",
+             "--domain", "0", "1", "--nodes", "11"])
+    assert main(argv) == 0
+    assert main(argv + ["--seed", "1"]) == 3
+
+
 def test_verify_negative_control(capsys):
     code = main(["verify", "--samples", "2", "--families", "broken-delta2"])
     assert code == 1

@@ -17,16 +17,20 @@ G3_AT_1 = 1.7456241416655579                # 1 + sin(sin(1)), used in test_ener
 LOGWEIGHT_PHI_SUP = 3.369326799013649       # p = 2 + x, alpha = 1 (the CLI default)
 
 
-def _counting_phi(fam):
-    """fam with a kernel phi that records the size of every evaluation."""
+def _counting_phi(monkeypatch, fam):
+    """fam rebuilt on a kernel whose phi records the size of every evaluation
+    made after the rebuild."""
     sizes = []
-    inner = fam.kernel.phi
+    kernel = families._KERNELS[fam.family_id]
 
     def phi(family, x1, t):
         sizes.append(np.size(t))
-        return inner(family, x1, t)
+        return kernel.phi(family, x1, t)
 
-    return dataclasses.replace(fam, kernel=dataclasses.replace(fam.kernel, phi=phi)), sizes
+    monkeypatch.setitem(families._KERNELS, fam.family_id, dataclasses.replace(kernel, phi=phi))
+    counted = dataclasses.replace(fam)
+    sizes.clear()           # the evaluations of the rebuild's own estimates
+    return counted, sizes
 
 
 def test_phi_power_example(family_power_p2):
@@ -178,15 +182,17 @@ def test_custom_dphi_is_a_central_difference():
     assert abs(fam.dphi(0.5, 0.0)) <= 1e-300
 
 
-def test_phi_inv_batch_takes_few_phi_evaluations(family_logquot_affine, family_logweight):
+def test_phi_inv_batch_takes_few_phi_evaluations(monkeypatch, family_logquot_affine,
+                                                 family_logweight):
     # one 129^2 batch: safeguarded Newton needs a handful of phi calls where
     # a log-space bisection to full precision needs over a hundred
     grid = ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [129, 129])
     x1 = grid.coords_first
     for fam in (family_logquot_affine, family_logweight):
+        counted, sizes = _counting_phi(monkeypatch, fam)
         for amplitude in (0.1, 1.0, 10.0):
             s = np.abs(ok.random_function(grid, 7, amplitude, 3).values)
-            counted, sizes = _counting_phi(fam)
+            sizes.clear()
             t = np.asarray(counted.phi_inv(x1, s))
             assert len(sizes) <= 12
             back = np.asarray(fam.phi(x1, t))
@@ -421,7 +427,7 @@ def test_descriptors_are_frozen(family_logweight, all_reactions):
         assert getattr(descriptor, name) == before
 
 
-def test_declared_override_builds_new_descriptor():
+def test_declared_constant_overrides_its_rule():
     fam = ok.family_from_text("family = log-quotient\np.kind = constant\n"
                               "p.coeffs = 3\nM_lower = 0.5\n")
     assert fam.M_lower == 0.5
@@ -429,3 +435,78 @@ def test_declared_override_builds_new_descriptor():
     with pytest.raises(InputError):
         ok.family_from_text("family = power\np.kind = constant\np.coeffs = 3\n"
                             "M_lower = -1\n")
+
+
+E = ok.ExponentField
+
+
+@pytest.mark.parametrize("build, change, reference", [
+    (lambda: ok.power_family(E.constant(4.0)), dict(p=E.constant(2.5)),
+     lambda: ok.power_family(E.constant(2.5))),
+    (lambda: ok.log_weight_family(E.constant(3.0), 1.0), dict(alpha=100.0),
+     lambda: ok.log_weight_family(E.constant(3.0), 100.0)),
+    (lambda: ok.MusielakFamily("log-quotient", E.constant(3.0), declared_M_lower=0.5),
+     dict(p=E.constant(4.0)),
+     lambda: ok.family_from_text("family = log-quotient\np.kind = constant\n"
+                                 "p.coeffs = 4\nM_lower = 0.5\n")),
+], ids=["power-p", "log-weight-alpha", "declared-M_lower-kept"])
+def test_replace_rederives_every_undeclared_constant(build, change, reference):
+    fam, ref = dataclasses.replace(build(), **change), reference()
+    assert (fam.phi0, fam.phi_sup, fam.M_lower, fam.estimated) == \
+        (ref.phi0, ref.phi_sup, ref.M_lower, ref.estimated)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ok.MusielakFamily("power", E.constant(1.5)),
+    lambda: ok.MusielakFamily("power"),
+    lambda: ok.MusielakFamily("log-weight", E.constant(3.0)),
+    lambda: ok.MusielakFamily("log-weight", E.constant(3.0), alpha=np.inf),
+    lambda: ok.MusielakFamily("power", E.constant(3.0), alpha=1.0),
+    lambda: ok.MusielakFamily("custom", E.constant(3.0)),
+    lambda: ok.MusielakFamily("power", E.constant(3.0), phi_fn=lambda x, t: t),
+    lambda: ok.MusielakFamily("bogus", E.constant(3.0)),
+    lambda: ok.MusielakFamily("power", E.constant(3.0), declared_phi0=np.nan),
+    lambda: ok.MusielakFamily("power", E.constant(3.0), declared_phi_sup="4"),
+    lambda: ok.MusielakFamily("power", E.constant(3.0), declared_phi0=3.5),
+    lambda: ok.family_from_text("family = power\np.kind = constant\np.coeffs = 3\n"
+                                "alpha = 1\n"),
+], ids=["power-p1.5", "power-no-p", "log-weight-no-alpha", "log-weight-alpha-inf",
+        "power-alpha", "custom-no-phi_fn", "power-phi_fn", "bogus-id", "declared-nan",
+        "declared-text", "phi0-above-phi_sup", "text-power-alpha"])
+def test_family_checks_every_construction(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_declared_log_weight_descriptor_runs_no_estimate(monkeypatch):
+    def refuse(family):
+        raise AssertionError("an estimate ran")
+
+    kernel = families._KERNELS["log-weight"]
+    monkeypatch.setitem(families._KERNELS, "log-weight", dataclasses.replace(
+        kernel, estimates=tuple((names, refuse) for names, _ in kernel.estimates)))
+    text = ("family = log-weight\np.kind = constant\np.coeffs = 3\nalpha = 1\n"
+            "phi_sup = 3.5\nM_lower = 0.6\n")
+    fam = ok.family_from_text(text)
+    assert (fam.phi0, fam.phi_sup, fam.M_lower, fam.estimated) == (3.0, 3.5, 0.6, frozenset())
+    with pytest.raises(AssertionError, match="an estimate ran"):
+        ok.family_from_text(text.replace("M_lower = 0.6", "M_lower = estimate"))
+
+
+def test_direct_construction_is_labelled_by_its_kind():
+    fam = ok.MusielakFamily("power", E.constant(3.0))
+    assert fam.label == "power"
+    assert repr(fam).startswith("MusielakFamily('power'")
+    assert check_structure(fam).family == "power"
+
+
+def test_descriptor_text_keeps_the_declared_inputs():
+    assert "phi0 = estimate" in ok.family_to_text(ok.power_family(E.constant(3.0)))
+    fam = ok.MusielakFamily("log-quotient", E.constant(3.0), declared_M_lower=0.5)
+    text = ok.family_to_text(fam)
+    assert "M_lower = 0.5\n" in text and "phi_sup = estimate\n" in text
+    back = ok.family_from_text(text)
+    assert (back.declared_phi0, back.declared_phi_sup, back.declared_M_lower) == (None, None, 0.5)
+    moved, moved_back = (dataclasses.replace(f, p=E.constant(4.0)) for f in (fam, back))
+    assert (moved.phi0, moved.phi_sup, moved.M_lower, moved.estimated) == \
+        (moved_back.phi0, moved_back.phi_sup, moved_back.M_lower, moved_back.estimated)
