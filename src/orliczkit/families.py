@@ -151,6 +151,29 @@ def _corr_log_weight(T, p, kappa):
     return out.reshape(shape)
 
 
+def _corr_log_weight_scaled(T, p, kappa):
+    """integral_0^T (s/T)^p / (kappa + s) ds for 1-d T > 0 and p, by the rules
+    of _corr_log_weight with s^p scaled by T^p: no term exceeds 1, where the
+    unscaled tail term s^{p+1}/(kappa + s) overflows once T^{p+1} does."""
+    cc, TT, pp = np.minimum(T, kappa)[:, None], T[:, None], p[:, None]
+
+    def head(y):
+        s = cc * y ** 3
+        return (s / TT) ** pp / (kappa + s) * 3.0 * cc * y * y
+
+    def tail(w, q, log_T):
+        ew = np.exp(w)
+        return np.exp(q * (w - log_T)) * ew / (kappa + ew)
+
+    out = gauss01(head)
+    far = np.flatnonzero(T > kappa)
+    if far.size:
+        lo, hi = math.log(kappa), np.log(T[far])
+        panels = np.clip(np.ceil((hi - lo) / 6.0), 1, 128)
+        out[far] += panel_gauss(tail, lo, hi, panels, p[far], hi)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # kernel formulas f(family, x1, t) of the built-in kinds
 # ---------------------------------------------------------------------------
@@ -220,7 +243,15 @@ def _log_weight_Phi(fam, x1, t):
     p = fam.p(x1)
     at = np.abs(t)
     kappa = 1.0 + fam.alpha
-    return np.log(kappa + at) * at ** p - _corr_log_weight(at, p, kappa)
+    out = np.log(kappa + at) * at ** p - _corr_log_weight(at, p, kappa)
+    # at large |t| the correction's e^{w(p+1)} overflows before its division:
+    # there Phi = |t|^p (log(kappa + |t|) - integral_0^|t| (s/|t|)^p/(kappa+s) ds)
+    redo = ~np.isfinite(out)
+    if np.any(redo):
+        out = np.array(out)
+        T, q = (np.broadcast_to(a, out.shape)[redo] for a in (at, p))
+        out[redo] = T ** q * (np.log(kappa + T) - _corr_log_weight_scaled(T, q, kappa))
+    return out
 
 
 def _elastic_dphi(limit, fam, x1, t):

@@ -4,16 +4,25 @@ Every structural inequality exposed by the other modules is evaluated on
 deterministic random samples; a property never raises on failure, it records
 the violation with a witness instead.  Margins are signed distances to the
 inequality boundary (negative = violated); a sample passes when its margin
-is at least minus the property's slack.  Witnesses carry the exact arguments
-(indices into the supplied family/reaction/grid lists plus child seeds), so
-``replay_witness`` reproduces any reported margin bit-for-bit.
+is at least minus the property's slack, and a NaN margin fails and is worse
+than any number.  Witnesses carry the exact arguments (indices into the
+supplied family/reaction/grid lists plus child seeds), so ``replay_witness``
+reproduces any reported margin bit-for-bit.
+
+One table, ``_PROPERTIES``, says how each property runs: its slack, the
+objects it runs over (families, reactions, or every family-reaction pair),
+its per-sample arguments in draw order, and its sample rule (random fields
+stacked per grid, one call on max(k, n_samples) points, or one call on fixed
+arguments).  The suite draws from its seed property by property, in table
+order, and for each property object by object.  ``replay_witness`` reads the
+evaluator's arguments from the same table.  Evaluators are looked up in
+``EVALUATORS`` at call time, so a wrapper put there sees every call.
 
 Random fields are drawn at the three ``_AMPLITUDES`` so that both the
 small-norm and large-norm branches of the norm-modular relations get
 exercised (``modular_convergence`` halves them ``_CONVERGENCE_STEPS``
-times).  The draws of a field property come from the suite's seed in a
-fixed order; the samples of one (property, family, grid) are then evaluated
-as one stack of fields with a leading batch axis, by one evaluator call with
+times).  The samples of one (property, objects, grid) are evaluated as one
+stack of fields with a leading batch axis, by one evaluator call with
 per-sample argument arrays, and absorbed in draw order, each with its own
 witness.  A replayed witness is the same evaluator on a stack of one, and a
 sample's margin does not depend on the rest of its stack.
@@ -21,9 +30,10 @@ sample's margin does not depend on the rest of its stack.
 
 from __future__ import annotations
 
-import inspect
+import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +51,7 @@ __all__ = ["PropertyResult", "VerifyReport", "run_property_suite",
 
 _CUT = 1e-12   # dead zone around norm 1 where the relations are vacuous
 _AMPLITUDES = (0.1, 1.0, 10.0)
+_LAMBDAS = (0.5, 1.0, 2.0)       # the lambdas of gradient_check
 _CONVERGENCE_STEPS = 12
 
 
@@ -133,10 +144,16 @@ def eval_modular_convergence(family, grid, seed, amplitude, smoothness):
     return np.minimum(decreasing, vanish), {"rho_first": rhos[:, 0], "rho_last": rhos[:, -1]}
 
 
-def eval_young(family, seed, n):
+def _sample_xt(family, seed, n, t_lo, t_hi):
+    """The generator of a point evaluator after its n points: x1 from
+    sample_x1, then t log-uniform on [t_lo, t_hi]."""
     rng = np.random.default_rng(seed)
     x = sample_x1(family, n, rng)
-    t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
+    return rng, x, np.exp(rng.uniform(np.log(t_lo), np.log(t_hi), n))
+
+
+def eval_young(family, seed, n):
+    rng, x, t = _sample_xt(family, seed, n, 1e-3, 1e2)
     s = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
     margins = (np.asarray(family.Phi(x, t)) + np.asarray(family.conjugate(x, s))
                - t * s)
@@ -144,9 +161,7 @@ def eval_young(family, seed, n):
 
 
 def eval_conjugate_bound(family, seed, n):
-    rng = np.random.default_rng(seed)
-    x = sample_x1(family, n, rng)
-    t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
+    _, x, t = _sample_xt(family, seed, n, 1e-3, 1e2)
     phi = np.asarray(family.phi(x, t))
     margins = (family.phi_sup * np.asarray(family.Phi(x, t))
                - np.asarray(family.conjugate(x, phi)))
@@ -154,16 +169,12 @@ def eval_conjugate_bound(family, seed, n):
 
 
 def eval_phi_odd(family, seed, n):
-    rng = np.random.default_rng(seed)
-    x = sample_x1(family, n, rng)
-    t = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), n))
+    _, x, t = _sample_xt(family, seed, n, 1e-4, 1e3)
     return phi_odd_margin(family, x, t), {}
 
 
 def eval_scaling_bounds(family, seed, n):
-    rng = np.random.default_rng(seed)
-    x = sample_x1(family, n, rng)
-    t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
+    rng, x, t = _sample_xt(family, seed, n, 1e-3, 1e2)
     sigma = np.exp(rng.uniform(np.log(1.0 + 1e-6), np.log(1e2), n))
     tau = rng.uniform(1e-3, 1.0 - 1e-6, n)
     Pt = np.asarray(family.Phi(x, t))
@@ -192,9 +203,7 @@ def eval_sqrt_convexity(family, nx, nt):
 
 
 def eval_growth_lower(family, seed, n):
-    rng = np.random.default_rng(seed)
-    x = sample_x1(family, n, rng)
-    t = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), n))
+    _, x, t = _sample_xt(family, seed, n, 1e-4, 1e4)
     return growth_lower_margin(family, x, t), {}
 
 
@@ -257,9 +266,7 @@ def _integral_of_phi(family, x, t):
 
 def eval_ftc_consistency(family, seed, n):
     # relative where Phi > 1: the rounding of a large Phi grows with it
-    rng = np.random.default_rng(seed)
-    x = sample_x1(family, n, rng)
-    t = np.exp(rng.uniform(np.log(1e-3), np.log(20.0), n))
+    _, x, t = _sample_xt(family, seed, n, 1e-3, 20.0)
     Phi = np.asarray(family.Phi(x, t))
     return -np.abs(Phi - _integral_of_phi(family, x, t)) / np.maximum(Phi, 1.0), {}
 
@@ -302,14 +309,17 @@ class PropertyResult:
     witness: dict = field(default_factory=dict)
 
     def absorb(self, margins: np.ndarray, witness: dict):
-        margins = np.asarray(margins, dtype=float)
+        """Count the margins of one evaluation; a NaN margin is worse than
+        any number, and the first worst margin seen is the witness."""
+        margins = np.asarray(margins, dtype=float).ravel()
         self.samples += margins.size
         self.passes += int(np.sum(margins >= -self.slack))
-        worst = float(np.min(margins))
-        if worst < self.worst_margin:
+        index = int(np.argmin(margins))          # the first NaN, if any
+        worst = float(margins[index])
+        if not self.witness or worst < self.worst_margin or (
+                math.isnan(worst) and not math.isnan(self.worst_margin)):
             self.worst_margin = worst
-            self.witness = dict(witness)
-            self.witness["worst_index"] = int(np.argmin(margins))
+            self.witness = {**witness, "worst_index": index}
 
     @property
     def passed(self):
@@ -354,134 +364,165 @@ class VerifyReport:
         raise KeyError(name)
 
 
+# ---------------------------------------------------------------------------
+# the property table
+# ---------------------------------------------------------------------------
+
+def _seed(rng, s, n_grids):
+    return int(rng.integers(0, 2 ** 62))
+
+
+# per-sample arguments of sample s: the first three cycle with s and draw
+# nothing, the others are drawn from the suite's generator
+_ARGS = {
+    "grid": lambda rng, s, n_grids: s % n_grids,
+    "amplitude": lambda rng, s, n_grids: _AMPLITUDES[s % len(_AMPLITUDES)],
+    "lam": lambda rng, s, n_grids: _LAMBDAS[s % len(_LAMBDAS)],
+    "seed": _seed,
+    "seed2": _seed,
+    "smoothness": lambda rng, s, n_grids: int(rng.integers(0, 5)),
+    "scale": lambda rng, s, n_grids: float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))),
+}
+
+
+def _fields(per):
+    """max(1, n_samples // per) random field samples, stacked per grid."""
+    return lambda n_samples: (max(1, n_samples // per), {})
+
+
+def _points(k):
+    """One call on max(k, n_samples) points."""
+    return lambda n_samples: (0, {"n": max(k, n_samples)})
+
+
+def _fixed(**args):
+    """One call on fixed arguments."""
+    return lambda n_samples: (0, args)
+
+
+@dataclass(frozen=True)
+class _Property:
+    """How the suite runs one property.
+
+    A sample passes when its margin is >= -slack.  The property runs once
+    for every combination of its objects (indices into the suite's
+    "family"/"reaction" lists, nested in this order), skipping a family
+    without an exponent p when needs_p.  args are its per-sample arguments
+    (_ARGS) in witness order, which is also the order they are drawn in.
+    rule(n_samples) -> (fields, fixed): with fields > 0, that many samples
+    (each with its own args) are evaluated as one stack per grid; with
+    fields = 0, one call on one draw of args plus the fixed arguments.
+    """
+
+    slack: float
+    objects: tuple
+    args: tuple
+    rule: Callable
+    needs_p: bool = False
+
+
+_FIELD = ("grid", "seed", "amplitude", "smoothness")
+_PAIR = _FIELD + ("seed2",)
+
+# the suite draws property by property, in this order
+_PROPERTIES = {
+    "norm_modular_relations": _Property(1e-8, ("family",), _FIELD, _fields(1)),
+    "sobolev_modular_bounds": _Property(1e-8, ("family",), _FIELD, _fields(1)),
+    "unit_ball_identity": _Property(1e-7, ("family",), _FIELD, _fields(1)),
+    "norm_homogeneity": _Property(1e-7, ("family",), _FIELD + ("scale",), _fields(1)),
+    "triangle_inequality": _Property(1e-7, ("family",), _PAIR, _fields(1)),
+    "modular_parallelogram": _Property(1e-8, ("family",), _PAIR, _fields(1)),
+    "holder_inequality": _Property(1e-8, ("family",), _PAIR, _fields(1)),
+    "norm_equivalences": _Property(1e-8, ("family",), _FIELD, _fields(1)),
+    "modular_convergence": _Property(1e-8, ("family",), _FIELD, _fields(1)),
+    "young_inequality": _Property(1e-8, ("family",), ("seed",), _points(400)),
+    "conjugate_bound": _Property(1e-8, ("family",), ("seed",), _points(400)),
+    "phi_odd": _Property(0.0, ("family",), ("seed",), _points(400)),
+    "scaling_bounds": _Property(1e-9, ("family",), ("seed",), _points(400)),
+    "growth_lower_bound": _Property(1e-8, ("family",), ("seed",), _points(400),
+                                    needs_p=True),
+    "delta2_explicit_constant": _Property(1e-9, ("family",), (), _fixed(nx=60, nt=120)),
+    "sqrt_convexity": _Property(1e-8, ("family",), (), _fixed(nx=20, nt=160)),
+    "ftc_consistency": _Property(1e-10, ("family",), ("seed",), _fixed(n=8)),
+    "reaction_primitive_consistency": _Property(0.0, ("reaction",), ("seed",),
+                                                _points(400)),
+    "reaction_growth_envelopes": _Property(1e-12, ("reaction",), ("seed",), _points(400)),
+    "gradient_check": _Property(0.0, ("family", "reaction"),
+                                ("grid", "seed", "seed2", "amplitude", "smoothness", "lam"),
+                                _fields(4)),
+}
+
+
+def _evaluator_args(prop, args, pools):
+    """The evaluator's keyword arguments from a witness or a draw: the
+    table's keys, with object and grid indices resolved through pools."""
+    keys = (*prop.objects, *prop.args, *prop.rule(1)[1])
+    return {key: pools[key][args[key]] if key in pools else args[key] for key in keys}
+
+
 def replay_witness(witness: dict, families, reactions, grids):
     """Re-evaluate a reported witness; returns the reproduced worst margin."""
-    args = dict(witness)
-    name = args.pop("property")
-    idx = args.pop("worst_index", 0)
-    for key, pool in (("family", families), ("reaction", reactions), ("grid", grids)):
-        if key in args:
-            args[key] = pool[args[key]]
-    params = inspect.signature(EVALUATORS[name]).parameters
-    margins, _ = EVALUATORS[name](**{k: v for k, v in args.items() if k in params})
-    return float(np.asarray(margins).ravel()[idx])
+    pools = {"family": families, "reaction": reactions, "grid": grids}
+    name = witness["property"]
+    args = _evaluator_args(_PROPERTIES[name], witness, pools)
+    margins, _ = EVALUATORS[name](**args)
+    return float(np.asarray(margins).ravel()[witness.get("worst_index", 0)])
 
 
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
 
-_FUNCTION_PROPS = [
-    # (name, slack, needs_second_seed)
-    ("norm_modular_relations", 1e-8, False),
-    ("sobolev_modular_bounds", 1e-8, False),
-    ("unit_ball_identity", 1e-7, False),
-    ("norm_homogeneity", 1e-7, False),
-    ("triangle_inequality", 1e-7, True),
-    ("modular_parallelogram", 1e-8, True),
-    ("holder_inequality", 1e-8, True),
-    ("norm_equivalences", 1e-8, False),
-    ("modular_convergence", 1e-8, False),
-]
+def _absorb_field_samples(result, prop, draws, objects, grids):
+    """One evaluator call per grid on the stack of that grid's samples; the
+    samples are absorbed in draw order, each with its own witness."""
+    name = result.name
+    margins, infos = np.empty(len(draws)), [None] * len(draws)
+    for gi, grid in enumerate(grids):
+        rows = [k for k, args in enumerate(draws) if args["grid"] == gi]
+        if not rows:
+            continue
+        per_row = {key: np.array([draws[k][key] for k in rows])
+                   for key in prop.args if key != "grid"}
+        margins[rows], info = EVALUATORS[name](**objects, grid=grid, **per_row)
+        for j, k in enumerate(rows):
+            infos[k] = {key: float(value[j]) for key, value in info.items()}
+    for k, args in enumerate(draws):
+        result.absorb(margins[k:k + 1], {"property": name, **args, **infos[k]})
 
-_POINTWISE_PROPS = [
-    # (name, slack, batch per family)
-    ("young_inequality", 1e-8, 400),
-    ("conjugate_bound", 1e-8, 400),
-    ("phi_odd", 0.0, 400),
-    ("scaling_bounds", 1e-9, 400),
-    ("growth_lower_bound", 1e-8, 400),
-]
+
+def _int_at_least(value, name, least):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def run_property_suite(families, reactions, grids, n_samples: int,
                        seed: int) -> VerifyReport:
     """Evaluate the whole inequality suite; deterministic under fixed seed."""
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+    n_samples = _int_at_least(n_samples, "n_samples", 1)
+    seed = _int_at_least(seed, "seed", 0)
     if not families or not grids:
         raise InputError("need at least one family and one grid")
     rng = np.random.default_rng(seed)
-    results = {}
-
-    def res(name, slack):
-        return results.setdefault(name, PropertyResult(name, slack))
-
-    def absorb_field_samples(name, slack, draws, **objects):
-        # one evaluator call per grid on the stack of that grid's samples;
-        # the samples are absorbed in draw order, each with its own witness
-        margins, infos = np.empty(len(draws)), [None] * len(draws)
-        for gi, grid in enumerate(grids):
-            rows = [k for k, args in enumerate(draws) if args["grid"] == gi]
-            if not rows:
+    pools = {"family": families, "reaction": reactions, "grid": grids}
+    results = []
+    for name, prop in _PROPERTIES.items():
+        result = PropertyResult(name, prop.slack)
+        n_fields, fixed = prop.rule(n_samples)
+        for index in itertools.product(*(range(len(pools[key])) for key in prop.objects)):
+            at = dict(zip(prop.objects, index))
+            objects = {key: pools[key][i] for key, i in at.items()}
+            if prop.needs_p and objects["family"].p is None:
                 continue
-            per_row = {key: np.array([draws[k][key] for k in rows]) for key in draws[0]
-                       if key not in ("family", "reaction", "grid")}
-            margins[rows], info = EVALUATORS[name](grid=grid, **objects, **per_row)
-            for j, k in enumerate(rows):
-                infos[k] = {key: float(value[j]) for key, value in info.items()}
-        for k, args in enumerate(draws):
-            res(name, slack).absorb(margins[k:k + 1], {"property": name, **args, **infos[k]})
-
-    for name, slack, pair in _FUNCTION_PROPS:
-        for fi, family in enumerate(families):
-            draws = []
-            for s in range(n_samples):
-                args = {
-                    "family": fi,
-                    "grid": s % len(grids),
-                    "seed": int(rng.integers(0, 2 ** 62)),
-                    "amplitude": _AMPLITUDES[s % len(_AMPLITUDES)],
-                    "smoothness": int(rng.integers(0, 5)),
-                }
-                if pair:
-                    args["seed2"] = int(rng.integers(0, 2 ** 62))
-                if name == "norm_homogeneity":
-                    args["scale"] = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-                draws.append(args)
-            absorb_field_samples(name, slack, draws, family=family)
-
-    for name, slack, batch in _POINTWISE_PROPS:
-        fn = EVALUATORS[name]
-        for fi, family in enumerate(families):
-            if name == "growth_lower_bound" and family.p is None:
-                continue
-            args = {"family": fi, "seed": int(rng.integers(0, 2 ** 62)),
-                    "n": max(batch, n_samples)}
-            margins, info = fn(family=family, seed=args["seed"], n=args["n"])
-            res(name, slack).absorb(margins, {"property": name, **args, **info})
-
-    for fi, family in enumerate(families):
-        for name, slack, nx, nt in (("delta2_explicit_constant", 1e-9, 60, 120),
-                                    ("sqrt_convexity", 1e-8, 20, 160)):
-            margins, info = EVALUATORS[name](family, nx, nt)
-            res(name, slack).absorb(margins, {"property": name, "family": fi, **info})
-        args = {"family": fi, "seed": int(rng.integers(0, 2 ** 62)), "n": 8}
-        margins, info = EVALUATORS["ftc_consistency"](family, args["seed"], args["n"])
-        res("ftc_consistency", 1e-10).absorb(
-            margins, {"property": "ftc_consistency", **args, **info})
-
-    for ri, reaction in enumerate(reactions):
-        for name, slack in (("reaction_primitive_consistency", 0.0),
-                            ("reaction_growth_envelopes", 1e-12)):
-            args = {"reaction": ri, "seed": int(rng.integers(0, 2 ** 62)),
-                    "n": max(400, n_samples)}
-            margins, info = EVALUATORS[name](reaction=reaction, seed=args["seed"],
-                                             n=args["n"])
-            res(name, slack).absorb(margins, {"property": name, **args, **info})
-
-    for fi, family in enumerate(families):
-        for ri, reaction in enumerate(reactions):
-            draws = [{"family": fi, "reaction": ri, "grid": s % len(grids),
-                      "seed": int(rng.integers(0, 2 ** 62)),
-                      "seed2": int(rng.integers(0, 2 ** 62)),
-                      "amplitude": _AMPLITUDES[s % len(_AMPLITUDES)],
-                      "smoothness": int(rng.integers(0, 5)),
-                      "lam": float((0.5, 1.0, 2.0)[s % 3])}
-                     for s in range(max(1, n_samples // 4))]
-            absorb_field_samples("gradient_check", 0.0, draws, family=family,
-                                 reaction=reaction)
-
-    ordered = [results[k] for k in sorted(results)]
-    overall = all(p.passed for p in ordered)
-    return VerifyReport(seed, n_samples, ordered, overall)
+            draws = [{**at, **{key: _ARGS[key](rng, s, len(grids)) for key in prop.args},
+                      **fixed} for s in range(max(n_fields, 1))]
+            if n_fields:
+                _absorb_field_samples(result, prop, draws, objects, grids)
+            else:
+                margins, info = EVALUATORS[name](**_evaluator_args(prop, draws[0], pools))
+                result.absorb(margins, {"property": name, **draws[0], **info})
+        if result.samples:
+            results.append(result)
+    ordered = sorted(results, key=lambda p: p.name)
+    return VerifyReport(seed, n_samples, ordered, all(p.passed for p in ordered))

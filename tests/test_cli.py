@@ -60,6 +60,16 @@ def test_modular_constant(family_file, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("descriptor", [
+    FAMILY_P2, "family = log-weight\np.kind = affine\np.coeffs = 2 1\nalpha = 1\n"])
+def test_modular_overflow_prints_inf(descriptor, tmp_path, capsys):
+    path = tmp_path / "family.cfg"
+    path.write_text(descriptor)
+    code = main(["modular", "--family", str(path), "--const", "1e300",
+                 "--domain", "0", "1", "--nodes", "11"])
+    assert (code, capsys.readouterr().out.strip()) == (0, "inf")
+
+
 def test_conjugate_constant(family_file, capsys):
     # conjugate of t^2 is s^2/4, so the conjugate norm of u = 2 is 1
     code = main(["conjugate", "--family", family_file, "--const", "2",

@@ -115,6 +115,24 @@ def test_log_Phi_tail_sees_only_elements_past_the_cut(monkeypatch, request, name
     assert sizes == [k]
 
 
+def test_log_weight_Phi_overflows_to_inf(family_logweight):
+    # Phi > 0 up to t = 1e300, +inf only where log(2 + t) t^p overflows, and
+    # bit for bit the parts' difference wherever that is finite and positive
+    rng = np.random.default_rng(5)
+    t = np.exp(rng.uniform(np.log(1e-6), np.log(1e300), 20_000))
+    x = rng.uniform(0.0, 1.0, t.size)
+    Phi = np.asarray(family_logweight.Phi(x, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = np.log(2.0 + t) * t ** (2.0 + x)
+        parts = lead - families._corr_log_weight(t, 2.0 + x, 2.0)
+    assert np.all(Phi > 0.0)
+    assert np.all(np.isfinite(Phi[np.isfinite(lead)]))
+    assert np.all(Phi[np.isinf(lead)] > 0.5 * np.finfo(float).max)
+    kept = np.isfinite(parts) & (parts > 0.0)
+    assert np.count_nonzero(~kept) > t.size // 2     # most of these t overflow a part
+    assert np.array_equal(Phi[kept], parts[kept])
+
+
 def test_phi_inverse_examples(family_power_p2, family_logquot_p3):
     assert family_power_p2.phi_inv(0.0, 6.0) == pytest.approx(3.0, rel=1e-12)
     assert family_power_p2.phi_inv(0.7, 0.0) == 0.0

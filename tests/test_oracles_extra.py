@@ -160,6 +160,16 @@ def test_log_Phi_against_mpmath(family_logquot_affine, family_logweight):
                     assert abs((value - oracle) / oracle) <= 1e-13
 
 
+def test_log_weight_Phi_past_the_tail_overflow_against_mpmath(family_logweight):
+    # s^{p+1} overflows inside the correction integral at these t, while
+    # Phi = log(2 + t) t^p - int_0^t s^p/(2 + s) ds is finite
+    with mpmath.workdps(20):
+        for x, t in ((1.0, 1e100), (0.37, 1e120), (0.0, 1e150)):
+            value = float(family_logweight.Phi(x, t))
+            oracle = _mp_Phi(family_logweight, x, t)
+            assert abs((value - oracle) / oracle) <= 1e-13, (x, t)
+
+
 def test_custom_family_phi_inv_bisects():
     # no elasticity: the same loop bisects in log t
     fam = ok.custom_family(lambda x, t: 3.0 * np.abs(t) * t, lambda x, t: np.abs(t) ** 3)

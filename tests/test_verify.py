@@ -1,6 +1,9 @@
 """Property-suite orchestration: determinism, witnesses, negative controls."""
 
 import functools
+import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -50,7 +53,8 @@ def test_suite_counts_every_property(suite_inputs):
     # duplicates a sample shows up here
     families, reactions, grids = suite_inputs
     report = run_property_suite(families, reactions, grids, n_samples=4, seed=2024)
-    field = dict.fromkeys([name for name, _, _ in verify._FUNCTION_PROPS], 12)
+    field = dict.fromkeys([name for name, prop in verify._PROPERTIES.items()
+                           if prop.objects == ("family",) and "grid" in prop.args], 12)
     expected = {**field, "gradient_check": 9, "ftc_consistency": 24,
                 "delta2_explicit_constant": 21600, "sqrt_convexity": 9480,
                 **dict.fromkeys(["young_inequality", "conjugate_bound", "phi_odd",
@@ -79,7 +83,7 @@ def test_witness_replay(small_report, suite_inputs):
 def test_witness_replays_through_a_wrapped_evaluator(small_report, suite_inputs,
                                                      monkeypatch):
     # a functools.wraps wrapper, as a tracer installs, takes *args/**kwargs;
-    # replay must read the evaluator's parameters through __wrapped__
+    # replay must pass it the evaluator's arguments by name
     calls = []
     evaluator = verify.EVALUATORS["norm_homogeneity"]
 
@@ -127,7 +131,7 @@ def test_every_field_sample_replays_exactly(suite_inputs, monkeypatch):
 
     monkeypatch.setattr(PropertyResult, "absorb", recording)
     run_property_suite(families, reactions, grids, n_samples=8, seed=11)
-    field = [name for name, _, _ in verify._FUNCTION_PROPS] + ["gradient_check"]
+    field = [name for name, prop in verify._PROPERTIES.items() if "grid" in prop.args]
     replayed = Counter()
     for margins, witness in absorbed:
         if witness["property"] in field:
@@ -180,6 +184,93 @@ def test_suite_rejects_zero_samples(suite_inputs):
     families, reactions, grids = suite_inputs
     with pytest.raises(InputError):
         run_property_suite(families, reactions, grids, n_samples=0, seed=1)
+
+
+@pytest.mark.parametrize("n_samples, seed", [
+    (2.5, 1), (True, 1), ("3", 1), (None, 1), (np.float64(2.0), 1),
+    (1, 1.5), (1, -1), (1, True), (1, np.int64(-2)), (1, "0")])
+def test_suite_rejects_malformed_counts(suite_inputs, n_samples, seed):
+    with pytest.raises(InputError):
+        run_property_suite(*suite_inputs, n_samples=n_samples, seed=seed)
+
+
+def test_suite_takes_numpy_integers(suite_inputs):
+    report = run_property_suite(*suite_inputs, n_samples=np.int64(1), seed=np.uint32(3))
+    assert (type(report.n_samples), type(report.seed)) == (int, int)
+    assert report.json_text() == run_property_suite(*suite_inputs, n_samples=1,
+                                                    seed=3).json_text()
+
+
+def test_absorb_takes_the_first_nan_as_worst():
+    result = PropertyResult("p", 0.0)
+    result.absorb([1.0, np.nan, 2.0], {"property": "p"})
+    assert (result.samples, result.passes) == (3, 2)
+    assert math.isnan(result.worst_margin)
+    assert result.witness == {"property": "p", "worst_index": 1}
+    result.absorb([-5.0, np.nan], {"property": "p", "later": True})
+    assert (result.samples, result.passes) == (5, 2)
+    assert result.witness == {"property": "p", "worst_index": 1}
+
+
+def test_nan_margins_fail_with_a_replayable_witness(suite_inputs):
+    # Phi is NaN past |t| = 50: a NaN margin is worse than any number, so
+    # the property fails with a NaN worst margin and a witness that replays
+    _, reactions, grids = suite_inputs
+    family = ok.custom_family(
+        phi_fn=lambda x, t: 3.0 * np.abs(t) * t,
+        Phi_fn=lambda x, t: np.where(np.abs(t) > 50.0, np.nan, np.abs(t) ** 3),
+        phi0=3.0, phi_sup=3.0, label="nan-tail")
+    report = run_property_suite([family], reactions, grids, n_samples=3, seed=1)
+    failing = [p for p in report.properties if not p.passed]
+    assert len(failing) >= 5
+    for p in failing:
+        assert math.isnan(p.worst_margin), p.name
+        assert math.isnan(replay_witness(p.witness, [family], reactions, grids)), p.name
+    assert "Infinity" not in report.json_text()
+
+
+def test_evaluators_keep_the_tracer_contract(suite_inputs, monkeypatch):
+    # perfbench/tracing.py rebinds each evaluator through its module name and
+    # replaces the EVALUATORS entries: the suite must look them up per call
+    for name, fn in verify.EVALUATORS.items():
+        assert getattr(verify, fn.__name__) is fn, name
+    assert set(verify.EVALUATORS) == set(verify._PROPERTIES)
+    calls = Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in list(verify.EVALUATORS.items()):
+        monkeypatch.setitem(verify.EVALUATORS, name, counting(name, fn))
+    run_property_suite(*suite_inputs, n_samples=1, seed=3)
+    assert set(calls) == set(verify.EVALUATORS)
+
+
+# the drawn arguments of every absorbed witness of the suite below, property
+# by property in absorb order; a change here reassigns the suite's seeds
+_DRAWN = ("family", "reaction", "grid", "seed", "seed2", "amplitude", "smoothness",
+          "scale", "lam", "n")
+_DRAW_DIGEST = "54cc1780f3341f25c89f26bbae360c1fdb8b61080c0584b469da50506db96361"
+
+
+def test_draw_order_is_pinned(suite_inputs, monkeypatch):
+    drawn = {}
+    absorb = PropertyResult.absorb
+
+    def recording(self, margins, witness):
+        drawn.setdefault(witness["property"], []).append(
+            [f"{witness[key]:.12g}" if key == "scale" else witness[key]
+             for key in _DRAWN if key in witness])
+        absorb(self, margins, witness)
+
+    monkeypatch.setattr(PropertyResult, "absorb", recording)
+    run_property_suite(*suite_inputs, n_samples=8, seed=2024)
+    text = json.dumps(sorted(drawn.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DRAW_DIGEST
 
 
 def test_broken_family_negative_control(suite_inputs):
