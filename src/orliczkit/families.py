@@ -31,11 +31,12 @@ construction and derives the kernel, phi0/phi_sup/M_lower (declared, by the
 kind's rule or by a numerical estimate) and the set of estimated names.
 The correction integrals of the two log families split at a cut: the head
 is 16-node Gauss-Legendre after a cubic substitution that removes the
-endpoint singularity, and the tail is integrated only on the elements past
-the cut, with panels sized per element, so every value is independent of
-its batch; see _quadrature.  Everything is vectorized over broadcastable
-(x, t) arrays and free of mutable state.  ``check_structure`` passes margins
-down to -``_STRUCTURE_TOL`` (-``_DELTA2_REL_TOL`` for relative doubling).
+endpoint singularity, evaluated in place in row blocks, and the tail is
+integrated only on the elements past the cut, with panels sized per
+element, so every value is independent of its batch; see _quadrature.
+Everything is vectorized over broadcastable (x, t) arrays and free of
+mutable state.  ``check_structure`` passes margins down to
+-``_STRUCTURE_TOL`` (-``_DELTA2_REL_TOL`` for relative doubling).
 """
 
 from __future__ import annotations
@@ -90,6 +91,17 @@ def _maybe_scalar(out):
 # correction integrals
 # ---------------------------------------------------------------------------
 
+def _log_quotient_head(y, c, p):
+    """Head integrand exp(p log(expm1(c y^3)) - 4 log y), in place on one
+    block of rows."""
+    f = c * y ** 3
+    np.expm1(f, out=f)
+    np.log(f, out=f)
+    f *= p
+    f -= 4.0 * np.log(y)
+    return np.exp(f, out=f)
+
+
 def _corr_log_quotient(V, p):
     """integral_0^V expm1(v)^p / v^2 dv for V = log(1+|t|), elementwise.
 
@@ -102,22 +114,34 @@ def _corr_log_quotient(V, p):
     V, p = np.broadcast_arrays(_as_array(V), _as_array(p))
     shape, V, p = V.shape, V.ravel(), p.ravel()
     c = np.minimum(V, 1.0)
-    cc = c[:, None]
-    pp = p[:, None]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        def head(y):
-            return np.exp(pp * np.log(np.expm1(cc * y ** 3)) - 4.0 * np.log(y))
-
         def tail(v, q):
             return np.exp(q * np.log(np.expm1(v)) - 2.0 * np.log(v))
 
-        out = np.where(c > 0.0, gauss01(head) * 3.0 / np.where(c > 0, c, 1.0), 0.0)
+        head = gauss01(_log_quotient_head, c, p)
+        out = np.where(c > 0.0, head * 3.0 / np.where(c > 0, c, 1.0), 0.0)
         far = np.flatnonzero(V > 1.0)
         if far.size:
             panels = np.clip(np.ceil(p[far] * (V[far] - 1.0) / 16.0), 1, 128)
             out[far] += panel_gauss(tail, 1.0, V[far], panels, p[far])
     return out.reshape(shape)
+
+
+def _log_weight_head(kappa, y, c, p, T=None):
+    """Head integrand s^p / (kappa + s) * 3 c y^2 at s = c y^3, with
+    (s/T)^p in place of s^p when T is given, in place on one block of rows."""
+    s = c * y ** 3
+    den = kappa + s
+    if T is not None:
+        s /= T
+    np.power(s, p, out=s)
+    s /= den
+    s *= 3.0
+    s *= c
+    s *= y
+    s *= y
+    return s
 
 
 def _corr_log_weight(T, p, kappa):
@@ -130,19 +154,13 @@ def _corr_log_weight(T, p, kappa):
     """
     T, p = np.broadcast_arrays(_as_array(T), _as_array(p))
     shape, T, p = T.shape, T.ravel(), p.ravel()
-    cc = np.minimum(T, kappa)[:, None]
-    pp = p[:, None]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        def head(y):
-            s = cc * y ** 3
-            return s ** pp / (kappa + s) * 3.0 * cc * y * y
-
         def tail(w, q):
             ew = np.exp(w)
             return ew ** (q + 1.0) / (kappa + ew)
 
-        out = gauss01(head)
+        out = gauss01(functools.partial(_log_weight_head, kappa), np.minimum(T, kappa), p)
         far = np.flatnonzero(T > kappa)
         if far.size:
             lo, hi = math.log(kappa), np.log(T[far])
@@ -155,17 +173,11 @@ def _corr_log_weight_scaled(T, p, kappa):
     """integral_0^T (s/T)^p / (kappa + s) ds for 1-d T > 0 and p, by the rules
     of _corr_log_weight with s^p scaled by T^p: no term exceeds 1, where the
     unscaled tail term s^{p+1}/(kappa + s) overflows once T^{p+1} does."""
-    cc, TT, pp = np.minimum(T, kappa)[:, None], T[:, None], p[:, None]
-
-    def head(y):
-        s = cc * y ** 3
-        return (s / TT) ** pp / (kappa + s) * 3.0 * cc * y * y
-
     def tail(w, q, log_T):
         ew = np.exp(w)
         return np.exp(q * (w - log_T)) * ew / (kappa + ew)
 
-    out = gauss01(head)
+    out = gauss01(functools.partial(_log_weight_head, kappa), np.minimum(T, kappa), p, T)
     far = np.flatnonzero(T > kappa)
     if far.size:
         lo, hi = math.log(kappa), np.log(T[far])

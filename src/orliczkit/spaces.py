@@ -95,8 +95,10 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0) -> np.ndarray
 
 def _row_chunks(n_rows, n_nodes):
     """Slices of at most max(1, _NODE_BUDGET // n_nodes) rows covering n_rows:
-    a stack is evaluated in chunks, so the temporaries of one Phi call stay
-    within those of a single 129^2 field however many rows it holds."""
+    a stack is evaluated in chunks, so the nodal arrays of one chunk (its
+    magnitudes, Phi and phi values) stay within those of a single 129^2
+    field however many rows the stack holds.  Phi's own quadrature
+    temporaries are bounded by the row block of _quadrature.gauss01."""
     step = max(1, _NODE_BUDGET // n_nodes)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 

@@ -178,10 +178,11 @@ def eval_scaling_bounds(family, seed, n):
     sigma = np.exp(rng.uniform(np.log(1.0 + 1e-6), np.log(1e2), n))
     tau = rng.uniform(1e-3, 1.0 - 1e-6, n)
     Pt = np.asarray(family.Phi(x, t))
-    up = sigma ** family.phi_sup * Pt - np.asarray(family.Phi(x, sigma * t))
+    Ps = np.asarray(family.Phi(x, sigma * t))
+    up = sigma ** family.phi_sup * Pt - Ps
     up_rel = up / (sigma ** family.phi_sup * Pt)
-    dn = np.asarray(family.Phi(x, sigma * t)) - sigma ** family.phi0 * Pt
-    dn_rel = dn / np.asarray(family.Phi(x, sigma * t))
+    dn = Ps - sigma ** family.phi0 * Pt
+    dn_rel = dn / Ps
     Ptau = np.asarray(family.Phi(x, t / tau))
     m17 = (tau ** family.phi0 * Ptau - Pt) / (tau ** family.phi0 * Ptau)
     m18 = (Pt - tau ** family.phi_sup * Ptau) / Pt

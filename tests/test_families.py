@@ -1,6 +1,7 @@
 """Pointwise family operations against closed-form and quadrature oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.integrate as si
 
 import orliczkit as ok
 from orliczkit.errors import DomainError, InputError
-from orliczkit import families
+from orliczkit import _quadrature, families
 from orliczkit.families import check_structure, exponent_bounds
 
 # frozen oracle values
@@ -90,6 +91,22 @@ def test_log_Phi_is_elementwise(request, name):
     batch = np.asarray(fam.Phi(x, t))
     for xi, ti, bi in zip(x, t, batch):
         assert fam.Phi(xi, ti) == bi
+    # across the head rule's row blocks: head-only elements, elements past
+    # the cut (some on each side of a block boundary) and zeros, each against
+    # a batch of one (a 0-d t runs numpy's scalar math, not its array loops)
+    block = _quadrature._BLOCK
+    cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
+    rng = np.random.default_rng(11)
+    n = 3 * block + 17
+    x = rng.uniform(0.0, 1.0, n)
+    t = rng.uniform(0.0, 0.9 * cut, n)
+    far = np.union1d(np.arange(0, n, 7), [k * block + d for k in (1, 2, 3) for d in (-1, 0)])
+    t[far] = cut * np.geomspace(1.5, 1e6, far.size)
+    t[::11] = 0.0
+    batch = np.asarray(fam.Phi(x, t))
+    single = np.concatenate([fam.Phi(x[i:i + 1], t[i:i + 1]) for i in range(n)])
+    assert np.count_nonzero(batch == 0.0) == np.count_nonzero(t == 0.0)
+    assert np.array_equal(batch, single)
 
 
 @pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])
@@ -113,6 +130,50 @@ def test_log_Phi_tail_sees_only_elements_past_the_cut(monkeypatch, request, name
     Phi = np.asarray(fam.Phi(x, t))
     assert np.all(np.isfinite(Phi)) and np.all(Phi > 0.0)
     assert sizes == [k]
+
+
+@pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])
+def test_log_Phi_temporaries_stay_small(request, name):
+    # the head rule runs in row blocks, so a 129^2 field allocates about 1 MB
+    # (its own (129^2,) arrays); (129^2, 16) temporaries would be 2.1 MB each
+    fam = request.getfixturevalue(name)
+    cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, (129, 129))
+    t = rng.uniform(0.0, 0.9 * cut, (129, 129))
+    t.flat[rng.choice(t.size, 37, replace=False)] = cut * np.geomspace(1.5, 1e6, 37)
+    fam.Phi(x, t)
+    tracemalloc.start()
+    try:
+        fam.Phi(x, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak
+
+
+def test_log_head_rule_matches_the_unblocked_rule():
+    # the blocked in-place heads against the one-shot (n, 16) formulas they
+    # replace, bit for bit, on head-only elements across several blocks
+    rng = np.random.default_rng(13)
+    n = 2 * _quadrature._BLOCK + 300
+    p = rng.uniform(2.0, 5.0, n)
+    y, w = _quadrature._Y01, _quadrature._W01
+    c = rng.uniform(0.0, 1.0, n)
+    c[::17] = 0.0
+    cc, pp = c[:, None], p[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = np.sum(w * np.exp(pp * np.log(np.expm1(cc * y ** 3)) - 4.0 * np.log(y)), axis=-1)
+        ref = np.where(c > 0.0, head * 3.0 / np.where(c > 0, c, 1.0), 0.0)
+    assert np.array_equal(families._corr_log_quotient(c, p), ref)
+    kappa = 2.0
+    T = rng.uniform(0.0, kappa, n)     # below kappa: no tail
+    cc = TT = T[:, None]
+    s = cc * y ** 3
+    ref = np.sum(w * (s ** pp / (kappa + s) * 3.0 * cc * y * y), axis=-1)
+    assert np.array_equal(families._corr_log_weight(T, p, kappa), ref)
+    ref = np.sum(w * ((s / TT) ** pp / (kappa + s) * 3.0 * cc * y * y), axis=-1)
+    assert np.array_equal(families._corr_log_weight_scaled(T, p, kappa), ref)
 
 
 def test_log_weight_Phi_overflows_to_inf(family_logweight):

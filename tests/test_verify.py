@@ -169,6 +169,22 @@ def test_ftc_consistency_passes_exact_large_Phi():
     assert np.all(margins >= -1e-10), np.min(margins)
 
 
+def test_scaling_bounds_evaluates_each_Phi_once(suite_inputs, monkeypatch):
+    # Phi(x, t), Phi(x, sigma t) and Phi(x, t / tau): three distinct arguments
+    calls = []
+    inner = ok.MusielakFamily.Phi
+
+    def counting(self, x, t):
+        calls.append(np.size(t))
+        return inner(self, x, t)
+
+    monkeypatch.setattr(ok.MusielakFamily, "Phi", counting)
+    for family in suite_inputs[0]:
+        calls.clear()
+        verify.eval_scaling_bounds(family, 1, 400)
+        assert calls == [400] * 3, family.family_id
+
+
 def test_verify_run_loads_no_scipy_integrate():
     # the ftc_consistency reference is a fixed numpy rule, not scipy's quad
     code = ("import sys, orliczkit.cli; "
