@@ -9,9 +9,10 @@ exponent bounds
 and a lower growth constant M_lower with M_lower*|t|^p(x) <= Phi(x,t) on the
 sampling window.  Three named families are built in, each one entry of the
 kernel table ``_KERNELS`` (formulas for phi and Phi, the closed-form phi_inv
-or else the elasticity t phi'/phi that the Newton solve for phi_inv uses,
-phi' (closed form for ``power``, phi times the elasticity over t for the
-log kinds), the smallest admissible p- and the phi0 rule):
+or else a Newton solve for it, the elasticity t phi'/phi (p - 1 for
+``power``; the phi_inv solve and the unit-modular solve of ``spaces`` use
+it), phi' (closed form for ``power``, phi times the elasticity over t for
+the log kinds), the smallest admissible p- and the phi0 rule):
 
 * ``power``        phi = p(x)|t|^{p(x)-2} t                 Phi = |t|^{p(x)}
 * ``log-quotient`` phi = p(x)|t|^{p(x)-2} t / log(1+|t|)
@@ -75,16 +76,21 @@ def _as_array(v):
 
 
 def _finite_args(x1, t, name):
+    """(x1, t, scalar): float arrays, checked finite.  Two 0-d inputs come
+    back as 1-element arrays with scalar = True: numpy's scalar power can
+    differ from its array loop in the last bit, and a scalar should get the
+    value the same element gets in a batch."""
     x1, t = _as_array(x1), _as_array(t)
     for label, arr in (("x", x1), (name, t)):
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"{label} must be finite")
-    return x1, t
+    scalar = x1.ndim == t.ndim == 0
+    return (x1.reshape(1), t.reshape(1), True) if scalar else (x1, t, False)
 
 
-def _maybe_scalar(out):
+def _maybe_scalar(out, scalar=False):
     out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
+    return float(out.reshape(())) if scalar or out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +215,10 @@ def _power_phi_inv(fam, x1, s):
     return (s / p) ** (1.0 / (p - 1.0))
 
 
+def _power_elasticity(fam, x1, t):
+    return fam.p(x1) - 1.0
+
+
 def _log_quotient_phi(fam, x1, t):
     # t/log1p|t| first: |t|^{p-2} t alone underflows where phi does not
     p = fam.p(x1)
@@ -289,11 +299,14 @@ def _central_dphi(fam, x1, t):
 class _Kernel:
     """Formulas of one family kind, each called as f(family, x1, t).
 
-    phi_inv is the closed-form inverse of phi; without one, phi_inv solves
-    phi = s in z = log t, taking Newton steps on log phi when the elasticity
-    phi_elasticity = t phi'/phi = d log phi/d log t (t > 0) is known and
-    bisecting otherwise.  dphi is the derivative phi' (even in t, finite at
-    t = 0); without a formula it is a central difference of phi.
+    phi_elasticity = t phi'/phi = d log phi/d log t (t > 0), where known:
+    p(x) - 1 for ``power``.  The unit-modular solve of ``spaces`` takes its
+    curvature term t^2 phi' = t phi * phi_elasticity from it without another
+    phi evaluation.  phi_inv is the closed-form inverse of phi; without one,
+    phi_inv solves phi = s in z = log t, taking Newton steps on log phi when
+    the elasticity is known and bisecting otherwise.  dphi is the derivative
+    phi' (even in t, finite at t = 0); without a formula it is a central
+    difference of phi.
     The remaining slots are the smallest admissible p-, the rule
     phi0 = p- - phi0_drop, the numerical estimates as (names, helper) pairs
     with helper(family) -> the values of names, whether alpha enters the
@@ -414,35 +427,36 @@ class MusielakFamily:
 
     def phi(self, x1, t):
         """phi(x,t); odd in t, phi(x,0) = 0."""
-        x1, t = _finite_args(x1, t, "t")
+        x1, t, scalar = _finite_args(x1, t, "t")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _maybe_scalar(self.kernel.phi(self, x1, t))
+            return _maybe_scalar(self.kernel.phi(self, x1, t), scalar)
 
     def dphi(self, x1, t):
         """phi'(x,t) = d phi/dt; even in t and finite at t = 0."""
-        x1, t = _finite_args(x1, t, "t")
+        x1, t, scalar = _finite_args(x1, t, "t")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _maybe_scalar(self.kernel.dphi(self, x1, t))
+            return _maybe_scalar(self.kernel.dphi(self, x1, t), scalar)
 
     def Phi(self, x1, t):
         """Phi(x,t) = integral of phi from 0 to |t| (even extension)."""
-        x1, t = _finite_args(x1, t, "t")
+        x1, t, scalar = _finite_args(x1, t, "t")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _maybe_scalar(self.kernel.Phi(self, x1, t))
+            return _maybe_scalar(self.kernel.Phi(self, x1, t), scalar)
 
     def phi_inv(self, x1, s):
         """Inverse of phi(x,.) on [0,inf); monotone in s, phi_inv(x,0)=0."""
-        x1, s = _finite_args(x1, s, "s")
+        x1, s, scalar = _finite_args(x1, s, "s")
         if np.any(s < 0.0):
             raise InputError("phi_inv expects s >= 0")
         if self.kernel.phi_inv is not None:
-            return _maybe_scalar(np.broadcast_arrays(self.kernel.phi_inv(self, x1, s), s)[0])
+            root = np.broadcast_arrays(self.kernel.phi_inv(self, x1, s), s)[0]
+            return _maybe_scalar(root, scalar)
         x1, s = np.broadcast_arrays(x1, s)
         root = np.zeros(s.shape)
         live = s > 0.0
         if np.any(live):
             root[live] = self._solve_phi_inv(x1[live], s[live])
-        return _maybe_scalar(root)
+        return _maybe_scalar(root, scalar)
 
     def _solve_phi_inv(self, x1, s):
         """t > 0 with phi(x1, t) = s > 0, elementwise over 1-d arrays.
@@ -623,8 +637,8 @@ def _m_lower(family):
 
 
 _KERNELS = {
-    "power": _Kernel(_power_phi, _power_Phi, _power_phi_inv, dphi=_power_dphi,
-                     p_min=2.0),
+    "power": _Kernel(_power_phi, _power_Phi, _power_phi_inv,
+                     phi_elasticity=_power_elasticity, dphi=_power_dphi, p_min=2.0),
     "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi,
                             phi_elasticity=_log_quotient_elasticity,
                             dphi=functools.partial(_elastic_dphi, _log_quotient_dphi0),

@@ -7,9 +7,10 @@ definition is attained at equality).  The Sobolev-level norm applies the
 same construction to the combined modular of |u| and |grad u|, and the
 conjugate norm to the conjugate Young function.  All three are one solve,
 ``_unit_norm``, over a tuple of nodal magnitude fields and a Young function
-Psi given with its derivative psi: (Phi, phi) for the Luxemburg and Sobolev
-norms, (Phi*, phi_inv) for the conjugate norm (the conjugate's derivative
-is phi_inv, returned by ``conjugate_with_argmax``).
+Psi given with its derivative psi and the elasticity t psi'/psi: (Phi, phi)
+for the Luxemburg and Sobolev norms, (Phi*, phi_inv) for the conjugate norm
+(the conjugate's derivative is phi_inv, returned by
+``conjugate_with_argmax``).
 
 Every modular and norm is computed on a stack of fields of one grid, with
 a leading batch axis: the ``_stack_*`` functions take an array of shape
@@ -17,16 +18,27 @@ a leading batch axis: the ``_stack_*`` functions take an array of shape
 functions are the same code on a stack of one.  A row's value never
 depends on the other rows (Phi and phi are elementwise, sums run per row).
 
-The unit-modular equation is solved by safeguarded Newton in log-log
-coordinates, one vector iteration for all rows.  Each modular evaluation
-also returns its exact log-slope, d log rho(u/mu) / d log mu = -integral of
-t psi(x,t) / rho at t = |u|/mu.  The exponent bounds give, from the same
-evaluation R = rho(u/mu), the rigorous enclosure  mu* in [mu R^{1/phi_sup},
-mu R^{1/phi0}]  (R > 1; mirrored for R < 1); a Newton step that leaves it,
-or the row's bracket of evaluated scales, is replaced by the bisection
+The unit-modular equation is solved by safeguarded Halley steps in log-log
+coordinates, one vector iteration for all rows.  With m = log mu, t = |u|/mu
+and F(m) = log R, R = rho(u/mu), each modular evaluation also returns the
+exact derivatives
+
+    F'  = -integral of t psi(x,t) / R,
+    F'' =  integral of (t psi + t^2 psi'(x,t)) / R - F'^2,
+
+and the step is m - 2 F F' / (2 F'^2 - F F'').  The term t^2 psi' comes
+without another evaluation of the Young function, as t psi times the
+elasticity E = t psi'/psi: the kernel's phi_elasticity (p - 1 for
+``power``), t phi'/phi for a custom family, and 1/E(t*) at t* = phi_inv(s)
+for the conjugate (psi = phi_inv); it is 0 where t psi = 0.  The exponent
+bounds give, from the same R, the rigorous enclosure  mu* in
+[mu R^{1/phi_sup}, mu R^{1/phi0}]  (R > 1; mirrored for R < 1); a step that
+leaves it or the row's bracket of evaluated scales, or is not finite (a
+nonpositive denominator counts as such), is replaced by the bisection
 point.  A row that has converged leaves the active set, and its modular
 is no longer evaluated.  Every norm is solved to |rho(u/mu) - 1| <=
-``NORM_TOL`` within ``_NORM_MAX_ITER`` modular evaluations.
+``NORM_TOL`` within ``_NORM_MAX_ITER`` modular evaluations; the norms of
+the built-in families take at most 3 (2 for a constant exponent).
 """
 
 from __future__ import annotations
@@ -59,20 +71,21 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0) -> np.ndarray
     """Solve R(mu) = 1 for strictly decreasing modular-of-scale maps, one
     row per entry of the starting scales ``mu0``, each with its own bracket.
 
-    ``rho(mu)`` maps the vector of scales to the vectors ``(R, d log R /
-    d log mu)``; a row that has converged is passed as NaN and its outputs
-    are ignored, so rho may skip it.  exp_lo/exp_hi are ratio bounds of the
-    underlying Young function; they only safeguard the iteration (the
-    enclosure above), correctness needs just monotonicity.  Returns the
-    vector of mu with |R(mu) - 1| <= NORM_TOL.
+    ``rho(mu)`` maps the vector of scales to the vectors ``(R, F', F'')``,
+    the first and second derivatives of F = log R in m = log mu; a row that
+    has converged is passed as NaN and its outputs are ignored, so rho may
+    skip it.  exp_lo/exp_hi are ratio bounds of the underlying Young
+    function; they only safeguard the iteration (the enclosure above),
+    correctness needs just monotonicity.  Returns the vector of mu with
+    |R(mu) - 1| <= NORM_TOL.
     """
     m = _libm(math.log, np.atleast_1d(np.asarray(mu0, dtype=float)))
     m_lo = np.full(m.shape, -np.inf)     # bracket: R(e^{m_lo}) > 1 > R(e^{m_hi})
     m_hi = np.full(m.shape, np.inf)
     live = np.ones(m.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NORM_MAX_ITER):
-            R, slope = rho(np.where(live, _libm(math.exp, m), np.nan))
+            R, slope, curvature = rho(np.where(live, _libm(math.exp, m), np.nan))
             live &= ~(np.abs(R - 1.0) <= NORM_TOL)
             if not live.any():
                 return _libm(math.exp, m)
@@ -82,7 +95,8 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0) -> np.ndarray
             m_hi = np.where(F < 0.0, m, m_hi)
             a, b = m + F / exp_lo, m + F / exp_hi
             lo, hi = np.maximum(m_lo, np.minimum(a, b)), np.minimum(m_hi, np.maximum(a, b))
-            m_next = m - F / slope
+            den = 2.0 * slope * slope - F * curvature
+            m_next = np.where(den > 0.0, m - 2.0 * F * slope / den, np.nan)
             # the bisection point replaces a step out of the bracket or the
             # enclosure, and a non-finite one
             m_next = np.where((lo <= m_next) & (m_next <= hi), m_next, 0.5 * (lo + hi))
@@ -108,7 +122,8 @@ def _unit_norm(grid, mags, young, lo, hi):
     stacks a in ``mags`` (each (rows, nodes)) of integral Psi(a/mu) equals 1;
     0 for a row where every magnitude vanishes.
 
-    ``young(t)`` returns (Psi(t), psi(t)) at the nodal magnitudes t; lo/hi
+    ``young(t)`` returns (Psi(t), psi(t), t psi'(t)/psi(t)) at the nodal
+    magnitudes t; the elasticity is not used where t psi(t) = 0.  lo/hi
     are Psi's ratio bounds.
     """
     w = grid.weights.ravel()
@@ -124,26 +139,43 @@ def _unit_norm(grid, mags, young, lo, hi):
             # and sobolev_modular bit for bit; rows finished (NaN) are skipped
             live = ~np.isnan(mu)
             live = slice(None) if live.all() else np.flatnonzero(live)
-            values, moment = 0.0, 0.0
+            values, moment, moment2 = 0.0, 0.0, 0.0
             for a in stack:
                 t = a[live] / mu[live, None]
-                Psi, psi = young(t)
+                Psi, psi, elasticity = young(t)
                 values = values + np.asarray(Psi)
-                moment = moment + np.sum(w * t * np.asarray(psi), axis=1)
-            R, slope = np.full((2, mu.size), np.nan)
+                wtpsi = w * t * np.asarray(psi)
+                moment = moment + np.sum(wtpsi, axis=1)
+                moment2 = moment2 + np.sum(np.where(wtpsi > 0.0, wtpsi * elasticity, 0.0),
+                                           axis=1)
+            R, slope, curvature = np.full((3, mu.size), np.nan)
             R[live] = np.sum(w * values, axis=1)
             slope[live] = -moment / R[live]     # under the solve's errstate
-            return R, slope
+            curvature[live] = (moment + moment2) / R[live] - slope[live] ** 2
+            return R, slope, curvature
 
         mu[rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows])
     return mu
 
 
+def _elasticity(family, x1, t, phi):
+    """t phi'(x,t)/phi(x,t) at t > 0, given phi = phi(x,t): the kernel's
+    formula, else t dphi/phi."""
+    formula = family.kernel.phi_elasticity
+    if formula is not None:
+        return formula(family, x1, t)
+    return t * np.asarray(family.dphi(x1, t)) / phi
+
+
 def _phi_norm(family, grid, mags):
     """_unit_norm with Psi = Phi of the family."""
     x1 = grid.coords_first.ravel()
-    return _unit_norm(grid, mags, lambda t: (family.Phi(x1, t), family.phi(x1, t)),
-                      family.phi0, family.phi_sup)
+
+    def young(t):
+        phi = np.asarray(family.phi(x1, t))
+        return family.Phi(x1, t), phi, _elasticity(family, x1, t, phi)
+
+    return _unit_norm(grid, mags, young, family.phi0, family.phi_sup)
 
 
 def _phi_sum(family, grid, mags):
@@ -181,8 +213,13 @@ def _stack_luxemburg_norm(family, grid, U):
 
 def _stack_conjugate_norm(family, grid, U):
     x1 = grid.coords_first.ravel()
-    return _unit_norm(grid, (_rows(U),), lambda s: family.conjugate_with_argmax(x1, s),
-                      *family.conjugate_exponent_bounds())
+
+    def young(s):
+        # psi = phi_inv, so s psi'(s)/psi(s) = 1/E(t*) at t* = phi_inv(s)
+        conj, t_star = family.conjugate_with_argmax(x1, s)
+        return conj, t_star, 1.0 / _elasticity(family, x1, t_star, s)
+
+    return _unit_norm(grid, (_rows(U),), young, *family.conjugate_exponent_bounds())
 
 
 def _stack_sobolev_modular(family, grid, U):

@@ -93,7 +93,7 @@ def test_log_Phi_is_elementwise(request, name):
         assert fam.Phi(xi, ti) == bi
     # across the head rule's row blocks: head-only elements, elements past
     # the cut (some on each side of a block boundary) and zeros, each against
-    # a batch of one (a 0-d t runs numpy's scalar math, not its array loops)
+    # a batch of one
     block = _quadrature._BLOCK
     cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
     rng = np.random.default_rng(11)
@@ -107,6 +107,22 @@ def test_log_Phi_is_elementwise(request, name):
     single = np.concatenate([fam.Phi(x[i:i + 1], t[i:i + 1]) for i in range(n)])
     assert np.count_nonzero(batch == 0.0) == np.count_nonzero(t == 0.0)
     assert np.array_equal(batch, single)
+
+
+def test_scalar_values_equal_batch_values(all_families):
+    # a 0-d (x, t) is evaluated as a batch of one, not by numpy's scalar
+    # power, so it gets its batch element's value to the last bit
+    rng = np.random.default_rng(3089)
+    n = 400
+    x = rng.uniform(0.0, 1.0, n)
+    t = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), n))
+    t[::37] = 0.0
+    for fam in all_families:
+        for name in ("phi", "dphi", "Phi", "phi_inv", "conjugate"):
+            method = getattr(fam, name)
+            single = [method(xi, ti) for xi, ti in zip(x, t)]
+            assert all(type(v) is float for v in single), (fam.label, name)
+            np.testing.assert_array_equal(single, method(x, t), err_msg=f"{fam.label} {name}")
 
 
 @pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])

@@ -1,6 +1,8 @@
 """Modular/norm computations against independent oracles and the
 norm-modular inequality family."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -177,29 +179,90 @@ def test_modular_norm_convergence_linked(all_families, grid_1d):
         assert norms[-1] == pytest.approx(2.0 ** -12 * norms[0], rel=1e-7)
 
 
+def _recorded_solves(monkeypatch):
+    """A list that receives (rho, scales) for every unit-modular solve made
+    after the call: its modular-of-scale map and the scales it was
+    evaluated at."""
+    solves = []
+    solve = spaces.solve_unit_modular
+
+    def recording(rho, *args, **kwargs):
+        scales = []
+        solves.append((rho, scales))
+
+        def counted(mu):
+            scales.append(mu)
+            return rho(mu)
+        return solve(counted, *args, **kwargs)
+
+    monkeypatch.setattr(spaces, "solve_unit_modular", recording)
+    return solves
+
+
 @pytest.mark.parametrize("amplitude", [1e-3, 1.0, 1e3])
 def test_luxemburg_solve_takes_few_modular_evaluations(
         monkeypatch, family_power_p4, family_logquot_affine, family_logweight,
         grid_2d, amplitude):
-    # Newton on the exact log-slope: exact in one step for a constant-p
-    # power law, a few steps for the log families
-    evals = []
-    solve = spaces.solve_unit_modular
-
-    def counted_solve(rho, *args, **kwargs):
-        def counted(mu):
-            evals.append(mu)
-            return rho(mu)
-        return solve(counted, *args, **kwargs)
-
-    monkeypatch.setattr(spaces, "solve_unit_modular", counted_solve)
+    # Halley on the exact log-slope and log-curvature: exact in one step for
+    # a constant-p power law, two steps for the log families
+    solves = _recorded_solves(monkeypatch)
     u = ok.random_function(grid_2d, 8, amplitude, 2)
-    for fam, cap in ((family_power_p4, 3), (family_logquot_affine, 5),
-                     (family_logweight, 5)):
-        evals.clear()
+    for fam, cap in ((family_power_p4, 2), (family_logquot_affine, 3),
+                     (family_logweight, 3)):
+        solves.clear()
         N = luxemburg_norm(fam, u)
-        assert len(evals) <= cap
+        assert len(solves) == 1 and len(solves[0][1]) <= cap
         assert modular(fam, (1.0 / N) * u) == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("amplitude", [0.1, 1.0, 10.0])
+def test_every_norm_takes_at_most_three_modular_evaluations(monkeypatch, all_families,
+                                                            grid_2d, amplitude):
+    # the families, norms and amplitudes of the norms-2d benchmark workload
+    solves = _recorded_solves(monkeypatch)
+    u = ok.random_function(grid_2d, 21, amplitude, 2)
+    for fam in all_families:
+        for norm, mod in ((luxemburg_norm, modular), (conjugate_norm, ok.conjugate_modular),
+                          (sobolev_norm, sobolev_modular)):
+            solves.clear()
+            N = norm(fam, u)
+            assert len(solves) == 1 and len(solves[0][1]) <= 3, (fam.label, norm.__name__)
+            assert mod(fam, (1.0 / N) * u) == pytest.approx(1.0, abs=1e-7)
+
+
+def _cubic_plus_square():
+    # phi = 3t|t| + t: elasticity (6t + 1)/(3t + 1) runs from 1 to 2
+    return ok.custom_family(phi_fn=lambda x, t: 3.0 * t * np.abs(t) + t,
+                            Phi_fn=lambda x, t: np.abs(t) ** 3 + 0.5 * t * t,
+                            phi0=2.0, phi_sup=3.0)
+
+
+@pytest.mark.parametrize("norm", [luxemburg_norm, sobolev_norm, conjugate_norm])
+def test_modular_curvature_matches_slope_difference(monkeypatch, all_families, grid_2d,
+                                                    norm):
+    # F'' returned by rho against a central difference of its F' in
+    # m = log mu, on a field that vanishes at every fifth node (t = 0 for
+    # Phi, s = 0 for the conjugate); a wrong psi' still converges under the
+    # safeguards, so only this sees it
+    solves = _recorded_solves(monkeypatch)
+    u = ok.random_function(grid_2d, 31, 1.0, 2)
+    values = u.values.copy()
+    values.ravel()[::5] = 0.0
+    u = ok.GridFunction(grid_2d, values)
+    h = 1e-4
+    for fam in all_families + [_cubic_plus_square()]:
+        solves.clear()
+        N = norm(fam, u)
+        rho = solves[0][0]
+        # the solve evaluates rho under this errstate: the elasticity may be
+        # 0/0 at t = 0, where it is not used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for mu in N * np.array([0.25, 1.0, 4.0]):
+                _, slope, curvature = rho(np.array([mu]))
+                up, down = (rho(np.array([mu * math.exp(d)]))[1] for d in (h, -h))
+                fd = (up - down) / (2.0 * h)
+                assert abs(curvature[0] - fd[0]) <= 1e-8 * (1.0 + abs(slope[0])), (
+                    fam.label, mu / N, curvature[0], fd[0])
 
 
 def test_stack_norms_equal_single_norms(monkeypatch, family_logquot_affine, grid_1d,
@@ -226,7 +289,8 @@ def test_stack_norms_equal_single_norms(monkeypatch, family_logquot_affine, grid
 def test_solve_unit_modular_rows_are_independent():
     # R(mu) = (c/mu)^p per row, overflowing to inf below c/1e3 and 0 above
     # 1e3 c: each row escapes the bad scales by its own x64 steps, converges
-    # to c, and gives the same scale alone as inside the batch
+    # to c, and gives the same scale alone as inside the batch; log R is
+    # linear in log mu, so its curvature is 0
     c = np.array([1e-6, 0.3, 2.0, 5e4])
     p = np.array([2.0, 3.5, 4.0, 2.5])
     mu0 = np.array([1e-12, 1e9, 2.0, 1.0])
@@ -235,7 +299,7 @@ def test_solve_unit_modular_rows_are_independent():
         def rho(mu):
             r = (c[rows] / mu) ** p[rows]
             r = np.where(mu < c[rows] / 1e3, np.inf, np.where(mu > 1e3 * c[rows], 0.0, r))
-            return r, np.full(mu.shape, -p[rows])
+            return r, np.full(mu.shape, -p[rows]), np.zeros(mu.shape)
         return rho
 
     together = spaces.solve_unit_modular(make_rho(slice(None)), 2.0, 4.0, mu0=mu0)

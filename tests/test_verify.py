@@ -267,10 +267,10 @@ def test_evaluators_keep_the_tracer_contract(suite_inputs, monkeypatch):
 
 
 # the drawn arguments of every absorbed witness of the suite below, property
-# by property in absorb order; a change here reassigns the suite's seeds
-_DRAWN = ("family", "reaction", "grid", "seed", "seed2", "amplitude", "smoothness",
-          "scale", "lam", "n")
-_DRAW_DIGEST = "54cc1780f3341f25c89f26bbae360c1fdb8b61080c0584b469da50506db96361"
+# by property in absorb order: the keys the property table gives it (objects,
+# args, fixed arguments), never a computed value; a change here reassigns
+# the suite's seeds
+_DRAW_DIGEST = "65110d2c5494d0f00fed92e02673e5a028dd03b6eff28b4957eef1a5a881b23e"
 
 
 def test_draw_order_is_pinned(suite_inputs, monkeypatch):
@@ -278,9 +278,10 @@ def test_draw_order_is_pinned(suite_inputs, monkeypatch):
     absorb = PropertyResult.absorb
 
     def recording(self, margins, witness):
+        prop = verify._PROPERTIES[witness["property"]]
+        keys = (*prop.objects, *prop.args, *prop.rule(1)[1])
         drawn.setdefault(witness["property"], []).append(
-            [f"{witness[key]:.12g}" if key == "scale" else witness[key]
-             for key in _DRAWN if key in witness])
+            [f"{witness[key]:.12g}" if key == "scale" else witness[key] for key in keys])
         absorb(self, margins, witness)
 
     monkeypatch.setattr(PropertyResult, "absorb", recording)
