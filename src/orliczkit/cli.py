@@ -90,7 +90,8 @@ def _cmd_solve(args) -> int:
                f"residual_sup = {report.residual_sup!r}\n"
                f"message = {report.message}\n"
                f"energy_evals = {report.energy_evals}\n"
-               f"residual_evals = {report.residual_evals}\n")
+               f"residual_evals = {report.residual_evals}\n"
+               f"cg_products = {report.cg_products}\n")
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(summary)

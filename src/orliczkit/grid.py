@@ -10,8 +10,9 @@ with reflected ghost nodes, so the normal derivative vanishes identically
 at boundary nodes -- that is how the zero-flux boundary condition enters
 every weak form built on top of this module.  The adjoint of the gradient
 is provided explicitly so residual assembly is an exact transpose of the
-same stencils.  ``bump_function`` covers the middle ``_BUMP_WIDTH`` of each
-axis.
+same stencils, and ``_neumann_modes`` gives the per-axis cosine eigenpairs
+of D^T W D that precondition the 2-d solver.  ``bump_function`` covers the
+middle ``_BUMP_WIDTH`` of each axis.
 """
 
 from __future__ import annotations
@@ -233,6 +234,33 @@ def gradient_adjoint(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
     for k in range(grid.dim):
         out += _diff_axis_adjoint(fields[k], grid.spacing[k], k)
     return out
+
+
+def _neumann_modes(grid: DomainGrid) -> list:
+    """Per-axis eigenpairs (V_k, lam_k) of the stencil above with the
+    trapezoid weights W_k: K_k V_k = W_k V_k diag(lam_k) and
+    V_k^T W_k V_k = I, where K_k = D_k^T W_k D_k.
+
+    The columns are the DCT-I cosines cos(pi j m / (n - 1)), and
+    lam_k[m] = (sin(pi m / (n - 1)) / h)^2 (D maps the m-th cosine to
+    -sin(pi m / (n - 1)) / h times the m-th sine, which the reflected ghosts
+    keep at 0 on the boundary).  The constant m = 0 and the checkerboard
+    m = n - 1 have eigenvalue 0.
+    """
+    modes = []
+    for n, h in zip(grid.nodes, grid.spacing):
+        m = np.arange(n)
+        # j m reduced mod 2 (n - 1) keeps the cosine's argument in [0, 2 pi)
+        V = np.cos(np.pi * (np.outer(m, m) % (2 * (n - 1))) / (n - 1))
+        # W-norm 1: the trapezoid sum of the squared cosine is (n - 1) h / 2,
+        # and (n - 1) h for m = 0 and m = n - 1
+        scale = np.full(n, math.sqrt(2.0 / (h * (n - 1))))
+        scale[[0, -1]] /= math.sqrt(2.0)
+        V *= scale
+        # sin(pi m/(n-1)) = sin(pi (n-1-m)/(n-1)): the checkerboard gets sin(0)
+        lam = (np.sin(np.pi * np.minimum(m, n - 1 - m) / (n - 1)) / h) ** 2
+        modes.append((V, lam))
+    return modes
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ trial is the Levenberg-Marquardt step (H + mu S) d = -r of a trust region in
 the discrete W^{1,2} metric S v = v + D^T (w D v) / w of the gradient stencil
 D (Conn, Gould & Toint, *Trust-Region Methods*, SIAM 2000, ch. 7; Neuberger,
 *Sobolev Gradients and Differential Equations*, LNM 1670, 1997): one banded
-Cholesky factorization in 1-d, truncated CG in 2-d.  A trial is accepted when
-J falls by more than 0.1 of the decrease its quadratic model predicts (and mu
-then shrinks by 4 if J fell by more than 0.75 of it), or, at the rounding
+Cholesky factorization in 1-d; in 2-d truncated CG preconditioned by
+P v = c_bar v + a_bar D^T (w D v) / w, the metric with two means of the
+model for its unit coefficients, which the grid's per-axis cosine modes
+diagonalize (the fast diagonalization method, ``_fast_diagonalization``).
+A trial is accepted when J falls by more than 0.1 of the decrease its
+quadratic model predicts (and mu then shrinks by 4 if J fell by more than
+0.75 of it), or, at the rounding
 level of J (``_PRED_ROUNDING``), when J does not rise and the residual sup
 falls.  Otherwise, or when H + mu S is not positive definite, mu grows to
 max(4 mu, -min c): H + mu S is then semidefinite for increasing phi.  mu starts
@@ -19,7 +23,8 @@ the residual (the weak-solution defect) reaches its tolerance.  A converged
 report is a discrete critical-point certificate in the spirit of a
 Palais-Smale sequence: energies recorded along the way are nonincreasing and
 the final derivative is small against every direction.  The report also
-counts the ``energy`` and ``residual`` evaluations the run made.
+counts the ``energy`` and ``residual`` evaluations the run made, and the
+products with H + mu S of its 2-d CG (``cg_products``).
 
 ``lambda_star_formula`` evaluates the small-parameter existence threshold
 
@@ -47,8 +52,8 @@ import numpy as np
 from .energy import EnergyConfig, energy, residual
 from .errors import DomainError, InputError
 from .families import power_family
-from .grid import (DomainGrid, GridFunction, _gradient, _random_fields, bump_function,
-                   gradient, gradient_adjoint, integrate, quad_weights)
+from .grid import (DomainGrid, GridFunction, _gradient, _neumann_modes, _random_fields,
+                   bump_function, gradient, gradient_adjoint, integrate, quad_weights)
 from .spaces import (_stack_luxemburg_norm, _stack_sobolev_norm, sobolev_modular,
                      sobolev_norm)
 
@@ -94,6 +99,7 @@ class SolveReport:
     message: str = ""
     energy_evals: int = 0
     residual_evals: int = 0
+    cg_products: int = 0            # products with H + mu S in 2-d CG; 0 in 1-d
 
 
 def _dot(w, a, b) -> float:
@@ -123,16 +129,36 @@ def _newton_model(config: EnergyConfig, u: GridFunction):
     return model if all(np.all(np.isfinite(k)) for k in model[:3]) else None
 
 
-def _shifted_step(grid: DomainGrid, model, r, w, mu: float):
-    """Trial step d with (H + mu S) d = -r in the w-inner product and the
+def _fast_diagonalization(modes, w, c_bar: float, a_bar: float):
+    """v -> P^{-1} v for P v = c_bar v + a_bar D^T (w D v) / w on a 2-d grid
+    (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+
+    P is c_bar W + a_bar (K_x (x) W_y + W_x (x) K_y) in matrix form, so the
+    per-axis ``modes`` (V_k, lam_k) of ``grid._neumann_modes`` diagonalize it:
+    P^{-1} v = V_0 ((V_0^T (w v) V_1) / (c_bar + a_bar (lam_0 (+) lam_1))) V_1^T.
+    """
+    (V0, lam0), (V1, lam1) = modes
+    denom = c_bar + a_bar * (lam0[:, None] + lam1[None, :])
+    return lambda v: V0 @ ((V0.T @ (w * v) @ V1) / denom) @ V1.T
+
+
+def _shifted_step(grid: DomainGrid, model, r, w, mu: float, modes):
+    """Trial step d with (H + mu S) d = -r in the w-inner product, the
     decrease (mu <d,S d>_w - <r + e, d>_w) / 2 that the quadratic model of J
-    predicts for it, e = (H + mu S) d + r; (None, nan) when H + mu S is not
-    positive definite.  In 1-d d comes from one banded Cholesky factorization
-    (e = 0); in 2-d from CG stopped at |e|_w <= eta |r|_w, eta =
-    min(_ETA_MAX, sqrt(|r|_w)) (Eisenstat-Walker), where non-positive
+    predicts for it, e = (H + mu S) d + r, and the count of products with
+    H + mu S; (None, nan, count) when H + mu S is not positive definite.
+
+    In 1-d d comes from one banded Cholesky factorization (e = 0, no
+    product; ``modes`` is None).  In 2-d it comes from CG preconditioned by
+    ``_fast_diagonalization`` on the grid's ``modes``, with the weighted
+    means c_bar = max(<c>_w + mu, 1e-3 mu + 1e-12), positive even where
+    c < 0, and a_bar = <(a + phi'(s)) / 2>_w + mu of the model.  CG stops
+    at |e|_w <= eta |r|_w on the unpreconditioned residual, eta =
+    min(_ETA_MAX, sqrt(|r|_w)) (Eisenstat-Walker), and non-positive
     curvature shows an indefinite matrix.
     """
     c, radial = model[:2]
+    products = 0
     if grid.dim == 1:
         from scipy.linalg import LinAlgError, solveh_banded  # deferred: import orliczkit loads no scipy
 
@@ -147,7 +173,7 @@ def _shifted_step(grid: DomainGrid, model, r, w, mu: float):
         try:
             d = solveh_banded(bands, -w * r)
         except LinAlgError:
-            return None, math.nan
+            return None, math.nan, products
         e = 0.0
     else:
         a, n = model[2:]
@@ -157,26 +183,32 @@ def _shifted_step(grid: DomainGrid, model, r, w, mu: float):
             flux = (a + mu) * gv + (radial - a) * n * np.sum(n * gv, axis=0)
             return gradient_adjoint(w * flux, grid) / w + (c + mu) * v
 
+        # weighted means <f>_w = sum(w f) / |Omega|
+        c_bar = max(float(np.sum(w * c)) / grid.measure + mu, 1e-3 * mu + 1e-12)
+        a_bar = 0.5 * float(np.sum(w * (a + radial))) / grid.measure + mu
+        precondition = _fast_diagonalization(modes, w, c_bar, a_bar)
         d = np.zeros(r.shape)
         res = -r
-        p = res
         rr = _dot(w, res, res)
         stop = min(_ETA_MAX ** 2, math.sqrt(rr)) * rr
-        for _ in range(r.size):
-            if rr <= stop:
-                break
+        p = rz = None
+        while rr > stop and products < r.size:
+            z = precondition(res)
+            rz, rz_old = _dot(w, res, z), rz
+            p = z if p is None else z + (rz / rz_old) * p
             hp = apply(p)
+            products += 1
             curvature = _dot(w, p, hp)
             if not curvature > 0.0:
-                return None, math.nan
-            step = rr / curvature
+                return None, math.nan, products
+            step = rz / curvature
             d = d + step * p
             res = res - step * hp
-            rr, rr_old = _dot(w, res, res), rr
-            p = res + (rr / rr_old) * p
+            rr = _dot(w, res, res)
         e = -res
     gd = _gradient(grid, d)
-    return d, 0.5 * (mu * (_dot(w, d, d) + float(np.sum(w * gd * gd))) - _dot(w, r + e, d))
+    return (d, 0.5 * (mu * (_dot(w, d, d) + float(np.sum(w * gd * gd))) - _dot(w, r + e, d)),
+            products)
 
 
 # overflow is silent: a non-finite model, trial, energy or residual is
@@ -196,6 +228,8 @@ def minimize(config: EnergyConfig, u0: GridFunction,
     if not math.isfinite(J):
         raise InputError("the initial guess has a non-finite energy or residual")
     energy_evals = residual_evals = 1
+    cg_products = 0
+    modes = _neumann_modes(u0.grid) if u0.grid.dim == 2 else None
     traj = []
     message = "reached max_iters"
     iterations = 0
@@ -209,7 +243,8 @@ def minimize(config: EnergyConfig, u0: GridFunction,
             break
         model = _newton_model(config, u)
         while model is not None and mu <= _MU_MAX:
-            d, pred = _shifted_step(u.grid, model, r.values, w, mu)
+            d, pred, products = _shifted_step(u.grid, model, r.values, w, mu, modes)
+            cg_products += products
             if d is not None and np.all(np.isfinite(u.values + d)):
                 trial = GridFunction(u.grid, u.values + d)
                 try:
@@ -236,7 +271,7 @@ def minimize(config: EnergyConfig, u0: GridFunction,
     res_sup = r.sup_norm()
     return SolveReport(u, J, res_sup, iterations, res_sup <= opts.tol_res,
                        np.array(traj) if traj else np.zeros((0, 2)), message,
-                       energy_evals, residual_evals)
+                       energy_evals, residual_evals, cg_products)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,19 @@ def test_solve_constant_recovery(solve_config, tmp_path, capsys):
                   if ln.startswith(("energy_evals", "residual_evals")))
     assert int(counts["residual_evals"]) == len(energies)
     assert int(counts["energy_evals"]) >= len(energies)
+    # the CG count follows residual_evals; a 1-d solve runs no CG
+    assert summary.splitlines()[-2:] == [f"residual_evals = {counts['residual_evals']}",
+                                         "cg_products = 0"]
+
+
+def test_solve_2d_summary_counts_cg_products(tmp_path, capsys):
+    path = tmp_path / "energy2d.cfg"
+    path.write_text(SOLVE_CONFIG.replace("grid.dim = 1\ngrid.extents = 0 1\ngrid.nodes = 101\n",
+                                         "grid.dim = 2\ngrid.extents = 0 1 0 1\ngrid.nodes = 17 17\n"))
+    assert main(["solve", "--config", str(path)]) == 0
+    counts = dict(ln.split(" = ") for ln in capsys.readouterr().out.splitlines())
+    assert counts["converged"] == "True"
+    assert 0 < int(counts["cg_products"]) <= 6 * int(counts["iterations"])
 
 
 @pytest.mark.parametrize("file_lambda", ["lambda = 0\n", ""], ids=["invalid", "missing"])

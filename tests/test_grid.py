@@ -6,7 +6,8 @@ import pytest
 import orliczkit as ok
 from orliczkit.config import grid_from_kv, parse_kv_text
 from orliczkit.errors import InputError
-from orliczkit.grid import (DomainGrid, _gradient_magnitude, _random_fields, bump_function,
+from orliczkit.grid import (DomainGrid, _gradient_magnitude, _neumann_modes, _random_fields,
+                            bump_function,
                             gradient, gradient_adjoint, gradient_magnitude,
                             integrate, load_function, quad_weights,
                             random_function, save_function)
@@ -134,6 +135,35 @@ def test_gradient_adjoint_identity(rng):
         lhs = float(np.sum(gu * y))
         rhs = float(np.sum(u * gradient_adjoint(y, g)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _dense_axis_stencil(lo, hi, n):
+    """Trapezoid weights W and gradient stencil D of one axis as dense matrices."""
+    g = ok.make_grid(1, [(lo, hi)], [n])
+    D = np.stack([gradient(ok.GridFunction(g, e))[0] for e in np.eye(n)], axis=1)
+    return np.diag(quad_weights(g)), D
+
+
+@pytest.mark.parametrize("grid", [
+    ok.make_grid(1, [(0.0, 1.0)], [17]),
+    ok.make_grid(1, [(-1.0, 2.5)], [33]),
+    ok.make_grid(2, [(0.0, 1.0), (0.0, 2.0)], [17, 33]),
+], ids=["1d-17", "1d-33", "2d-17x33"])
+def test_neumann_modes_diagonalize_the_stencil(grid):
+    # V^T W V = I and K V = W V diag(lam), K = D^T W D, against dense
+    # matrices of each axis; the constant and the checkerboard have lam = 0
+    modes = _neumann_modes(grid)
+    assert len(modes) == grid.dim
+    for (lo, hi), n, (V, lam) in zip(grid.extents, grid.nodes, modes):
+        W, D = _dense_axis_stencil(lo, hi, n)
+        K = D.T @ W @ D
+        assert V.shape == (n, n) and lam.shape == (n,)
+        np.testing.assert_allclose(V.T @ W @ V, np.eye(n), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(K @ V, W @ V * lam, rtol=0.0, atol=1e-12)
+        assert lam[0] == 0.0 and lam[-1] == 0.0
+        assert np.all(lam[1:-1] > 0.0)
+        checkerboard = (-1.0) ** np.arange(n)
+        np.testing.assert_allclose(V[:, -1] / V[0, -1], checkerboard, rtol=0.0, atol=1e-12)
 
 
 def test_quad_weights_sum_to_measure(grid_2d):

@@ -8,7 +8,8 @@ import pytest
 
 import orliczkit as ok
 from orliczkit.errors import InputError
-from orliczkit.solver import SolverOptions, _default_rho
+from orliczkit.grid import _neumann_modes
+from orliczkit.solver import SolverOptions, _default_rho, _fast_diagonalization, _shifted_step
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,7 @@ def test_first_step_is_shifted_newton_step(config_p4_q2, rough):
         mu = max(4.0 * mu, -np.min(c))
     assert rep.iterations == 1
     assert rep.energy_evals == 1 + trials and rep.residual_evals == 2
+    assert rep.cg_products == 0         # 1-d steps are banded Cholesky solves
     np.testing.assert_allclose(rep.final_u.values, u0.values + d, rtol=1e-10, atol=1e-14)
     assert rep.final_energy == ok.energy(config_p4_q2, rep.final_u)
     assert rep.trajectory[0, 0] == J0
@@ -142,6 +144,82 @@ def test_newton_iterations_are_mesh_independent(config_p4_q2, coarse, fine, star
         assert rep.converged
         iterations.append(rep.iterations)
     assert iterations[1] <= 2 * iterations[0]
+
+
+_LADDER_STARTS_2D = {
+    "1+0.5coscos": lambda grid: ok.GridFunction.from_callable(
+        grid, lambda x, y: 1.0 + 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y)),
+    "perturbed-cos": lambda grid: ok.GridFunction(
+        grid, ok.GridFunction.from_callable(
+            grid, lambda x, y: 0.5 + 0.3 * (np.cos(np.pi * x) + np.cos(np.pi * y))).values
+        + ok.random_function(grid, 7, 0.1, 0).values),
+}
+# Newton iterations of the unpreconditioned CG solver on 33^2/65^2/129^2,
+# which took 81/199/483 and 175/344/741 CG products
+_LADDER_ITERATIONS_2D = {"1+0.5coscos": (16, 18, 22), "perturbed-cos": (20, 26, 33)}
+
+
+@pytest.mark.parametrize("rung, nodes", enumerate([33, 65, 129]))
+@pytest.mark.parametrize("start", list(_LADDER_STARTS_2D))
+def test_2d_linear_work_is_mesh_independent(config_p4_q2, start, rung, nodes):
+    # the fast-diagonalization preconditioner keeps the CG products per
+    # Newton step bounded under refinement (4.0 at most on these rungs)
+    grid = ok.make_grid(2, [(0.0, 1.0)] * 2, [nodes] * 2)
+    rep = ok.minimize(config_p4_q2, _LADDER_STARTS_2D[start](grid), SolverOptions(max_iters=500))
+    assert rep.converged
+    assert rep.final_energy == pytest.approx(-0.25, abs=1e-6)
+    assert rep.iterations <= _LADDER_ITERATIONS_2D[start][rung]
+    assert 0 < rep.cg_products <= 6 * rep.iterations
+    assert np.all(np.diff(rep.trajectory[:, 0]) <= 0.0)
+
+
+def test_2d_solve_with_negative_zeroth_order_term(config_p4_q2):
+    # the bench's seed-20071 33^2 start, where c = phi'(|u|) - lam g'(u) < 0
+    # on part of the grid for the first trials; without the preconditioner
+    # it took 20 iterations and 173 CG products
+    grid = ok.make_grid(2, [(0.0, 1.0)] * 2, [33, 33])
+    base = ok.GridFunction.from_callable(
+        grid, lambda x, y: 0.5 + 0.3 * (np.cos(np.pi * x) + np.cos(np.pi * y)))
+    u0 = base + ok.random_function(grid, 3421598712668413635, 0.1, 0)
+    rep = ok.minimize(config_p4_q2, u0)
+    assert rep.converged
+    assert rep.iterations <= 16
+    assert np.all(np.diff(rep.trajectory[:, 0]) <= 0.0)
+
+
+@pytest.mark.parametrize("c", [-1.0, -10.0])
+def test_2d_step_rejects_a_shift_that_is_not_positive_definite(c):
+    # c + mu <= 0 makes H + mu S singular or negative on the constant mode,
+    # and CG meets that curvature at once; the floor on c_bar keeps P
+    # invertible where <c>_w + mu = 0
+    grid = ok.make_grid(2, [(0.0, 1.0)] * 2, [9, 9])
+    ones = np.ones(grid.shape)
+    model = (c * ones, ones, ones, np.stack([ones, 0.0 * ones]))
+    d, pred, products = _shifted_step(grid, model, ones, ok.quad_weights(grid), 1.0,
+                                      _neumann_modes(grid))
+    assert d is None and math.isnan(pred) and products == 1
+
+
+def test_fast_diagonalization_inverts_the_dense_metric(rng):
+    # P = c_bar W + a_bar (K_x (x) W_y + W_x (x) K_y) in matrix form, with
+    # K_k = D_k^T W_k D_k of each axis's stencil; P^{-1} v solves P z = W v
+    grid = ok.make_grid(2, [(0.0, 1.0), (-1.0, 1.5)], [9, 9])
+    w = ok.quad_weights(grid)
+    Wk, Kk = [], []
+    for lo_hi, n in zip(grid.extents, grid.nodes):
+        g1 = ok.make_grid(1, [lo_hi], [n])
+        D = np.stack([ok.gradient(ok.GridFunction(g1, e))[0] for e in np.eye(n)], axis=1)
+        Wk.append(np.diag(ok.quad_weights(g1)))
+        Kk.append(D.T @ Wk[-1] @ D)
+    for c_bar, a_bar in [(1.0, 1.0), (1e-3, 2.5), (3.0, 1e-2)]:
+        P = c_bar * np.kron(*Wk) + a_bar * (np.kron(Kk[0], Wk[1]) + np.kron(Wk[0], Kk[1]))
+        precondition = _fast_diagonalization(_neumann_modes(grid), w, c_bar, a_bar)
+        # the dense solve itself is only good to about eps cond(P)
+        tol = 1e-15 * np.linalg.cond(P)
+        for _ in range(3):
+            v = rng.standard_normal(grid.shape)
+            z = np.linalg.solve(P, (w * v).ravel()).reshape(grid.shape)
+            np.testing.assert_allclose(precondition(v), z, rtol=0.0, atol=tol * np.max(np.abs(z)))
 
 
 _LADDER_STARTS = {
