@@ -30,11 +30,13 @@ a Phi callable or else adaptive quadrature of phi.
 A descriptor holds only its inputs; ``__post_init__`` checks every
 construction and derives the kernel, phi0/phi_sup/M_lower (declared, by the
 kind's rule or by a numerical estimate) and the set of estimated names.
-The correction integrals of the two log families split at a cut: the head
-is 16-node Gauss-Legendre after a cubic substitution that removes the
-endpoint singularity, evaluated in place in row blocks, and the tail is
-integrated only on the elements past the cut, with panels sized per
-element, so every value is independent of its batch; see _quadrature.
+The correction integrals of the two log families split at a cut.  The
+head is a power series in its upper limit whose coefficients depend only
+on p: they are computed on p's own shape (once per grid row for a column
+of first coordinates) and the series is summed by Horner's rule.  The tail
+is integrated only on the elements past the cut, with Gauss-Legendre
+panels sized per element (see _quadrature), so every value is independent
+of its batch.
 Everything is vectorized over broadcastable (x, t) arrays and free of
 mutable state.  ``check_structure`` passes margins down to
 -``_STRUCTURE_TOL`` (-``_DELTA2_REL_TOL`` for relative doubling).
@@ -51,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import gauss01, panel_gauss
+from ._quadrature import panel_gauss
 from .errors import DomainError, InputError, NumericsError
 from .exponents import ExponentField
 
@@ -82,7 +84,7 @@ def _finite_args(x1, t, name):
     value the same element gets in a batch."""
     x1, t = _as_array(x1), _as_array(t)
     for label, arr in (("x", x1), (name, t)):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError(f"{label} must be finite")
     scalar = x1.ndim == t.ndim == 0
     return (x1.reshape(1), t.reshape(1), True) if scalar else (x1, t, False)
@@ -94,96 +96,214 @@ def _maybe_scalar(out, scalar=False):
 
 
 # ---------------------------------------------------------------------------
-# correction integrals
+# correction integrals: a power-series head and Gauss-panel tail
 # ---------------------------------------------------------------------------
 
-def _log_quotient_head(y, c, p):
-    """Head integrand exp(p log(expm1(c y^3)) - 4 log y), in place on one
-    block of rows."""
-    f = c * y ** 3
-    np.expm1(f, out=f)
-    np.log(f, out=f)
-    f *= p
-    f -= 4.0 * np.log(y)
-    return np.exp(f, out=f)
+# terms of the log-weight head series: k!/(p+2)_k w^k with w <= 1/2 is below
+# 2^-53 of the sum from k = 40 on, for every p >= 2; its coefficients over
+# p + 1 are the cumulative products of _LOG_WEIGHT_NUM / (p + _LOG_WEIGHT_DEN)
+_LOG_WEIGHT_TERMS = 40
+_LOG_WEIGHT_NUM = np.maximum(np.arange(_LOG_WEIGHT_TERMS), 1.0)[:, None]
+_LOG_WEIGHT_DEN = np.arange(1.0, _LOG_WEIGHT_TERMS + 1.0)[:, None]
+# (largest p, terms K) of the log-quotient head series at c = 1; above, K is
+# 3 p rounded up to a multiple of 4 (_poly sums four interleaved lanes)
+_LOG_QUOTIENT_TERMS = ((4.0, 28), (6.0, 32), (8.0, 40), (12.0, 48), (20.0, 60))
+# exponent values per block of series coefficients: the four partial sums of
+# a log-quotient Taylor table's block are at most 4 x 60 x 256 floats (480 KiB)
+_P_BLOCK = 256
 
 
-def _corr_log_quotient(V, p):
+def _log_quotient_series(p_minus, p_plus):
+    """(p_c, D): Taylor table of the log-quotient head coefficients about the
+    midpoint exponent p_c = (p- + p+)/2 of a family's exponent bounds.
+
+    a_k(p) = [v^k] (expm1(v)/v)^p = [v^k] exp(p L(v)) with L(v) =
+    log(expm1(v)/v) = v/2 + sum_m B_2m v^2m/(2m (2m)!) (DLMF 24.2.1) obeys
+    k a_k = p sum_j g_j a_{k-j}, g_j = j l_j the coefficients of L'.
+    Differentiated m times in p and divided by m! it gives the rows
+    D[m, k] = a_k^(m)(p_c)/m!:
+
+        k D[m, k] = p_c sum_j g_j D[m, k-j] + sum_j g_j D[m-1, k-j].
+
+    a_k is a polynomial of degree k in p, so a_k(p) = sum_m D[m, k] (p - p_c)^m
+    with m < K is exact for every p; a constant field needs the row m = 0
+    only.  K terms bring the series at c = 1 to 3e-16 for p <= p+.
+    """
+    K = next((k for top, k in _LOG_QUOTIENT_TERMS if p_plus <= top),
+             4 * math.ceil(0.75 * p_plus))
+    # g_1 = 1/2, g_j = B_j/j! for even j, 0 for odd j > 1; B_j/j! from
+    # sum_i (B_i/i!)/(j - i + 1)! = 0 (v/expm1(v) times expm1(v)/v is 1)
+    inv_fact = np.cumprod(1.0 / np.arange(1.0, K + 1.0))   # 1/(i+1)!
+    g = np.zeros(K)
+    g[0] = 1.0
+    for j in range(1, K):
+        g[j] = -np.dot(g[j - 1::-1], inv_fact[1:j + 1])
+    g[1], g[3::2] = 0.5, 0.0
+    pc = 0.5 * (p_minus + p_plus)
+    D = np.zeros((1 if p_minus == p_plus else K, K))
+    D[0, 0] = 1.0
+    for k in range(1, K):
+        s = D[:, k - 1::-1] @ g[1:k + 1]
+        D[:, k] = pc * s
+        D[1:, k] += s[:-1]
+        D[:, k] /= k
+    D.setflags(write=False)
+    return pc, D
+
+
+def _poly(b, x, out=None):
+    """sum_k b[k] x^k elementwise, into ``out`` if given; b of shape (K,) + s
+    with K a multiple of 4 and at least 8, s broadcasting against x.
+    Horner's rule in x^4 on four interleaved partial sums: a K-term sum in
+    K/2 + 6 array operations of multiply-adds only (2K for plain Horner)."""
+    y = x * x
+    y *= y
+    blocks = b.reshape((-1, 4) + b.shape[1:])
+    lanes = blocks[-1] * y
+    for block in blocks[-2:0:-1]:
+        lanes += block
+        lanes *= y
+    lanes += blocks[0]
+    out = np.multiply(lanes[3], x, out=out)
+    out += lanes[2]
+    out *= x
+    out += lanes[1]
+    out *= x
+    out += lanes[0]
+    return out
+
+
+def _log_quotient_coeffs(series, p):
+    """a_k(p)/(p - 1 + k) for 1-d p, shape (K, p.size), from the Taylor
+    table."""
+    pc, D = series
+    a = D[0][:, None] if len(D) == 1 else _poly(D[:, :, None], p - pc)
+    return a / (p + np.arange(-1.0, D.shape[1] - 1.0)[:, None])
+
+
+def _log_weight_coeffs(p):
+    """k!/(p+1)_{k+1} = k!/((p+1)(p+2)_k) for 1-d p, shape (K, p.size)."""
+    b = p + _LOG_WEIGHT_DEN
+    np.divide(_LOG_WEIGHT_NUM, b, out=b)
+    return np.cumprod(b, axis=0, out=b)
+
+
+def _blocks(shape):
+    """Index tuples that split an array of this shape along its first axis of
+    extent > 1 into slabs of at most _P_BLOCK entries (one index of that axis
+    at least); a single whole block when no axis has extent > 1."""
+    axes = [a for a, n in enumerate(shape) if n > 1]
+    if not axes:
+        return [(...,)]
+    a = axes[0]
+    step = max(1, _P_BLOCK // math.prod(shape[a + 1:]))
+    return [(slice(None),) * a + (slice(i, i + step), ...) for i in range(0, shape[a], step)]
+
+
+def _series(x, p, coeffs):
+    """sum_k b_k x^k elementwise (_poly), with b = coeffs(p) of shape
+    (K,) + p.shape.
+
+    The coefficients are computed on p's own shape and broadcast against x:
+    once for a constant exponent (a 0-d p), once per grid row for a column
+    of first coordinates.  ``coeffs`` takes the exponents of a block
+    flattened, at most _P_BLOCK of them, so a full-shape p needs no
+    (K, size) temporaries.
+    """
+    shape = np.broadcast(x, p).shape
+    p = p.reshape((1,) * (len(shape) - p.ndim) + p.shape)
+    if x.shape != shape:
+        x = np.broadcast_to(x, shape)
+    out = np.empty(shape)
+    for idx in _blocks(p.shape):
+        block = p[idx]
+        b = coeffs(block.reshape(-1))
+        _poly(b.reshape(b.shape[:1] + block.shape), x[idx], out[idx])
+    return out
+
+
+def _past_cut(out, top, cut, p):
+    """(mask, top, p) of the elements of the broadcast shape of ``out`` with
+    top > cut, the ones a correction integral's tail sees; mask is None when
+    there are none."""
+    far = top > cut
+    if not far.any():
+        return None, None, None
+    far = np.broadcast_to(far, out.shape)
+    return far, np.broadcast_to(top, out.shape)[far], np.broadcast_to(p, out.shape)[far]
+
+
+def _corr_log_quotient(V, p, series):
     """integral_0^V expm1(v)^p / v^2 dv for V = log(1+|t|), elementwise.
 
-    Substituting v = c*y^3 on [0, c], c = min(V, 1), turns the fractional
-    endpoint behaviour v^{p-2} into y^{3p-4}, smooth enough for one 16-node
-    Gauss rule; the tail [1, V] is integrated only on the elements with
-    V > 1, each with its own ceil(p(V-1)/16) panels (at most 128) to resolve
-    the exp(p*v) growth.
+    The head [0, c], c = min(V, 1), is the series c^{p-1} sum_k a_k(p)
+    c^k/(p-1+k) of v^{p-2} (expm1(v)/v)^p integrated termwise (radius 2 pi;
+    ``series`` is the family's _log_quotient_series).  The tail [1, V] is
+    integrated only on the elements with V > 1, each with its own
+    ceil(p(V-1)/16) panels (at most 128) to resolve the exp(p*v) growth.
     """
-    V, p = np.broadcast_arrays(_as_array(V), _as_array(p))
-    shape, V, p = V.shape, V.ravel(), p.ravel()
+    V, p = _as_array(V), _as_array(p)
     c = np.minimum(V, 1.0)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    out = np.power(c, p - 1.0)
+    out *= _series(c, p, functools.partial(_log_quotient_coeffs, series))
+    far, V, p = _past_cut(out, V, 1.0, p)
+    if far is not None:
         def tail(v, q):
             return np.exp(q * np.log(np.expm1(v)) - 2.0 * np.log(v))
 
-        head = gauss01(_log_quotient_head, c, p)
-        out = np.where(c > 0.0, head * 3.0 / np.where(c > 0, c, 1.0), 0.0)
-        far = np.flatnonzero(V > 1.0)
-        if far.size:
-            panels = np.clip(np.ceil(p[far] * (V[far] - 1.0) / 16.0), 1, 128)
-            out[far] += panel_gauss(tail, 1.0, V[far], panels, p[far])
-    return out.reshape(shape)
+        panels = np.clip(np.ceil(p * (V - 1.0) / 16.0), 1, 128)
+        with np.errstate(over="ignore"):
+            out[far] += panel_gauss(tail, 1.0, V, panels, p)
+    return out
 
 
-def _log_weight_head(kappa, y, c, p, T=None):
-    """Head integrand s^p / (kappa + s) * 3 c y^2 at s = c y^3, with
-    (s/T)^p in place of s^p when T is given, in place on one block of rows."""
-    s = c * y ** 3
-    den = kappa + s
-    if T is not None:
-        s /= T
-    np.power(s, p, out=s)
-    s /= den
-    s *= 3.0
-    s *= c
-    s *= y
-    s *= y
-    return s
+def _log_weight_head_ratio(c, p, kappa):
+    """integral_0^c s^p/(kappa+s) ds divided by c^p: w F(w)/(p+1) with
+    w = c/(kappa+c) <= 1/2 and F(w) = sum_k k!/(p+2)_k w^k, the Gauss series
+    of 2F1(1, p+1; p+2; -c/kappa) after Pfaff's transformation (DLMF 15.8.1)."""
+    w = c / (kappa + c)
+    out = _series(w, p, _log_weight_coeffs)
+    out *= w
+    return out
 
 
 def _corr_log_weight(T, p, kappa):
     """integral_0^T s^p / (kappa + s) ds for T = |t|, elementwise.
 
-    [0, c] with c = min(T, kappa) uses s = c*y^3 and one 16-node Gauss rule;
+    The head [0, c], c = min(T, kappa), is c^p times _log_weight_head_ratio;
     the tail [kappa, T] is integrated only on the elements with T > kappa,
     in log coordinates where the pole sits at fixed imaginary distance pi,
     each with its own ceil(log(T/kappa)/6) panels (at most 128).
     """
-    T, p = np.broadcast_arrays(_as_array(T), _as_array(p))
-    shape, T, p = T.shape, T.ravel(), p.ravel()
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    T, p = _as_array(T), _as_array(p)
+    c = np.minimum(T, kappa)
+    out = np.power(c, p)
+    out *= _log_weight_head_ratio(c, p, kappa)
+    far, T, p = _past_cut(out, T, kappa, p)
+    if far is not None:
         def tail(w, q):
             ew = np.exp(w)
             return ew ** (q + 1.0) / (kappa + ew)
 
-        out = gauss01(functools.partial(_log_weight_head, kappa), np.minimum(T, kappa), p)
-        far = np.flatnonzero(T > kappa)
-        if far.size:
-            lo, hi = math.log(kappa), np.log(T[far])
-            panels = np.clip(np.ceil((hi - lo) / 6.0), 1, 128)
-            out[far] += panel_gauss(tail, lo, hi, panels, p[far])
-    return out.reshape(shape)
+        lo, hi = math.log(kappa), np.log(T)
+        panels = np.clip(np.ceil((hi - lo) / 6.0), 1, 128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[far] += panel_gauss(tail, lo, hi, panels, p)
+    return out
 
 
 def _corr_log_weight_scaled(T, p, kappa):
     """integral_0^T (s/T)^p / (kappa + s) ds for 1-d T > 0 and p, by the rules
-    of _corr_log_weight with s^p scaled by T^p: no term exceeds 1, where the
-    unscaled tail term s^{p+1}/(kappa + s) overflows once T^{p+1} does."""
+    of _corr_log_weight with s^p scaled by T^p: (c/T)^p in the head and no
+    tail term above 1, where the unscaled s^{p+1}/(kappa + s) overflows once
+    T^{p+1} does."""
     def tail(w, q, log_T):
         ew = np.exp(w)
         return np.exp(q * (w - log_T)) * ew / (kappa + ew)
 
-    out = gauss01(functools.partial(_log_weight_head, kappa), np.minimum(T, kappa), p, T)
+    c = np.minimum(T, kappa)
+    out = np.power(c / T, p)
+    out *= _log_weight_head_ratio(c, p, kappa)
     far = np.flatnonzero(T > kappa)
     if far.size:
         lo, hi = math.log(kappa), np.log(T[far])
@@ -236,12 +356,21 @@ def _log_quotient_dphi0(fam, x1):
     return p * (p - 2.0) * 0.0 ** (p - 3.0)
 
 
+def _series_exponent(fam, x1):
+    """p(x1) for a Phi with a series head: a 0-d array when the field is
+    constant (p- = p+), so the series coefficients are computed once per
+    call instead of once per node."""
+    p = fam.p
+    return np.asarray(p.p_plus) if p.p_minus == p.p_plus else p(x1)
+
+
 def _log_quotient_Phi(fam, x1, t):
-    p = fam.p(x1)
+    p = _series_exponent(fam, x1)
     at = np.abs(t)
     V = np.log1p(at)
-    lead = np.where(at == 0.0, 0.0, at ** p / np.where(V > 0, V, 1.0))
-    return lead + _corr_log_quotient(V, p)
+    lead = at ** p      # 0 at t = 0, where V is 0 too
+    lead /= np.where(V > 0, V, 1.0)
+    return lead + _corr_log_quotient(V, p, fam.series)
 
 
 def _log_weight_phi(fam, x1, t):
@@ -262,14 +391,14 @@ def _log_weight_dphi0(fam, x1):
 
 
 def _log_weight_Phi(fam, x1, t):
-    p = fam.p(x1)
+    p = _series_exponent(fam, x1)
     at = np.abs(t)
     kappa = 1.0 + fam.alpha
     out = np.log(kappa + at) * at ** p - _corr_log_weight(at, p, kappa)
     # at large |t| the correction's e^{w(p+1)} overflows before its division:
     # there Phi = |t|^p (log(kappa + |t|) - integral_0^|t| (s/|t|)^p/(kappa+s) ds)
     redo = ~np.isfinite(out)
-    if np.any(redo):
+    if redo.any():
         out = np.array(out)
         T, q = (np.broadcast_to(a, out.shape)[redo] for a in (at, p))
         out[redo] = T ** q * (np.log(kappa + T) - _corr_log_weight_scaled(T, q, kappa))
@@ -307,7 +436,9 @@ class _Kernel:
     the elasticity is known and bisecting otherwise.  dphi is the derivative
     phi' (even in t, finite at t = 0); without a formula it is a central
     difference of phi.
-    The remaining slots are the smallest admissible p-, the rule
+    series(family), where given, builds the family's constant data of the
+    Phi formula once per descriptor (the Taylor table of the log-quotient
+    head).  The remaining slots are the smallest admissible p-, the rule
     phi0 = p- - phi0_drop, the numerical estimates as (names, helper) pairs
     with helper(family) -> the values of names, whether alpha enters the
     formulas, and whether the companion bound Phi >= t^{p(x)-1} holds.
@@ -318,6 +449,7 @@ class _Kernel:
     phi_inv: Callable | None = None
     phi_elasticity: Callable | None = None
     dphi: Callable = _central_dphi
+    series: Callable | None = None
     p_min: float = 1.0
     phi0_drop: float = 0.0
     estimates: tuple = ()
@@ -375,6 +507,7 @@ class MusielakFamily:
     phi_fn: Callable | None = None          # custom only, required
     Phi_fn: Callable | None = None          # custom only, optional
     kernel: _Kernel = field(init=False)
+    series: object = field(init=False, repr=False)     # kernel.series(self), or None
     phi0: float = field(init=False)
     phi_sup: float = field(init=False)
     M_lower: float = field(init=False)
@@ -402,6 +535,7 @@ class MusielakFamily:
         values = {"M_lower": 0.0} if p is None else {
             "phi0": p.p_minus - kernel.phi0_drop, "phi_sup": p.p_plus, "M_lower": 1.0}
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "series", kernel.series and kernel.series(self))
         estimated = set()
         for names, estimate in kernel.estimates:
             # M_lower bounds Phi by M_lower |t|^p(x): no estimate without p
@@ -642,6 +776,8 @@ _KERNELS = {
     "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi,
                             phi_elasticity=_log_quotient_elasticity,
                             dphi=functools.partial(_elastic_dphi, _log_quotient_dphi0),
+                            series=lambda fam: _log_quotient_series(fam.p.p_minus,
+                                                                    fam.p.p_plus),
                             p_min=3.0,
                             phi0_drop=1.0, estimates=((("M_lower",), _m_lower),),
                             shifted_lower_bound=True),

@@ -17,6 +17,8 @@ a leading batch axis: the ``_stack_*`` functions take an array of shape
 (rows,) + grid.shape and return one value per row, and the public
 functions are the same code on a stack of one.  A row's value never
 depends on the other rows (Phi and phi are elementwise, sums run per row).
+The first coordinate is passed to the family as a column in 2-d, so the
+exponent is evaluated once per grid row.
 
 The unit-modular equation is solved by safeguarded Halley steps in log-log
 coordinates, one vector iteration for all rows.  With m = log mu, t = |u|/mu
@@ -48,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-from .grid import GridFunction, _gradient_magnitude, quad_weights
+from .grid import GridFunction, _gradient_magnitude
 
 __all__ = [
     "modular", "luxemburg_norm", "conjugate_modular", "conjugate_norm",
@@ -111,23 +113,37 @@ def _row_chunks(n_rows, n_nodes):
     """Slices of at most max(1, _NODE_BUDGET // n_nodes) rows covering n_rows:
     a stack is evaluated in chunks, so the nodal arrays of one chunk (its
     magnitudes, Phi and phi values) stay within those of a single 129^2
-    field however many rows the stack holds.  Phi's own quadrature
-    temporaries are bounded by the row block of _quadrature.gauss01."""
+    field however many rows the stack holds."""
     step = max(1, _NODE_BUDGET // n_nodes)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
+def _x1(grid):
+    """The nodes' first coordinate, shaped to broadcast against a stack of
+    fields: (n,) in 1-d, the column (n0, 1) in 2-d.  In 2-d the exponent and
+    the Phi series coefficients computed from it are then evaluated once
+    per grid row, not once per node."""
+    x1 = grid.coords_first
+    return x1 if grid.dim == 1 else x1[:, :1]
+
+
+def _node_sums(a):
+    """Per-row sums of a stack (rows,) + grid.shape, in the order of the
+    flattened nodes."""
+    return np.sum(a.reshape(len(a), -1), axis=1)
+
+
 def _unit_norm(grid, mags, young, lo, hi):
     """The scales mu, one per row, at which the sum over the magnitude
-    stacks a in ``mags`` (each (rows, nodes)) of integral Psi(a/mu) equals 1;
-    0 for a row where every magnitude vanishes.
+    stacks a in ``mags`` (each (rows,) + grid.shape) of integral Psi(a/mu)
+    equals 1; 0 for a row where every magnitude vanishes.
 
     ``young(t)`` returns (Psi(t), psi(t), t psi'(t)/psi(t)) at the nodal
     magnitudes t; the elasticity is not used where t psi(t) = 0.  lo/hi
     are Psi's ratio bounds.
     """
-    w = grid.weights.ravel()
-    top = np.max([np.max(a, axis=1) for a in mags], axis=0)
+    w = grid.weights
+    top = np.max([np.max(a.reshape(len(a), -1), axis=1) for a in mags], axis=0)
     mu = np.zeros(top.shape)
     nonzero = np.flatnonzero(top > 0.0)
     for chunk in _row_chunks(nonzero.size, w.size):
@@ -135,27 +151,40 @@ def _unit_norm(grid, mags, young, lo, hi):
         stack = tuple(a[rows] for a in mags)
 
         def rho(mu):
-            # values keeps the sum order of _phi_sum, so R(1) equals modular
-            # and sobolev_modular bit for bit; rows finished (NaN) are skipped
+            # values keeps the sum order of _young_sum, so R(1) equals the
+            # modular of the same Psi bit for bit; rows finished (NaN) are
+            # skipped
             live = ~np.isnan(mu)
             live = slice(None) if live.all() else np.flatnonzero(live)
+            scale = mu[live].reshape((-1,) + (1,) * grid.dim)
             values, moment, moment2 = 0.0, 0.0, 0.0
             for a in stack:
-                t = a[live] / mu[live, None]
+                t = a[live] / scale
                 Psi, psi, elasticity = young(t)
                 values = values + np.asarray(Psi)
                 wtpsi = w * t * np.asarray(psi)
-                moment = moment + np.sum(wtpsi, axis=1)
-                moment2 = moment2 + np.sum(np.where(wtpsi > 0.0, wtpsi * elasticity, 0.0),
-                                           axis=1)
+                moment = moment + _node_sums(wtpsi)
+                moment2 = moment2 + _node_sums(np.where(wtpsi > 0.0, wtpsi * elasticity, 0.0))
             R, slope, curvature = np.full((3, mu.size), np.nan)
-            R[live] = np.sum(w * values, axis=1)
+            R[live] = _node_sums(w * values)
             slope[live] = -moment / R[live]     # under the solve's errstate
             curvature[live] = (moment + moment2) / R[live] - slope[live] ** 2
             return R, slope, curvature
 
         mu[rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows])
     return mu
+
+
+def _young_sum(Psi, grid, mags):
+    """integral of the sum of Psi(a) over the magnitude stacks a, per row."""
+    w = grid.weights
+    out = np.empty(len(mags[0]))
+    for rows in _row_chunks(out.size, w.size):
+        values = 0.0
+        for a in mags:
+            values = values + np.asarray(Psi(a[rows]))
+        out[rows] = _node_sums(w * values)
+    return out
 
 
 def _elasticity(family, x1, t, phi):
@@ -169,7 +198,7 @@ def _elasticity(family, x1, t, phi):
 
 def _phi_norm(family, grid, mags):
     """_unit_norm with Psi = Phi of the family."""
-    x1 = grid.coords_first.ravel()
+    x1 = _x1(grid)
 
     def young(t):
         phi = np.asarray(family.phi(x1, t))
@@ -180,59 +209,50 @@ def _phi_norm(family, grid, mags):
 
 def _phi_sum(family, grid, mags):
     """integral of the sum of Phi(x, a) over the magnitude stacks a, per row."""
-    x1, w = grid.coords_first.ravel(), grid.weights.ravel()
-    out = np.empty(len(mags[0]))
-    for rows in _row_chunks(out.size, w.size):
-        values = 0.0
-        for a in mags:
-            values = values + np.asarray(family.Phi(x1, a[rows]))
-        out[rows] = np.sum(w * values, axis=1)
-    return out
+    x1 = _x1(grid)
+    return _young_sum(lambda t: family.Phi(x1, t), grid, mags)
 
 
 # ---------------------------------------------------------------------------
-# stacks: U holds one nodal field of ``grid`` per row, shape (rows,) + shape;
-# the magnitude stacks hold one flattened field per row
+# stacks: U holds one nodal field of ``grid`` per row, shape (rows,) + shape,
+# and so do the magnitude stacks |U| and |grad U|
 # ---------------------------------------------------------------------------
-
-def _rows(U):
-    return np.abs(U).reshape(len(U), -1)
-
-
-def _grad_rows(grid, U):
-    return _gradient_magnitude(grid, U).reshape(len(U), -1)
-
 
 def _stack_modular(family, grid, U):
-    return _phi_sum(family, grid, (_rows(U),))
+    return _phi_sum(family, grid, (np.abs(U),))
 
 
 def _stack_luxemburg_norm(family, grid, U):
-    return _phi_norm(family, grid, (_rows(U),))
+    return _phi_norm(family, grid, (np.abs(U),))
+
+
+def _stack_conjugate_modular(family, grid, U):
+    x1 = _x1(grid)
+    return _young_sum(lambda s: family.conjugate_with_argmax(x1, s)[0], grid, (np.abs(U),))
 
 
 def _stack_conjugate_norm(family, grid, U):
-    x1 = grid.coords_first.ravel()
+    x1 = _x1(grid)
 
     def young(s):
         # psi = phi_inv, so s psi'(s)/psi(s) = 1/E(t*) at t* = phi_inv(s)
         conj, t_star = family.conjugate_with_argmax(x1, s)
         return conj, t_star, 1.0 / _elasticity(family, x1, t_star, s)
 
-    return _unit_norm(grid, (_rows(U),), young, *family.conjugate_exponent_bounds())
+    return _unit_norm(grid, (np.abs(U),), young, *family.conjugate_exponent_bounds())
 
 
 def _stack_sobolev_modular(family, grid, U):
-    return _phi_sum(family, grid, (_rows(U), _grad_rows(grid, U)))
+    return _phi_sum(family, grid, (np.abs(U), _gradient_magnitude(grid, U)))
 
 
 def _stack_sobolev_norm(family, grid, U):
-    return _phi_norm(family, grid, (_rows(U), _grad_rows(grid, U)))
+    return _phi_norm(family, grid, (np.abs(U), _gradient_magnitude(grid, U)))
 
 
 def _stack_sobolev_norms(family, grid, U):
     """(n1, n2, n) per row; see sobolev_norms."""
-    au, gmag = _rows(U), _grad_rows(grid, U)
+    au, gmag = np.abs(U), _gradient_magnitude(grid, U)
     nu, ng, n = (_phi_norm(family, grid, mags) for mags in ((au,), (gmag,), (au, gmag)))
     return ng + nu, np.maximum(ng, nu), n
 
@@ -257,8 +277,7 @@ def luxemburg_norm(family, u: GridFunction) -> float:
 
 def conjugate_modular(family, u: GridFunction) -> float:
     """Modular taken with the conjugate Young function."""
-    conj = family.conjugate(u.grid.coords_first, np.abs(u.values))
-    return float(np.sum(quad_weights(u.grid) * np.asarray(conj)))
+    return _one(_stack_conjugate_modular, family, u)
 
 
 def conjugate_norm(family, u: GridFunction) -> float:

@@ -3,13 +3,14 @@
 import dataclasses
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
 
 import orliczkit as ok
 from orliczkit.errors import DomainError, InputError
-from orliczkit import _quadrature, families
+from orliczkit import families
 from orliczkit.families import check_structure, exponent_bounds
 
 # frozen oracle values
@@ -91,10 +92,10 @@ def test_log_Phi_is_elementwise(request, name):
     batch = np.asarray(fam.Phi(x, t))
     for xi, ti, bi in zip(x, t, batch):
         assert fam.Phi(xi, ti) == bi
-    # across the head rule's row blocks: head-only elements, elements past
-    # the cut (some on each side of a block boundary) and zeros, each against
-    # a batch of one
-    block = _quadrature._BLOCK
+    # across the head series' coefficient blocks: head-only elements,
+    # elements past the cut (some on each side of a block boundary) and
+    # zeros, each against a batch of one
+    block = families._P_BLOCK
     cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
     rng = np.random.default_rng(11)
     n = 3 * block + 17
@@ -168,28 +169,60 @@ def test_log_Phi_temporaries_stay_small(request, name):
     assert peak <= 2_000_000, peak
 
 
-def test_log_head_rule_matches_the_unblocked_rule():
-    # the blocked in-place heads against the one-shot (n, 16) formulas they
-    # replace, bit for bit, on head-only elements across several blocks
-    rng = np.random.default_rng(13)
-    n = 2 * _quadrature._BLOCK + 300
-    p = rng.uniform(2.0, 5.0, n)
-    y, w = _quadrature._Y01, _quadrature._W01
-    c = rng.uniform(0.0, 1.0, n)
-    c[::17] = 0.0
-    cc, pp = c[:, None], p[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        head = np.sum(w * np.exp(pp * np.log(np.expm1(cc * y ** 3)) - 4.0 * np.log(y)), axis=-1)
-        ref = np.where(c > 0.0, head * 3.0 / np.where(c > 0, c, 1.0), 0.0)
-    assert np.array_equal(families._corr_log_quotient(c, p), ref)
+def _mp_log_quotient_head(c, p):
+    # integral_0^c expm1(v)^p / v^2 dv in v = c y, scale-free for mpmath
+    c, p = mpmath.mpf(c), mpmath.mpf(p)
+    return c ** (p - 1) * mpmath.quad(
+        lambda y: y ** (p - 2) * (mpmath.expm1(c * y) / (c * y)) ** p, [0, 0.5, 1])
+
+
+def _mp_log_weight_head(c, p, kappa):
+    # integral_0^c s^p / (kappa + s) ds in s = c y
+    c, p = mpmath.mpf(c), mpmath.mpf(p)
+    return c ** (p + 1) * mpmath.quad(lambda y: y ** p / (kappa + c * y), [0, 0.5, 1])
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 3.0781, 4.0, 8.0])
+def test_log_head_series_against_mpmath(p):
+    # the heads alone (c at or below the cut, so no tail) at 40 digits; the
+    # log-quotient series with the table of a constant p and with the Taylor
+    # table of an exponent range around p
     kappa = 2.0
-    T = rng.uniform(0.0, kappa, n)     # below kappa: no tail
-    cc = TT = T[:, None]
-    s = cc * y ** 3
-    ref = np.sum(w * (s ** pp / (kappa + s) * 3.0 * cc * y * y), axis=-1)
-    assert np.array_equal(families._corr_log_weight(T, p, kappa), ref)
-    ref = np.sum(w * ((s / TT) ** pp / (kappa + s) * 3.0 * cc * y * y), axis=-1)
-    assert np.array_equal(families._corr_log_weight_scaled(T, p, kappa), ref)
+    with mpmath.workdps(40):
+        for lo, hi in ((p, p), (min(p, 3.0), max(p, 4.0))):
+            series = families._log_quotient_series(lo, hi)
+            for c in (1e-12, 1e-4, 0.3, 1.0):
+                value = families._corr_log_quotient(np.array([c]), np.array([p]), series)[0]
+                oracle = _mp_log_quotient_head(c, p)
+                assert abs(value - oracle) <= 1e-15 * oracle, (lo, hi, c)
+        for c in (1e-12, 1e-4, 0.3, kappa):
+            args = np.array([c]), np.array([p]), kappa
+            oracle = _mp_log_weight_head(c, p, kappa)
+            assert abs(families._corr_log_weight(*args)[0] - oracle) <= 1e-15 * oracle, c
+            scaled = families._corr_log_weight_scaled(*args)[0] * mpmath.mpf(c) ** p
+            assert abs(scaled - oracle) <= 1e-15 * oracle, c
+
+
+@pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])
+def test_log_Phi_column_x_equals_full_shape_x_and_scalars(request, name):
+    # the series coefficients are built once per row of a column x and once
+    # per node of a full-shape x, in blocks of families._P_BLOCK exponents:
+    # every element equals its scalar call either way, bit for bit
+    fam = request.getfixturevalue(name)
+    cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
+    rng = np.random.default_rng(17)
+    n0, n1 = 40, 33                     # 1320 nodes: six coefficient blocks
+    x = np.linspace(0.0, 1.0, n0)[:, None]
+    t = rng.uniform(0.0, 0.9 * cut, (2, n0, n1))
+    t.flat[::5] = cut * np.geomspace(1.5, 1e6, t.size)[::5]
+    t.flat[::13] = 0.0
+    column = np.asarray(fam.Phi(x, t))
+    full = np.asarray(fam.Phi(np.broadcast_to(x, (n0, n1)), t))
+    assert column.shape == full.shape == t.shape
+    assert np.array_equal(column, full)
+    xs = np.broadcast_to(x, t.shape)
+    single = [fam.Phi(xi, ti) for xi, ti in zip(xs.ravel(), t.ravel())]
+    assert np.array_equal(np.reshape(single, t.shape), column)
 
 
 def test_log_weight_Phi_overflows_to_inf(family_logweight):

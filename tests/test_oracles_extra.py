@@ -160,6 +160,21 @@ def test_log_Phi_against_mpmath(family_logquot_affine, family_logweight):
                     assert abs((value - oracle) / oracle) <= 1e-13
 
 
+@pytest.mark.parametrize("p", [5.0, 6.0, 7.0, 8.0])
+def test_log_Phi_at_large_constant_p_against_mpmath(p):
+    # at the head's cut, where the head covers all of [0, cut], and a decade
+    # either side, for exponents beyond the p = 3 + x of the other oracles
+    families = (ok.log_quotient_family(ok.ExponentField.constant(p)),
+                ok.log_weight_family(ok.ExponentField.constant(p), 1.0))
+    with mpmath.workdps(20):
+        for fam, cut in zip(families, (np.e - 1.0, 2.0)):
+            ts = cut * np.array([0.1, 1.0, 10.0])
+            Phi = np.asarray(fam.Phi(np.full_like(ts, 0.5), ts))
+            for t, value in zip(ts, Phi):
+                oracle = _mp_Phi(fam, 0.5, t)
+                assert abs((value - oracle) / oracle) <= 1e-13, (fam.label, t)
+
+
 def test_log_weight_Phi_past_the_tail_overflow_against_mpmath(family_logweight):
     # s^{p+1} overflows inside the correction integral at these t, while
     # Phi = log(2 + t) t^p - int_0^t s^p/(2 + s) ds is finite

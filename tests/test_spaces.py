@@ -265,6 +265,25 @@ def test_modular_curvature_matches_slope_difference(monkeypatch, all_families, g
                     fam.label, mu / N, curvature[0], fd[0])
 
 
+@pytest.mark.parametrize("norm, mod", [(luxemburg_norm, modular),
+                                       (conjugate_norm, ok.conjugate_modular),
+                                       (sobolev_norm, sobolev_modular)])
+def test_modular_equals_its_norm_rho_at_scale_one(monkeypatch, all_families, grid_1d,
+                                                  grid_2d, norm, mod):
+    # each modular is the same code as the R of its norm's unit-modular
+    # solve (the same first coordinate, Young function and sum order), so
+    # R(1) is the modular bit for bit
+    solves = _recorded_solves(monkeypatch)
+    for g in (grid_1d, grid_2d):
+        u = ok.random_function(g, 12, 1.0, 2)
+        for fam in all_families:
+            solves.clear()
+            norm(fam, u)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                R = solves[0][0](np.array([1.0]))[0]
+            assert R == mod(fam, u), (fam.label, g.dim)
+
+
 def test_stack_norms_equal_single_norms(monkeypatch, family_logquot_affine, grid_1d,
                                         grid_2d):
     # one vector solve for a stack, each row with its own bracket, equals
@@ -277,7 +296,8 @@ def test_stack_norms_equal_single_norms(monkeypatch, family_logquot_affine, grid
         for stack_fn, single in ((spaces._stack_luxemburg_norm, luxemburg_norm),
                                  (spaces._stack_conjugate_norm, conjugate_norm),
                                  (spaces._stack_sobolev_norm, sobolev_norm),
-                                 (spaces._stack_modular, modular)):
+                                 (spaces._stack_modular, modular),
+                                 (spaces._stack_conjugate_modular, ok.conjugate_modular)):
             expected = [single(family_logquot_affine, u) for u in fields]
             assert expected[1] == 0.0
             for budget in (spaces._NODE_BUDGET, g.size, 2 * g.size):
