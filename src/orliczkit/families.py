@@ -32,14 +32,16 @@ construction and derives the kernel, phi0/phi_sup/M_lower (declared, by the
 kind's rule or by a numerical estimate) and the set of estimated names.
 The correction integrals of the two log families split at a cut.  The
 head is a power series in its upper limit whose coefficients depend only
-on p: they are computed on p's own shape (once per grid row for a column
-of first coordinates) and the series is summed by Horner's rule.  The tail
-is integrated only on the elements past the cut, with Gauss-Legendre
-panels sized per element (see _quadrature), so every value is independent
-of its batch.
-Everything is vectorized over broadcastable (x, t) arrays and free of
-mutable state.  ``check_structure`` passes margins down to
--``_STRUCTURE_TOL`` (-``_DELTA2_REL_TOL`` for relative doubling).
+on p: they are computed on p's own shape (one value for a constant field,
+one per grid row for a 2-d grid's first coordinate) from Taylor tables in
+p built once per exponent range, and the series is summed by Horner's
+rule.  The tail is integrated only on the elements past the cut, with
+Gauss-Legendre panels sized per element (see _quadrature), so every value
+is independent of its batch.
+Everything is vectorized over broadcastable (x, t) arrays; the only state
+is a bounded memo of read-only series coefficients (see _series), which
+holds what a fresh computation gives.  ``check_structure`` passes margins
+down to -``_STRUCTURE_TOL`` (-``_DELTA2_REL_TOL`` for relative doubling).
 """
 
 from __future__ import annotations
@@ -108,14 +110,24 @@ _LOG_WEIGHT_DEN = np.arange(1.0, _LOG_WEIGHT_TERMS + 1.0)[:, None]
 # (largest p, terms K) of the log-quotient head series at c = 1; above, K is
 # 3 p rounded up to a multiple of 4 (_poly sums four interleaved lanes)
 _LOG_QUOTIENT_TERMS = ((4.0, 28), (6.0, 32), (8.0, 40), (12.0, 48), (20.0, 60))
+# widest exponent interval of one log-quotient Taylor table, and the bound
+# L(1) = log(e - 1) of L(v) = log(expm1(v)/v) on the head [0, 1]
+_TABLE_WIDTH = 1.0
+_L_MAX = math.log(math.e - 1.0)
 # exponent values per block of series coefficients: the four partial sums of
 # a log-quotient Taylor table's block are at most 4 x 60 x 256 floats (480 KiB)
 _P_BLOCK = 256
+# coefficient blocks memoized per coefficient kind (at most 8 x 60 x 256
+# floats, 1 MB, for the log-quotient terms of p+ <= 20)
+_MEMO_BLOCKS = 8
 
 
-def _log_quotient_series(p_minus, p_plus):
-    """(p_c, D): Taylor table of the log-quotient head coefficients about the
-    midpoint exponent p_c = (p- + p+)/2 of a family's exponent bounds.
+@functools.lru_cache(maxsize=64)
+def _log_quotient_tables(p_minus, p_plus):
+    """(K, p_minus, width, tables) for an exponent range [p-, p+]: the terms
+    K of the log-quotient head series, and per interval of the given width
+    (at most _TABLE_WIDTH) that splits the range, its midpoint p_c and the
+    Taylor table D of the head coefficients about p_c.
 
     a_k(p) = [v^k] (expm1(v)/v)^p = [v^k] exp(p L(v)) with L(v) =
     log(expm1(v)/v) = v/2 + sum_m B_2m v^2m/(2m (2m)!) (DLMF 24.2.1) obeys
@@ -125,9 +137,15 @@ def _log_quotient_series(p_minus, p_plus):
 
         k D[m, k] = p_c sum_j g_j D[m, k-j] + sum_j g_j D[m-1, k-j].
 
-    a_k is a polynomial of degree k in p, so a_k(p) = sum_m D[m, k] (p - p_c)^m
-    with m < K is exact for every p; a constant field needs the row m = 0
-    only.  K terms bring the series at c = 1 to 3e-16 for p <= p+.
+    The head series with a_k(p) ~ sum_{m < M} D[m, k] d^m, d = p - p_c, is
+    the head with exp(d L(v)) cut after M terms, whose relative error is at
+    most y^M/M! e^{2y} for y = |d| L(1) (0 <= L <= L(1) on the head): M is
+    the smallest multiple of 4 that brings it below 2^-56 (16 rows for an
+    interval of width 1, one row for a constant field).  The sum over m
+    alternates in sign for p < p_c, which costs at most a factor e^{2y} <=
+    1.8 in rounding; one table about the midpoint of a wide range would
+    cost e^{(p+ - p-) L(1)} (1e4 for p from 3 to 20), hence the intervals.
+    K terms bring the series at c = 1 to 3e-16 for p <= p+.
     """
     K = next((k for top, k in _LOG_QUOTIENT_TERMS if p_plus <= top),
              4 * math.ceil(0.75 * p_plus))
@@ -139,53 +157,85 @@ def _log_quotient_series(p_minus, p_plus):
     for j in range(1, K):
         g[j] = -np.dot(g[j - 1::-1], inv_fact[1:j + 1])
     g[1], g[3::2] = 0.5, 0.0
-    pc = 0.5 * (p_minus + p_plus)
-    D = np.zeros((1 if p_minus == p_plus else K, K))
-    D[0, 0] = 1.0
-    for k in range(1, K):
-        s = D[:, k - 1::-1] @ g[1:k + 1]
-        D[:, k] = pc * s
-        D[1:, k] += s[:-1]
-        D[:, k] /= k
-    D.setflags(write=False)
-    return pc, D
+    count = max(1, math.ceil((p_plus - p_minus) / _TABLE_WIDTH))
+    width = (p_plus - p_minus) / count
+    y = 0.5 * width * _L_MAX
+    bound = math.exp(2.0 * y)
+    rows = 1 if y == 0.0 else next(
+        m for m in range(8, 4 * K, 4) if y ** m / math.factorial(m) * bound <= 2.0 ** -56)
+    tables = []
+    for i in range(count):
+        pc = p_minus + (i + 0.5) * width
+        D = np.zeros((rows, K))
+        D[0, 0] = 1.0
+        for k in range(1, K):
+            s = D[:, k - 1::-1] @ g[1:k + 1]
+            D[:, k] = pc * s
+            D[1:, k] += s[:-1]
+            D[:, k] /= k
+        D.setflags(write=False)
+        tables.append((pc, D))
+    return K, p_minus, width, tuple(tables)
 
 
 def _poly(b, x, out=None):
     """sum_k b[k] x^k elementwise, into ``out`` if given; b of shape (K,) + s
     with K a multiple of 4 and at least 8, s broadcasting against x.
-    Horner's rule in x^4 on four interleaved partial sums: a K-term sum in
-    K/2 + 6 array operations of multiply-adds only (2K for plain Horner)."""
-    y = x * x
-    y *= y
+    Horner's rule in x^4 on four interleaved partial sums, joined as
+    (l0 + l1 x) + (l2 + l3 x) x^2: a K-term sum in K/2 + 4 array operations
+    of multiply-adds only (2K for plain Horner)."""
+    x2 = x * x
+    y = x2 * x2
     blocks = b.reshape((-1, 4) + b.shape[1:])
     lanes = blocks[-1] * y
     for block in blocks[-2:0:-1]:
         lanes += block
         lanes *= y
     lanes += blocks[0]
-    out = np.multiply(lanes[3], x, out=out)
-    out += lanes[2]
-    out *= x
+    odd = lanes[1::2]
+    odd *= x
+    odd += lanes[0::2]
+    out = np.multiply(lanes[3], x2, out=out)
     out += lanes[1]
-    out *= x
-    out += lanes[0]
     return out
 
 
-def _log_quotient_coeffs(series, p):
-    """a_k(p)/(p - 1 + k) for 1-d p, shape (K, p.size), from the Taylor
-    table."""
-    pc, D = series
-    a = D[0][:, None] if len(D) == 1 else _poly(D[:, :, None], p - pc)
-    return a / (p + np.arange(-1.0, D.shape[1] - 1.0)[:, None])
+def _taylor_rows(table, p):
+    """sum_m D[m, k] (p - p_c)^m for 1-d p, shape (K, p.size)."""
+    pc, D = table
+    return D[0][:, None] if len(D) == 1 else _poly(D[:, :, None], p - pc)
 
 
-def _log_weight_coeffs(p):
-    """k!/(p+1)_{k+1} = k!/((p+1)(p+2)_k) for 1-d p, shape (K, p.size)."""
-    b = p + _LOG_WEIGHT_DEN
+@functools.lru_cache(maxsize=_MEMO_BLOCKS)
+def _log_quotient_coeffs(p_range, data):
+    """a_k(p)/(p - 1 + k) for the exponents p whose float64 bytes are
+    ``data``, shape (K, p.size), read-only; from the Taylor table of each
+    exponent's interval (_log_quotient_tables(*p_range))."""
+    p = np.frombuffer(data)
+    K, lo, width, tables = _log_quotient_tables(*p_range)
+    if len(tables) == 1:
+        a = _taylor_rows(tables[0], p)
+    else:
+        which = np.clip(np.floor((p - lo) / width), 0, len(tables) - 1)
+        a = np.empty((K, p.size))
+        for i, table in enumerate(tables):
+            sel = which == i
+            if sel.any():
+                a[:, sel] = _taylor_rows(table, p[sel])
+    b = a / (p + np.arange(-1.0, K - 1.0)[:, None])
+    b.setflags(write=False)
+    return b
+
+
+@functools.lru_cache(maxsize=_MEMO_BLOCKS)
+def _log_weight_coeffs(data):
+    """k!/(p+1)_{k+1} = k!/((p+1)(p+2)_k) for the exponents p whose float64
+    bytes are ``data``, shape (K, p.size), read-only."""
+    b = np.frombuffer(data) + _LOG_WEIGHT_DEN
     np.divide(_LOG_WEIGHT_NUM, b, out=b)
-    return np.cumprod(b, axis=0, out=b)
+    np.cumprod(b, axis=0, out=b)
+    b.setflags(write=False)
+    return b
 
 
 def _blocks(shape):
@@ -206,19 +256,24 @@ def _series(x, p, coeffs):
 
     The coefficients are computed on p's own shape and broadcast against x:
     once for a constant exponent (a 0-d p), once per grid row for a column
-    of first coordinates.  ``coeffs`` takes the exponents of a block
-    flattened, at most _P_BLOCK of them, so a full-shape p needs no
-    (K, size) temporaries.
+    of first coordinates.  ``coeffs`` takes the bytes of a block of
+    exponents, at most _P_BLOCK of them, so a full-shape p needs no
+    (K, size) temporaries; it memoizes the last _MEMO_BLOCKS blocks, so the
+    exponents of a grid, the same in every call of a solve or a norm, cost
+    their coefficients once.
     """
     shape = np.broadcast(x, p).shape
-    p = p.reshape((1,) * (len(shape) - p.ndim) + p.shape)
+    out = np.empty(shape)
     if x.shape != shape:
         x = np.broadcast_to(x, shape)
-    out = np.empty(shape)
+    if p.size == out.size:      # an exponent per element: blocks of the flat arrays
+        p, x, flat = p.reshape(-1), x.reshape(-1), out.reshape(-1)
+    else:
+        p, flat = p.reshape((1,) * (len(shape) - p.ndim) + p.shape), out
     for idx in _blocks(p.shape):
         block = p[idx]
-        b = coeffs(block.reshape(-1))
-        _poly(b.reshape(b.shape[:1] + block.shape), x[idx], out[idx])
+        b = coeffs(block.tobytes())
+        _poly(b.reshape(b.shape[:1] + block.shape), x[idx], flat[idx])
     return out
 
 
@@ -233,19 +288,20 @@ def _past_cut(out, top, cut, p):
     return far, np.broadcast_to(top, out.shape)[far], np.broadcast_to(p, out.shape)[far]
 
 
-def _corr_log_quotient(V, p, series):
+def _corr_log_quotient(V, p, p_range):
     """integral_0^V expm1(v)^p / v^2 dv for V = log(1+|t|), elementwise.
 
     The head [0, c], c = min(V, 1), is the series c^{p-1} sum_k a_k(p)
     c^k/(p-1+k) of v^{p-2} (expm1(v)/v)^p integrated termwise (radius 2 pi;
-    ``series`` is the family's _log_quotient_series).  The tail [1, V] is
+    the coefficients from the Taylor tables of the exponent range p_range =
+    (p-, p+), see _log_quotient_tables).  The tail [1, V] is
     integrated only on the elements with V > 1, each with its own
     ceil(p(V-1)/16) panels (at most 128) to resolve the exp(p*v) growth.
     """
     V, p = _as_array(V), _as_array(p)
     c = np.minimum(V, 1.0)
     out = np.power(c, p - 1.0)
-    out *= _series(c, p, functools.partial(_log_quotient_coeffs, series))
+    out *= _series(c, p, functools.partial(_log_quotient_coeffs, p_range))
     far, V, p = _past_cut(out, V, 1.0, p)
     if far is not None:
         def tail(v, q):
@@ -356,21 +412,34 @@ def _log_quotient_dphi0(fam, x1):
     return p * (p - 2.0) * 0.0 ** (p - 3.0)
 
 
-def _series_exponent(fam, x1):
-    """p(x1) for a Phi with a series head: a 0-d array when the field is
-    constant (p- = p+), so the series coefficients are computed once per
-    call instead of once per node."""
-    p = fam.p
-    return np.asarray(p.p_plus) if p.p_minus == p.p_plus else p(x1)
+def _series_args(fam, x1, t):
+    """(p, |t|, (p-, p+)) for a Phi with a series head: |t| with the shape
+    of the result (x1 and t broadcast), p(x1) on no more nodes than its
+    values need, as the series coefficients are computed on p's own shape:
+    a 0-d array for a constant field (p- = p+), and without the later axes
+    along which x1 is constant (a 2-d grid's coords_first gives its column)."""
+    at = np.abs(t)
+    if x1.shape != at.shape:
+        shape = np.broadcast_shapes(x1.shape, at.shape)
+        if at.shape != shape:
+            at = np.broadcast_to(at, shape)
+    field = fam.p
+    p_range = field.p_minus, field.p_plus
+    if p_range[0] == p_range[1]:
+        return np.asarray(p_range[1]), at, p_range
+    for axis in range(1, x1.ndim):
+        first = x1[(slice(None),) * axis + (slice(0, 1),)]
+        if x1.shape[axis] > 1 and (x1 == first).all():
+            x1 = first
+    return field(x1), at, p_range
 
 
 def _log_quotient_Phi(fam, x1, t):
-    p = _series_exponent(fam, x1)
-    at = np.abs(t)
+    p, at, p_range = _series_args(fam, x1, t)
     V = np.log1p(at)
     lead = at ** p      # 0 at t = 0, where V is 0 too
     lead /= np.where(V > 0, V, 1.0)
-    return lead + _corr_log_quotient(V, p, fam.series)
+    return lead + _corr_log_quotient(V, p, p_range)
 
 
 def _log_weight_phi(fam, x1, t):
@@ -391,14 +460,14 @@ def _log_weight_dphi0(fam, x1):
 
 
 def _log_weight_Phi(fam, x1, t):
-    p = _series_exponent(fam, x1)
-    at = np.abs(t)
+    p, at, _ = _series_args(fam, x1, t)
     kappa = 1.0 + fam.alpha
     out = np.log(kappa + at) * at ** p - _corr_log_weight(at, p, kappa)
     # at large |t| the correction's e^{w(p+1)} overflows before its division:
     # there Phi = |t|^p (log(kappa + |t|) - integral_0^|t| (s/|t|)^p/(kappa+s) ds)
-    redo = ~np.isfinite(out)
-    if redo.any():
+    finite = np.isfinite(out)
+    if not finite.all():
+        redo = ~finite
         out = np.array(out)
         T, q = (np.broadcast_to(a, out.shape)[redo] for a in (at, p))
         out[redo] = T ** q * (np.log(kappa + T) - _corr_log_weight_scaled(T, q, kappa))
@@ -436,9 +505,7 @@ class _Kernel:
     the elasticity is known and bisecting otherwise.  dphi is the derivative
     phi' (even in t, finite at t = 0); without a formula it is a central
     difference of phi.
-    series(family), where given, builds the family's constant data of the
-    Phi formula once per descriptor (the Taylor table of the log-quotient
-    head).  The remaining slots are the smallest admissible p-, the rule
+    The remaining slots are the smallest admissible p-, the rule
     phi0 = p- - phi0_drop, the numerical estimates as (names, helper) pairs
     with helper(family) -> the values of names, whether alpha enters the
     formulas, and whether the companion bound Phi >= t^{p(x)-1} holds.
@@ -449,7 +516,6 @@ class _Kernel:
     phi_inv: Callable | None = None
     phi_elasticity: Callable | None = None
     dphi: Callable = _central_dphi
-    series: Callable | None = None
     p_min: float = 1.0
     phi0_drop: float = 0.0
     estimates: tuple = ()
@@ -507,7 +573,6 @@ class MusielakFamily:
     phi_fn: Callable | None = None          # custom only, required
     Phi_fn: Callable | None = None          # custom only, optional
     kernel: _Kernel = field(init=False)
-    series: object = field(init=False, repr=False)     # kernel.series(self), or None
     phi0: float = field(init=False)
     phi_sup: float = field(init=False)
     M_lower: float = field(init=False)
@@ -535,7 +600,6 @@ class MusielakFamily:
         values = {"M_lower": 0.0} if p is None else {
             "phi0": p.p_minus - kernel.phi0_drop, "phi_sup": p.p_plus, "M_lower": 1.0}
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "series", kernel.series and kernel.series(self))
         estimated = set()
         for names, estimate in kernel.estimates:
             # M_lower bounds Phi by M_lower |t|^p(x): no estimate without p
@@ -776,8 +840,6 @@ _KERNELS = {
     "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi,
                             phi_elasticity=_log_quotient_elasticity,
                             dphi=functools.partial(_elastic_dphi, _log_quotient_dphi0),
-                            series=lambda fam: _log_quotient_series(fam.p.p_minus,
-                                                                    fam.p.p_plus),
                             p_min=3.0,
                             phi0_drop=1.0, estimates=((("M_lower",), _m_lower),),
                             shifted_lower_bound=True),

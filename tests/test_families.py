@@ -189,12 +189,11 @@ def test_log_head_series_against_mpmath(p):
     # table of an exponent range around p
     kappa = 2.0
     with mpmath.workdps(40):
-        for lo, hi in ((p, p), (min(p, 3.0), max(p, 4.0))):
-            series = families._log_quotient_series(lo, hi)
+        for p_range in ((p, p), (min(p, 3.0), max(p, 4.0))):
             for c in (1e-12, 1e-4, 0.3, 1.0):
-                value = families._corr_log_quotient(np.array([c]), np.array([p]), series)[0]
+                value = families._corr_log_quotient(np.array([c]), np.array([p]), p_range)[0]
                 oracle = _mp_log_quotient_head(c, p)
-                assert abs(value - oracle) <= 1e-15 * oracle, (lo, hi, c)
+                assert abs(value - oracle) <= 1e-15 * oracle, (p_range, c)
         for c in (1e-12, 1e-4, 0.3, kappa):
             args = np.array([c]), np.array([p]), kappa
             oracle = _mp_log_weight_head(c, p, kappa)
@@ -203,11 +202,45 @@ def test_log_head_series_against_mpmath(p):
             assert abs(scaled - oracle) <= 1e-15 * oracle, c
 
 
+def test_log_quotient_head_of_a_wide_exponent_range_against_mpmath():
+    # p from 3 to 20: each exponent takes the Taylor table of its own
+    # interval of width <= 1, at both ends of the range, on both sides of
+    # an interval's midpoint and on the boundary between two intervals
+    _, _, width, tables = families._log_quotient_tables(3.0, 20.0)
+    assert len(tables) == 17 and width == 1.0
+    with mpmath.workdps(40):
+        for p in (3.0, 3.2, 3.5, 3.8, 4.0, 11.5, 19.2, 19.8, 20.0):
+            value = families._corr_log_quotient(np.array([1e-4, 0.3, 1.0]), np.full(3, p),
+                                                (3.0, 20.0))
+            for c, v in zip((1e-4, 0.3, 1.0), value):
+                oracle = _mp_log_quotient_head(c, p)
+                assert abs(v - oracle) <= 1e-15 * oracle, (p, c)
+
+
+@pytest.mark.parametrize("name", ["family_logquot_p3", "family_logweight_p2",
+                                  "family_logquot_affine", "family_logweight"])
+def test_log_Phi_result_has_the_broadcast_shape(request, name):
+    # a t with fewer elements than x, below and past the cut: the result
+    # has the shape of x and t broadcast, element by element the scalar calls
+    fam = request.getfixturevalue(name)
+    cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
+    x = np.linspace(0.0, 1.0, 5)
+    for t in (0.0, 0.5 * cut, 2.0 * cut, np.array([0.5, 3.0]) * cut):
+        xs, ts = (x, t) if np.ndim(t) == 0 else (x[:, None], t)
+        Phi = fam.Phi(xs, ts)
+        assert np.shape(Phi) == np.broadcast_shapes(np.shape(xs), np.shape(ts))
+        pairs = zip(*(a.ravel() for a in np.broadcast_arrays(xs, ts)))
+        single = [fam.Phi(xi, ti) for xi, ti in pairs]
+        assert np.array_equal(np.ravel(Phi), single), t
+
+
 @pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])
 def test_log_Phi_column_x_equals_full_shape_x_and_scalars(request, name):
-    # the series coefficients are built once per row of a column x and once
-    # per node of a full-shape x, in blocks of families._P_BLOCK exponents:
-    # every element equals its scalar call either way, bit for bit
+    # the series coefficients are built once per row of a column x (which a
+    # full-shape x constant along its rows reduces to) and once per node of
+    # a full-shape x that varies along its rows, in blocks of
+    # families._P_BLOCK exponents: every element equals its scalar call
+    # either way, bit for bit
     fam = request.getfixturevalue(name)
     cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
     rng = np.random.default_rng(17)
@@ -220,9 +253,11 @@ def test_log_Phi_column_x_equals_full_shape_x_and_scalars(request, name):
     full = np.asarray(fam.Phi(np.broadcast_to(x, (n0, n1)), t))
     assert column.shape == full.shape == t.shape
     assert np.array_equal(column, full)
-    xs = np.broadcast_to(x, t.shape)
-    single = [fam.Phi(xi, ti) for xi, ti in zip(xs.ravel(), t.ravel())]
-    assert np.array_equal(np.reshape(single, t.shape), column)
+    for xs in (np.broadcast_to(x, t.shape), rng.uniform(0.0, 1.0, (n0, n1))):
+        batch = np.asarray(fam.Phi(xs, t))
+        x3 = np.broadcast_to(xs, t.shape)
+        single = [fam.Phi(xi, ti) for xi, ti in zip(x3.ravel(), t.ravel())]
+        assert np.array_equal(np.reshape(single, t.shape), batch)
 
 
 def test_log_weight_Phi_overflows_to_inf(family_logweight):
