@@ -31,13 +31,12 @@ A descriptor holds only its inputs; ``__post_init__`` checks every
 construction and derives the kernel, phi0/phi_sup/M_lower (declared, by the
 kind's rule or by a numerical estimate) and the set of estimated names.
 The correction integrals of the two log families split at a cut.  The
-head is a power series in its upper limit whose coefficients depend only
-on p: they are computed on p's own shape (one value for a constant field,
-one per grid row for a 2-d grid's first coordinate) from Taylor tables in
-p built once per exponent range, and the series is summed by Horner's
-rule.  The tail is integrated only on the elements past the cut, with
-Gauss-Legendre panels sized per element (see _quadrature), so every value
-is independent of its batch.
+head is a power series in its upper limit, summed by Horner's rule, with
+coefficients computed on p's own shape (log-quotient: by their recurrence
+in k); the tail past the cut has Gauss-Legendre panels sized per element
+(see _quadrature), so every value is independent of its batch.  Log-weight
+Phi is |t|^p (log(1+alpha+|t|) - its correction over |t|^p), so no s^p is
+formed before Phi itself overflows.
 Everything is vectorized over broadcastable (x, t) arrays; the only state
 is a bounded memo of read-only series coefficients (see _series), which
 holds what a fresh computation gives.  ``check_structure`` passes margins
@@ -110,72 +109,30 @@ _LOG_WEIGHT_DEN = np.arange(1.0, _LOG_WEIGHT_TERMS + 1.0)[:, None]
 # (largest p, terms K) of the log-quotient head series at c = 1; above, K is
 # 3 p rounded up to a multiple of 4 (_poly sums four interleaved lanes)
 _LOG_QUOTIENT_TERMS = ((4.0, 28), (6.0, 32), (8.0, 40), (12.0, 48), (20.0, 60))
-# widest exponent interval of one log-quotient Taylor table, and the bound
-# L(1) = log(e - 1) of L(v) = log(expm1(v)/v) on the head [0, 1]
-_TABLE_WIDTH = 1.0
-_L_MAX = math.log(math.e - 1.0)
-# exponent values per block of series coefficients: the four partial sums of
-# a log-quotient Taylor table's block are at most 4 x 60 x 256 floats (480 KiB)
+# exponent values per block of series coefficients: a log-quotient block and
+# the temporaries of its recurrence are at most 2 x 60 x 256 floats (240 KiB)
 _P_BLOCK = 256
 # coefficient blocks memoized per coefficient kind (at most 8 x 60 x 256
 # floats, 1 MB, for the log-quotient terms of p+ <= 20)
 _MEMO_BLOCKS = 8
 
 
-@functools.lru_cache(maxsize=64)
-def _log_quotient_tables(p_minus, p_plus):
-    """(K, p_minus, width, tables) for an exponent range [p-, p+]: the terms
-    K of the log-quotient head series, and per interval of the given width
-    (at most _TABLE_WIDTH) that splits the range, its midpoint p_c and the
-    Taylor table D of the head coefficients about p_c.
-
-    a_k(p) = [v^k] (expm1(v)/v)^p = [v^k] exp(p L(v)) with L(v) =
-    log(expm1(v)/v) = v/2 + sum_m B_2m v^2m/(2m (2m)!) (DLMF 24.2.1) obeys
-    k a_k = p sum_j g_j a_{k-j}, g_j = j l_j the coefficients of L'.
-    Differentiated m times in p and divided by m! it gives the rows
-    D[m, k] = a_k^(m)(p_c)/m!:
-
-        k D[m, k] = p_c sum_j g_j D[m, k-j] + sum_j g_j D[m-1, k-j].
-
-    The head series with a_k(p) ~ sum_{m < M} D[m, k] d^m, d = p - p_c, is
-    the head with exp(d L(v)) cut after M terms, whose relative error is at
-    most y^M/M! e^{2y} for y = |d| L(1) (0 <= L <= L(1) on the head): M is
-    the smallest multiple of 4 that brings it below 2^-56 (16 rows for an
-    interval of width 1, one row for a constant field).  The sum over m
-    alternates in sign for p < p_c, which costs at most a factor e^{2y} <=
-    1.8 in rounding; one table about the midpoint of a wide range would
-    cost e^{(p+ - p-) L(1)} (1e4 for p from 3 to 20), hence the intervals.
-    K terms bring the series at c = 1 to 3e-16 for p <= p+.
-    """
-    K = next((k for top, k in _LOG_QUOTIENT_TERMS if p_plus <= top),
-             4 * math.ceil(0.75 * p_plus))
-    # g_1 = 1/2, g_j = B_j/j! for even j, 0 for odd j > 1; B_j/j! from
-    # sum_i (B_i/i!)/(j - i + 1)! = 0 (v/expm1(v) times expm1(v)/v is 1)
+@functools.lru_cache(maxsize=8)
+def _log_quotient_g(K):
+    """g_j = j l_j, j < K, as a read-only (K, 1) column: the coefficients of
+    L'(v) for L(v) = log(expm1(v)/v) = v/2 + sum_m B_2m v^2m/(2m (2m)!)
+    (DLMF 24.2.1), so g_1 = 1/2, g_j = B_j/j! for even j and 0 for odd j > 1;
+    B_j/j! from sum_i (B_i/i!)/(j - i + 1)! = 0 (v/expm1(v) times expm1(v)/v
+    is 1)."""
     inv_fact = np.cumprod(1.0 / np.arange(1.0, K + 1.0))   # 1/(i+1)!
     g = np.zeros(K)
     g[0] = 1.0
     for j in range(1, K):
         g[j] = -np.dot(g[j - 1::-1], inv_fact[1:j + 1])
-    g[1], g[3::2] = 0.5, 0.0
-    count = max(1, math.ceil((p_plus - p_minus) / _TABLE_WIDTH))
-    width = (p_plus - p_minus) / count
-    y = 0.5 * width * _L_MAX
-    bound = math.exp(2.0 * y)
-    rows = 1 if y == 0.0 else next(
-        m for m in range(8, 4 * K, 4) if y ** m / math.factorial(m) * bound <= 2.0 ** -56)
-    tables = []
-    for i in range(count):
-        pc = p_minus + (i + 0.5) * width
-        D = np.zeros((rows, K))
-        D[0, 0] = 1.0
-        for k in range(1, K):
-            s = D[:, k - 1::-1] @ g[1:k + 1]
-            D[:, k] = pc * s
-            D[1:, k] += s[:-1]
-            D[:, k] /= k
-        D.setflags(write=False)
-        tables.append((pc, D))
-    return K, p_minus, width, tuple(tables)
+    g[0], g[1], g[3::2] = 0.0, 0.5, 0.0
+    g = g[:, None]
+    g.setflags(write=False)
+    return g
 
 
 def _poly(b, x, out=None):
@@ -200,31 +157,31 @@ def _poly(b, x, out=None):
     return out
 
 
-def _taylor_rows(table, p):
-    """sum_m D[m, k] (p - p_c)^m for 1-d p, shape (K, p.size)."""
-    pc, D = table
-    return D[0][:, None] if len(D) == 1 else _poly(D[:, :, None], p - pc)
-
-
 @functools.lru_cache(maxsize=_MEMO_BLOCKS)
-def _log_quotient_coeffs(p_range, data):
-    """a_k(p)/(p - 1 + k) for the exponents p whose float64 bytes are
-    ``data``, shape (K, p.size), read-only; from the Taylor table of each
-    exponent's interval (_log_quotient_tables(*p_range))."""
+def _log_quotient_coeffs(p_plus, data):
+    """a_k(p)/(p - 1 + k), k < K, for the exponents p whose float64 bytes are
+    ``data``, shape (K, p.size), read-only; K is the term count of the
+    largest exponent p_plus (_LOG_QUOTIENT_TERMS).
+
+    a_k = [v^k] (expm1(v)/v)^p = [v^k] exp(p L(v)) obeys k a_k =
+    p sum_j g_j a_{k-j} (_log_quotient_g).  Each finished a_{k-1} is pushed
+    into the sums of the later terms, so every exponent takes the same
+    elementwise multiplies and adds in the same order, whatever its block (a
+    BLAS product over the block rounds by the position in it).
+    """
+    K = next((k for top, k in _LOG_QUOTIENT_TERMS if p_plus <= top),
+             4 * math.ceil(0.75 * p_plus))
     p = np.frombuffer(data)
-    K, lo, width, tables = _log_quotient_tables(*p_range)
-    if len(tables) == 1:
-        a = _taylor_rows(tables[0], p)
-    else:
-        which = np.clip(np.floor((p - lo) / width), 0, len(tables) - 1)
-        a = np.empty((K, p.size))
-        for i, table in enumerate(tables):
-            sel = which == i
-            if sel.any():
-                a[:, sel] = _taylor_rows(table, p[sel])
-    b = a / (p + np.arange(-1.0, K - 1.0)[:, None])
-    b.setflags(write=False)
-    return b
+    g = _log_quotient_g(K)
+    p_over_k = p / np.arange(1.0, K)[:, None]
+    a = np.zeros((K, p.size))
+    a[0] = 1.0
+    for k in range(1, K):
+        a[k:] += g[1:K - k + 1] * a[k - 1]
+        a[k] *= p_over_k[k - 1]
+    a /= p + np.arange(-1.0, K - 1.0)[:, None]
+    a.setflags(write=False)
+    return a
 
 
 @functools.lru_cache(maxsize=_MEMO_BLOCKS)
@@ -288,20 +245,18 @@ def _past_cut(out, top, cut, p):
     return far, np.broadcast_to(top, out.shape)[far], np.broadcast_to(p, out.shape)[far]
 
 
-def _corr_log_quotient(V, p, p_range):
+def _corr_log_quotient(V, p, p_plus):
     """integral_0^V expm1(v)^p / v^2 dv for V = log(1+|t|), elementwise.
 
-    The head [0, c], c = min(V, 1), is the series c^{p-1} sum_k a_k(p)
-    c^k/(p-1+k) of v^{p-2} (expm1(v)/v)^p integrated termwise (radius 2 pi;
-    the coefficients from the Taylor tables of the exponent range p_range =
-    (p-, p+), see _log_quotient_tables).  The tail [1, V] is
-    integrated only on the elements with V > 1, each with its own
-    ceil(p(V-1)/16) panels (at most 128) to resolve the exp(p*v) growth.
+    The head [0, c], c = min(V, 1), is c^{p-1} sum_k a_k(p) c^k/(p-1+k):
+    v^{p-2} (expm1(v)/v)^p integrated termwise (radius 2 pi), to 3e-16 at
+    c = 1 with the K terms that p_plus picks (_log_quotient_coeffs).  The
+    tail [1, V] of the elements with V > 1 has ceil(p(V-1)/16) panels each
+    (at most 128), for the exp(p*v) growth.
     """
-    V, p = _as_array(V), _as_array(p)
     c = np.minimum(V, 1.0)
     out = np.power(c, p - 1.0)
-    out *= _series(c, p, functools.partial(_log_quotient_coeffs, p_range))
+    out *= _series(c, p, functools.partial(_log_quotient_coeffs, p_plus))
     far, V, p = _past_cut(out, V, 1.0, p)
     if far is not None:
         def tail(v, q):
@@ -323,48 +278,26 @@ def _log_weight_head_ratio(c, p, kappa):
     return out
 
 
-def _corr_log_weight(T, p, kappa):
-    """integral_0^T s^p / (kappa + s) ds for T = |t|, elementwise.
-
-    The head [0, c], c = min(T, kappa), is c^p times _log_weight_head_ratio;
-    the tail [kappa, T] is integrated only on the elements with T > kappa,
-    in log coordinates where the pole sits at fixed imaginary distance pi,
-    each with its own ceil(log(T/kappa)/6) panels (at most 128).
-    """
-    T, p = _as_array(T), _as_array(p)
-    c = np.minimum(T, kappa)
-    out = np.power(c, p)
-    out *= _log_weight_head_ratio(c, p, kappa)
-    far, T, p = _past_cut(out, T, kappa, p)
-    if far is not None:
-        def tail(w, q):
-            ew = np.exp(w)
-            return ew ** (q + 1.0) / (kappa + ew)
-
-        lo, hi = math.log(kappa), np.log(T)
-        panels = np.clip(np.ceil((hi - lo) / 6.0), 1, 128)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[far] += panel_gauss(tail, lo, hi, panels, p)
-    return out
-
-
 def _corr_log_weight_scaled(T, p, kappa):
-    """integral_0^T (s/T)^p / (kappa + s) ds for 1-d T > 0 and p, by the rules
-    of _corr_log_weight with s^p scaled by T^p: (c/T)^p in the head and no
-    tail term above 1, where the unscaled s^{p+1}/(kappa + s) overflows once
-    T^{p+1} does."""
+    """integral_0^T (s/T)^p / (kappa + s) ds for T = |t|, elementwise (0 at
+    T = 0), so that Phi = T^p (log(kappa + T) - this) never forms s^p.
+
+    The head [0, c], c = min(T, kappa), is _log_weight_head_ratio(c), times
+    (kappa/T)^p on the elements past the cut.  Their tail [kappa, T] is
+    integrated in log coordinates, where the pole sits at fixed imaginary
+    distance pi and the integrand grows like e^{(p+1) w}, each with its own
+    ceil(max(p+1, 4) log(T/kappa)/24) panels (at most 128).
+    """
     def tail(w, q, log_T):
         ew = np.exp(w)
         return np.exp(q * (w - log_T)) * ew / (kappa + ew)
 
-    c = np.minimum(T, kappa)
-    out = np.power(c / T, p)
-    out *= _log_weight_head_ratio(c, p, kappa)
-    far = np.flatnonzero(T > kappa)
-    if far.size:
-        lo, hi = math.log(kappa), np.log(T[far])
-        panels = np.clip(np.ceil((hi - lo) / 6.0), 1, 128)
-        out[far] += panel_gauss(tail, lo, hi, panels, p[far], hi)
+    out = _log_weight_head_ratio(np.minimum(T, kappa), p, kappa)
+    far, T, p = _past_cut(out, T, kappa, p)
+    if far is not None:
+        lo, hi = math.log(kappa), np.log(T)
+        panels = np.clip(np.ceil(np.maximum(p + 1.0, 4.0) * (hi - lo) / 24.0), 1, 128)
+        out[far] = (kappa / T) ** p * out[far] + panel_gauss(tail, lo, hi, panels, p, hi)
     return out
 
 
@@ -413,33 +346,33 @@ def _log_quotient_dphi0(fam, x1):
 
 
 def _series_args(fam, x1, t):
-    """(p, |t|, (p-, p+)) for a Phi with a series head: |t| with the shape
-    of the result (x1 and t broadcast), p(x1) on no more nodes than its
-    values need, as the series coefficients are computed on p's own shape:
-    a 0-d array for a constant field (p- = p+), and without the later axes
-    along which x1 is constant (a 2-d grid's coords_first gives its column)."""
+    """(p, |t|, p+) for a Phi with a series head: |t| with the shape of the
+    result (x1 and t broadcast), p(x1) on no more nodes than its values need,
+    as the series coefficients are computed on p's own shape: a 0-d array
+    for a constant field, and without the later axes along which x1 is
+    constant (a 2-d grid's coords_first gives its column)."""
     at = np.abs(t)
     if x1.shape != at.shape:
         shape = np.broadcast_shapes(x1.shape, at.shape)
         if at.shape != shape:
             at = np.broadcast_to(at, shape)
     field = fam.p
-    p_range = field.p_minus, field.p_plus
-    if p_range[0] == p_range[1]:
-        return np.asarray(p_range[1]), at, p_range
+    p_plus = field.p_plus
+    if field.p_minus == p_plus:
+        return np.asarray(p_plus), at, p_plus
     for axis in range(1, x1.ndim):
         first = x1[(slice(None),) * axis + (slice(0, 1),)]
         if x1.shape[axis] > 1 and (x1 == first).all():
             x1 = first
-    return field(x1), at, p_range
+    return field(x1), at, p_plus
 
 
 def _log_quotient_Phi(fam, x1, t):
-    p, at, p_range = _series_args(fam, x1, t)
+    p, at, p_plus = _series_args(fam, x1, t)
     V = np.log1p(at)
     lead = at ** p      # 0 at t = 0, where V is 0 too
     lead /= np.where(V > 0, V, 1.0)
-    return lead + _corr_log_quotient(V, p, p_range)
+    return lead + _corr_log_quotient(V, p, p_plus)
 
 
 def _log_weight_phi(fam, x1, t):
@@ -462,16 +395,7 @@ def _log_weight_dphi0(fam, x1):
 def _log_weight_Phi(fam, x1, t):
     p, at, _ = _series_args(fam, x1, t)
     kappa = 1.0 + fam.alpha
-    out = np.log(kappa + at) * at ** p - _corr_log_weight(at, p, kappa)
-    # at large |t| the correction's e^{w(p+1)} overflows before its division:
-    # there Phi = |t|^p (log(kappa + |t|) - integral_0^|t| (s/|t|)^p/(kappa+s) ds)
-    finite = np.isfinite(out)
-    if not finite.all():
-        redo = ~finite
-        out = np.array(out)
-        T, q = (np.broadcast_to(a, out.shape)[redo] for a in (at, p))
-        out[redo] = T ** q * (np.log(kappa + T) - _corr_log_weight_scaled(T, q, kappa))
-    return out
+    return at ** p * (np.log(kappa + at) - _corr_log_weight_scaled(at, p, kappa))
 
 
 def _elastic_dphi(limit, fam, x1, t):

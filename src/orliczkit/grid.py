@@ -123,8 +123,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        try:
+            values = np.array(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"grid function values must be numbers: {exc}") from exc
         if values.shape != self.grid.shape:
+            if values.size != self.grid.size:
+                raise InputError(f"the grid has {self.grid.size} nodes, got {values.size} values")
             values = values.reshape(self.grid.shape)
         if not np.all(np.isfinite(values)):
             raise InputError("grid function values must be finite")
@@ -278,8 +283,10 @@ def _random_fields(grid: DomainGrid, seeds, amplitudes, smoothness) -> np.ndarra
     seeds, amplitudes, smoothness = map(np.atleast_1d, (seeds, amplitudes, smoothness))
     if not np.all(amplitudes > 0.0):
         raise InputError("amplitude must be positive")
-    if np.any(smoothness < 0):
-        raise InputError("smoothness must be >= 0")
+    for name, arr in (("seed", seeds), ("smoothness", smoothness)):
+        if arr.dtype.kind not in "iuf" or not np.all(
+                np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
+            raise InputError(f"{name} must be an integer >= 0")
     v = np.stack([np.random.default_rng(int(s)).uniform(-1.0, 1.0, size=grid.shape)
                   for s in seeds])
     for k in range(int(np.max(smoothness))):

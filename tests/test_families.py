@@ -185,33 +185,28 @@ def _mp_log_weight_head(c, p, kappa):
 @pytest.mark.parametrize("p", [2.0, 3.0, 3.0781, 4.0, 8.0])
 def test_log_head_series_against_mpmath(p):
     # the heads alone (c at or below the cut, so no tail) at 40 digits; the
-    # log-quotient series with the table of a constant p and with the Taylor
-    # table of an exponent range around p
+    # log-quotient series with the terms of a constant p and with those of
+    # an exponent range up to p+ >= 4
     kappa = 2.0
     with mpmath.workdps(40):
-        for p_range in ((p, p), (min(p, 3.0), max(p, 4.0))):
+        for p_plus in (p, max(p, 4.0)):
             for c in (1e-12, 1e-4, 0.3, 1.0):
-                value = families._corr_log_quotient(np.array([c]), np.array([p]), p_range)[0]
+                value = families._corr_log_quotient(np.array([c]), np.array([p]), p_plus)[0]
                 oracle = _mp_log_quotient_head(c, p)
-                assert abs(value - oracle) <= 1e-15 * oracle, (p_range, c)
+                assert abs(value - oracle) <= 1e-15 * oracle, (p_plus, c)
         for c in (1e-12, 1e-4, 0.3, kappa):
-            args = np.array([c]), np.array([p]), kappa
             oracle = _mp_log_weight_head(c, p, kappa)
-            assert abs(families._corr_log_weight(*args)[0] - oracle) <= 1e-15 * oracle, c
-            scaled = families._corr_log_weight_scaled(*args)[0] * mpmath.mpf(c) ** p
-            assert abs(scaled - oracle) <= 1e-15 * oracle, c
+            scaled = families._corr_log_weight_scaled(np.array([c]), np.array([p]), kappa)[0]
+            assert abs(scaled * mpmath.mpf(c) ** p - oracle) <= 1e-15 * oracle, c
 
 
 def test_log_quotient_head_of_a_wide_exponent_range_against_mpmath():
-    # p from 3 to 20: each exponent takes the Taylor table of its own
-    # interval of width <= 1, at both ends of the range, on both sides of
-    # an interval's midpoint and on the boundary between two intervals
-    _, _, width, tables = families._log_quotient_tables(3.0, 20.0)
-    assert len(tables) == 17 and width == 1.0
+    # p from 3 to 20 under one exponent range: every exponent takes the
+    # recurrence with the 60 terms of p+ = 20, at both ends of the range
+    # and in between
     with mpmath.workdps(40):
         for p in (3.0, 3.2, 3.5, 3.8, 4.0, 11.5, 19.2, 19.8, 20.0):
-            value = families._corr_log_quotient(np.array([1e-4, 0.3, 1.0]), np.full(3, p),
-                                                (3.0, 20.0))
+            value = families._corr_log_quotient(np.array([1e-4, 0.3, 1.0]), np.full(3, p), 20.0)
             for c, v in zip((1e-4, 0.3, 1.0), value):
                 oracle = _mp_log_quotient_head(c, p)
                 assert abs(v - oracle) <= 1e-15 * oracle, (p, c)
@@ -260,16 +255,50 @@ def test_log_Phi_column_x_equals_full_shape_x_and_scalars(request, name):
         assert np.array_equal(np.reshape(single, t.shape), batch)
 
 
+@pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])
+def test_log_Phi_memo_hit_equals_a_cold_computation(request, name):
+    # the coefficient blocks of a repeated call come from the memo; computed
+    # afresh, they give the same values bit for bit
+    fam = request.getfixturevalue(name)
+    coeffs = families._log_quotient_coeffs if fam.alpha is None else families._log_weight_coeffs
+    cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
+    x = np.linspace(0.0, 1.0, families._P_BLOCK + 45)        # two blocks
+    t = cut * np.geomspace(1e-3, 0.99, x.size)
+    fam.Phi(x, t)
+    hits = coeffs.cache_info().hits
+    hit = np.asarray(fam.Phi(x, t))
+    assert coeffs.cache_info().hits == hits + 2
+    coeffs.cache_clear()
+    cold = np.asarray(fam.Phi(x, t))
+    assert coeffs.cache_info().misses == 2
+    assert np.array_equal(hit, cold)
+
+
+@pytest.mark.parametrize("p_plus", [4.0, 20.0])
+def test_log_quotient_coeffs_do_not_depend_on_their_block(p_plus):
+    # the recurrence is elementwise, so an exponent's coefficients are the
+    # same alone and in a block of families._P_BLOCK (a BLAS product over
+    # the block changed several thousand of the 60 x 256 in the last bit at
+    # p+ = 20)
+    p = np.linspace(3.0, p_plus, families._P_BLOCK)
+    families._log_quotient_coeffs.cache_clear()
+    block = families._log_quotient_coeffs(p_plus, p.tobytes())
+    alone = [families._log_quotient_coeffs(p_plus, p[i:i + 1].tobytes())
+             for i in range(p.size)]
+    assert np.array_equal(block, np.concatenate(alone, axis=1))
+
+
 def test_log_weight_Phi_overflows_to_inf(family_logweight):
     # Phi > 0 up to t = 1e300, +inf only where log(2 + t) t^p overflows, and
-    # bit for bit the parts' difference wherever that is finite and positive
+    # bit for bit the scaled form wherever that is finite and positive
     rng = np.random.default_rng(5)
     t = np.exp(rng.uniform(np.log(1e-6), np.log(1e300), 20_000))
     x = rng.uniform(0.0, 1.0, t.size)
     Phi = np.asarray(family_logweight.Phi(x, t))
     with np.errstate(over="ignore", invalid="ignore"):
         lead = np.log(2.0 + t) * t ** (2.0 + x)
-        parts = lead - families._corr_log_weight(t, 2.0 + x, 2.0)
+        parts = t ** (2.0 + x) * (np.log(2.0 + t)
+                                  - families._corr_log_weight_scaled(t, 2.0 + x, 2.0))
     assert np.all(Phi > 0.0)
     assert np.all(np.isfinite(Phi[np.isfinite(lead)]))
     assert np.all(Phi[np.isinf(lead)] > 0.5 * np.finfo(float).max)

@@ -189,6 +189,34 @@ def test_random_function_rejects_bad_amplitude(grid_1d):
         random_function(grid_1d, 1, 1.0, smoothness=-1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda g: ok.GridFunction(g, np.zeros(g.size + 1)),
+    lambda g: ok.GridFunction(g, np.zeros((2, g.size))),
+    lambda g: ok.GridFunction(g, ["a"] * g.size),
+    lambda g: ok.GridFunction(g, [[1.0, 2.0], [3.0]]),
+    lambda g: random_function(g, -1, 1.0),
+    lambda g: random_function(g, 1.5, 1.0),
+    lambda g: random_function(g, np.nan, 1.0),
+    lambda g: random_function(g, 1, 1.0, smoothness=1.5),
+    lambda g: random_function(g, 1, 1.0, smoothness=0.5),
+    lambda g: random_function(g, 1, 1.0, smoothness=np.inf),
+    lambda g: _random_fields(g, np.array([3, -4]), 1.0, np.array([1, 2])),
+], ids=["too-many-values", "two-rows", "strings", "ragged", "negative-seed", "fractional-seed",
+        "nan-seed", "smoothness-1.5", "smoothness-0.5", "infinite-smoothness",
+        "negative-seed-in-a-stack"])
+def test_grid_inputs_raise_input_error(grid_1d, build):
+    # each of these ended in numpy's ValueError or was silently truncated
+    with pytest.raises(InputError):
+        build(grid_1d)
+
+
+def test_random_function_takes_integral_floats_and_integer_arrays(grid_1d):
+    a = random_function(grid_1d, 7, 1.0, 2)
+    assert np.array_equal(random_function(grid_1d, 7.0, 1.0, 2.0).values, a.values)
+    stack = _random_fields(grid_1d, np.array([7, 8], dtype=np.int64), 1.0, np.array([2, 0]))
+    assert np.array_equal(stack[0], a.values)
+
+
 def test_bump_properties(grid_1d, grid_2d):
     for g in (grid_1d, grid_2d):
         theta = bump_function(g)

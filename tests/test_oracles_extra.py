@@ -175,6 +175,34 @@ def test_log_Phi_at_large_constant_p_against_mpmath(p):
                 assert abs((value - oracle) / oracle) <= 1e-13, (fam.label, t)
 
 
+def test_log_quotient_Phi_of_a_wide_exponent_range_against_mpmath():
+    # p = 3 + 17x: at both ends of the range (p = 3 and 20) the head series
+    # has the 60 terms that p+ = 20 needs
+    fam = ok.log_quotient_family(ok.ExponentField.affine(3.0, 17.0))
+    ts = np.array([1e-6, 1e-2, 0.5, np.e - 1.0, 10.0, 1e3, 1e12])
+    with mpmath.workdps(20):
+        for x in (0.0, 1.0):
+            Phi = np.asarray(fam.Phi(np.full_like(ts, x), ts))
+            for t, value in zip(ts, Phi):
+                oracle = _mp_Phi(fam, x, t)
+                assert abs((value - oracle) / oracle) <= 1e-13, (x, t)
+
+
+@pytest.mark.parametrize("p", [8.0, 12.0, 16.0, 20.0])
+def test_log_weight_Phi_tail_at_large_p_against_mpmath(p):
+    # the tail's integrand grows like e^{(p+1) w} in w = log s, so its panel
+    # count grows with p (with log(t/kappa)/6 panels Phi was off by 1.7e-11
+    # at p = 8 and by 1.1e-6 at p = 20)
+    with mpmath.workdps(20):
+        for alpha in (0.5, 2.0):
+            fam = ok.log_weight_family(ok.ExponentField.constant(p), alpha)
+            ts = np.append((1.0 + alpha) * np.array([1.5, 3.0, 30.0, 1e3, 1e6]), 1e12)
+            Phi = np.asarray(fam.Phi(np.full_like(ts, 0.5), ts))
+            for t, value in zip(ts, Phi):
+                oracle = _mp_Phi(fam, 0.5, t)
+                assert abs((value - oracle) / oracle) <= 1e-13, (alpha, t)
+
+
 def test_log_weight_Phi_past_the_tail_overflow_against_mpmath(family_logweight):
     # s^{p+1} overflows inside the correction integral at these t, while
     # Phi = log(2 + t) t^p - int_0^t s^p/(2 + s) ds is finite
