@@ -10,11 +10,14 @@ with directional derivative
                + integral a(x,|u|) u v  -  lam * integral g(x,u) v,
 
 where a(x,s) s = phi(x,s) (and a(x,0)*0 := 0, the removable singularity).
-All integrals use the grid module's trapezoid weights and the gradient uses
-the reflected-ghost stencils.  ``residual`` assembles this weak form once,
-through the exact transpose of the gradient stencils, and divides each
-partial derivative by its quadrature weight, making the stationarity defect
-comparable across grids; its zeros are the discrete weak solutions.
+All integrals use the grid module's trapezoid weights, and the gradient
+and its transpose come from the grid module, which alone knows the
+stencil.  ``residual`` assembles this weak form once, through the exact
+transpose of the gradient, and divides each partial derivative by its
+quadrature weight, making the stationarity defect comparable across grids;
+its zeros are the discrete weak solutions.  ``_flux_secant`` evaluates
+a(x,s) for it and for the solver's Newton model, each with its own value
+at s = 0.
 ``directional_derivative`` is the weighted pairing sum(w r v) of that
 residual with v, so it is the *exact* derivative of the discrete ``energy``
 -- finite differences of J reproduce it to rounding.
@@ -47,7 +50,8 @@ import numpy as np
 
 from .errors import InputError
 from .exponents import ExponentField
-from .grid import GridFunction, gradient, gradient_adjoint, quad_weights
+from .grid import (GridFunction, _gradient_and_magnitude, _values_on, gradient_adjoint,
+                   quad_weights)
 from .spaces import sobolev_modular
 
 __all__ = [
@@ -214,7 +218,17 @@ def energy(config: EnergyConfig, u: GridFunction) -> float:
 def directional_derivative(config: EnergyConfig, u: GridFunction,
                            v: GridFunction) -> float:
     """<J'(u), v> = sum(w r v), the weighted pairing of the residual r with v."""
-    return float(np.sum(quad_weights(u.grid) * residual(config, u).values * v.values))
+    return float(np.sum(quad_weights(u.grid) * residual(config, u).values
+                        * _values_on(u.grid, v)))
+
+
+def _flux_secant(family, x1, s, at_zero):
+    """a(x,s) = phi(x,s)/s at the gradient magnitudes s >= 0, and ``at_zero``
+    where s = 0: the residual's flux a grad u is 0 there for any a, and the
+    Newton model takes the limit phi'(x,0)."""
+    live = s > 0.0
+    safe = np.where(live, s, 1.0)
+    return np.where(live, np.asarray(family.phi(x1, safe)) / safe, at_zero)
 
 
 def residual(config: EnergyConfig, u: GridFunction) -> GridFunction:
@@ -227,11 +241,9 @@ def residual(config: EnergyConfig, u: GridFunction) -> GridFunction:
     grid = u.grid
     w = quad_weights(grid)
     x1 = grid.coords_first
-    gu = gradient(u)
-    gmag = np.sqrt(np.sum(gu * gu, axis=0))
-    # flux a(x,|grad u|) grad u with a(x,s) = phi(x,s)/s and a(x,0)*0 := 0
-    safe = np.where(gmag > 0.0, gmag, 1.0)
-    flux = np.where(gmag > 0.0, np.asarray(fam.phi(x1, safe)) / safe, 0.0) * gu
+    gu, gmag = _gradient_and_magnitude(grid, u.values)
+    # flux a(x,|grad u|) grad u, with a(x,0)*0 := 0
+    flux = _flux_secant(fam, x1, gmag, 0.0) * gu
     grad_part = gradient_adjoint(w * flux, grid) / w
     # a(x,|u|) u = phi(x,u) by oddness
     point_part = np.asarray(fam.phi(x1, u.values)) \

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Three failure categories are distinguished so that callers (and the CLI
 exit-code mapping) can react differently: bad arguments, evaluation outside
 the admissible domain, and numerical breakdown inside an algorithm.
+``_int_at_least`` checks a scalar integer argument (a count or a seed).
 """
+
+import numbers
 
 
 class InputError(ValueError):
@@ -16,3 +19,11 @@ class DomainError(ValueError):
 
 class NumericsError(RuntimeError):
     """A numerical routine failed to reach its tolerance (with diagnostic)."""
+
+
+def _int_at_least(value, name, least):
+    """int(value) for an integer value >= least; a bool, a float (even an
+    integral one) or a smaller value raises an InputError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

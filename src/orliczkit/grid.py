@@ -5,14 +5,20 @@ A grid holds only its extents and node counts, checked in ``__post_init__``
 (finite hi > lo, at least 3 integer nodes per axis); its dimension, spacing
 and measure, its quadrature weights and its nodal first coordinates are
 computed from them once per grid.  Integrals use the trapezoid rule (exact
-for affine data in 1d).  The discrete gradient uses central differences
-with reflected ghost nodes, so the normal derivative vanishes identically
-at boundary nodes -- that is how the zero-flux boundary condition enters
-every weak form built on top of this module.  The adjoint of the gradient
-is provided explicitly so residual assembly is an exact transpose of the
-same stencils, and ``_neumann_modes`` gives the per-axis cosine eigenpairs
-of D^T W D that precondition the 2-d solver.  ``bump_function`` covers the
-middle ``_BUMP_WIDTH`` of each axis.
+for affine data in 1d).  Two fields combine only on the same grid.
+
+The discrete gradient D uses central differences with reflected ghost
+nodes, so the normal derivative vanishes identically at boundary nodes --
+that is how the zero-flux boundary condition enters every weak form built
+on top of this module.  This module is the only one that knows the
+stencil: ``_gradient_and_magnitude`` gives D v and |D v| of a stack of
+fields (the modulars, the energy and the Newton model read it), the
+adjoint D^T is provided explicitly so residual assembly is an exact
+transpose of the same stencil, ``_metric_bands`` gives the band form of
+diag(w c) + D^T diag(w k) D for the 1-d Newton solve, and
+``_neumann_modes`` the per-axis cosine eigenpairs of D^T W D that
+precondition the 2-d one.  ``bump_function`` covers the middle
+``_BUMP_WIDTH`` of each axis.
 """
 
 from __future__ import annotations
@@ -152,10 +158,10 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def __add__(self, other):
-        return GridFunction(self.grid, self.values + other.values)
+        return GridFunction(self.grid, self.values + _values_on(self.grid, other))
 
     def __sub__(self, other):
-        return GridFunction(self.grid, self.values - other.values)
+        return GridFunction(self.grid, self.values - _values_on(self.grid, other))
 
     def __mul__(self, c):
         return GridFunction(self.grid, self.values * float(c))
@@ -164,6 +170,13 @@ class GridFunction:
 
     def __neg__(self):
         return GridFunction(self.grid, -self.values)
+
+
+def _values_on(grid: DomainGrid, v: GridFunction) -> np.ndarray:
+    """The values of v, a field that must live on ``grid``."""
+    if v.grid != grid:
+        raise InputError("the two fields live on different grids")
+    return v.values
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +205,20 @@ def _neighbours(v: np.ndarray, axis: int):
             np.take(v, i[-1] - np.abs(i[-2] - i), axis=axis))
 
 
-def _diff_axis(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    prev, nxt = _neighbours(v, axis)
-    return (nxt - prev) / (2.0 * h)
-
-
-def _diff_axis_adjoint(y: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # reflection makes the boundary rows of the difference operator zero,
-    # so the adjoint zeroes them before applying the transposed stencil
-    z = np.moveaxis(np.array(y), axis, 0)
-    z[0] = z[-1] = 0.0
-    out = np.zeros(z.shape)
-    out[1:] = z[:-1]
-    out[:-1] -= z[1:]
-    return np.moveaxis(out, 0, axis) / (2.0 * h)
-
-
 def _gradient(grid: DomainGrid, v: np.ndarray) -> np.ndarray:
     """``gradient`` of a stack v of nodal fields, shape (dim,) + v.shape."""
-    return np.stack([_diff_axis(v, grid.spacing[k], k - grid.dim)
-                     for k in range(grid.dim)])
+    parts = []
+    for k, h in enumerate(grid.spacing):
+        prev, nxt = _neighbours(v, k - grid.dim)
+        parts.append((nxt - prev) / (2.0 * h))
+    return np.stack(parts)
+
+
+def _gradient_and_magnitude(grid: DomainGrid, v: np.ndarray):
+    """(grad v, |grad v|) of a stack v of nodal fields, shaped
+    (dim,) + v.shape and v.shape."""
+    g = _gradient(grid, v)
+    return g, np.sqrt(np.sum(g * g, axis=0))
 
 
 def gradient(u: GridFunction) -> np.ndarray:
@@ -223,22 +230,36 @@ def gradient(u: GridFunction) -> np.ndarray:
     return _gradient(u.grid, u.values)
 
 
-def _gradient_magnitude(grid: DomainGrid, v: np.ndarray) -> np.ndarray:
-    """|grad v| of a stack v of nodal fields, shape v.shape."""
-    g = _gradient(grid, v)
-    return np.sqrt(np.sum(g * g, axis=0))
-
-
 def gradient_magnitude(u: GridFunction) -> np.ndarray:
-    return _gradient_magnitude(u.grid, u.values)
+    return _gradient_and_magnitude(u.grid, u.values)[1]
 
 
 def gradient_adjoint(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
     """Adjoint of `gradient`: sum_k D_k^T fields[k], same stencils transposed."""
     out = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        out += _diff_axis_adjoint(fields[k], grid.spacing[k], k)
+    for k, h in enumerate(grid.spacing):
+        # reflection makes the boundary rows of D_k zero, so D_k^T reads only
+        # the interior rows of fields[k], here between two rows of zeros
+        y = np.moveaxis(fields[k], k, 0)
+        z = np.zeros((len(y) + 2,) + y.shape[1:])
+        z[2:-2] = y[1:-1]
+        out += np.moveaxis(z[:-2] - z[2:], 0, k) / (2.0 * h)
     return out
+
+
+def _metric_bands(grid: DomainGrid, c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """diag(w c) + D^T diag(w k) D on a 1-d grid, in the upper band form of
+    ``scipy.linalg.solveh_banded``.  The central stencil skips the
+    neighbour and its boundary rows are zero, so the matrix is
+    pentadiagonal with offsets 0 and +-2."""
+    w = grid.weights
+    m = w[1:-1] * k[1:-1] / (2.0 * grid.spacing[0]) ** 2
+    bands = np.zeros((3, w.size))
+    bands[2] = w * c
+    bands[2, 2:] += m
+    bands[2, :-2] += m
+    bands[0, 2:] = -m
+    return bands
 
 
 def _neumann_modes(grid: DomainGrid) -> list:

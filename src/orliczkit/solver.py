@@ -4,10 +4,13 @@
 <a,b>_w = sum(w a b), in which the weight-normalized residual r is the
 gradient of the energy and H of ``_newton_model`` its exact Hessian.  Each
 trial is the Levenberg-Marquardt step (H + mu S) d = -r of a trust region in
-the discrete W^{1,2} metric S v = v + D^T (w D v) / w of the gradient stencil
-D (Conn, Gould & Toint, *Trust-Region Methods*, SIAM 2000, ch. 7; Neuberger,
-*Sobolev Gradients and Differential Equations*, LNM 1670, 1997): one banded
-Cholesky factorization in 1-d; in 2-d truncated CG preconditioned by
+the discrete W^{1,2} metric S v = v + D^T (w D v) / w of the gradient D
+(Conn, Gould & Toint, *Trust-Region Methods*, SIAM 2000, ch. 7; Neuberger,
+*Sobolev Gradients and Differential Equations*, LNM 1670, 1997).  The
+solver knows no stencil: D, D^T, |D u|, the 1-d bands and the cosine modes
+come from the grid module, and the flux secant a = phi(s)/s from the
+energy module.  A trial is one banded Cholesky factorization in 1-d; in
+2-d truncated CG preconditioned by
 P v = c_bar v + a_bar D^T (w D v) / w, the metric with two means of the
 model for its unit coefficients, which the grid's per-axis cosine modes
 diagonalize (the fast diagonalization method, ``_fast_diagonalization``).
@@ -45,15 +48,16 @@ settings are the module constants ``_BUMP_T_SCAN``, ``_COERCIVITY_T``,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyConfig, energy, residual
-from .errors import DomainError, InputError
+from .energy import EnergyConfig, _flux_secant, energy, residual
+from .errors import DomainError, InputError, _int_at_least
 from .families import power_family
-from .grid import (DomainGrid, GridFunction, _gradient, _neumann_modes, _random_fields,
-                   bump_function, gradient, gradient_adjoint, integrate, quad_weights)
+from .grid import (DomainGrid, GridFunction, _gradient, _gradient_and_magnitude, _metric_bands,
+                   _neumann_modes, _random_fields, bump_function, gradient_adjoint, integrate)
 from .spaces import (_stack_luxemburg_norm, _stack_sobolev_norm, sobolev_modular,
                      sobolev_norm)
 
@@ -84,8 +88,9 @@ class SolverOptions:
     tol_res: float = 1e-6
 
     def __post_init__(self):
-        if not (self.max_iters >= 1 and 0.0 < self.tol_res < math.inf):
-            raise InputError("max_iters and tol_res must be positive and finite")
+        _int_at_least(self.max_iters, "max_iters", 1)
+        if not (isinstance(self.tol_res, numbers.Real) and 0.0 < self.tol_res < math.inf):
+            raise InputError(f"tol_res must be positive and finite, got {self.tol_res!r}")
 
 
 @dataclass
@@ -117,15 +122,14 @@ def _newton_model(config: EnergyConfig, u: GridFunction):
     where K is phi'(s), and (c, phi'(s), a, n) in 2-d.
     """
     fam, x1 = config.family, u.grid.coords_first
-    gu = gradient(u)
-    s = np.sqrt(np.sum(gu * gu, axis=0))
+    gu, s = _gradient_and_magnitude(u.grid, u.values)
     model = (np.asarray(fam.dphi(x1, u.values))
              - config.lam * np.asarray(config.reaction.dg(x1, u.values)),
              np.asarray(fam.dphi(x1, s)))
     if u.grid.dim == 2:
-        live = s > 0.0
-        safe = np.where(live, s, 1.0)
-        model += (np.where(live, np.asarray(fam.phi(x1, safe)) / safe, model[1]), gu / safe)
+        # n is 0 where s = 0, where K = a I = phi'(0) I does not read it
+        model += (_flux_secant(fam, x1, s, model[1]),
+                  np.divide(gu, s, out=np.zeros(gu.shape), where=s > 0.0))
     return model if all(np.all(np.isfinite(k)) for k in model[:3]) else None
 
 
@@ -142,7 +146,7 @@ def _fast_diagonalization(modes, w, c_bar: float, a_bar: float):
     return lambda v: V0 @ ((V0.T @ (w * v) @ V1) / denom) @ V1.T
 
 
-def _shifted_step(grid: DomainGrid, model, r, w, mu: float, modes):
+def _shifted_step(grid: DomainGrid, model, r, mu: float, modes):
     """Trial step d with (H + mu S) d = -r in the w-inner product, the
     decrease (mu <d,S d>_w - <r + e, d>_w) / 2 that the quadratic model of J
     predicts for it, e = (H + mu S) d + r, and the count of products with
@@ -158,20 +162,13 @@ def _shifted_step(grid: DomainGrid, model, r, w, mu: float, modes):
     curvature shows an indefinite matrix.
     """
     c, radial = model[:2]
+    w = grid.weights
     products = 0
     if grid.dim == 1:
         from scipy.linalg import LinAlgError, solveh_banded  # deferred: import orliczkit loads no scipy
 
-        # the central stencil skips the neighbour and its boundary rows are
-        # zero, so the matrix is pentadiagonal with offsets 0 and +-2
-        m = w[1:-1] * (radial[1:-1] + mu) / (2.0 * grid.spacing[0]) ** 2
-        bands = np.zeros((3, r.size))
-        bands[2] = w * (c + mu)
-        bands[2, 2:] += m
-        bands[2, :-2] += m
-        bands[0, 2:] = -m
         try:
-            d = solveh_banded(bands, -w * r)
+            d = solveh_banded(_metric_bands(grid, c + mu, radial + mu), -w * r)
         except LinAlgError:
             return None, math.nan, products
         e = 0.0
@@ -219,7 +216,6 @@ def minimize(config: EnergyConfig, u0: GridFunction,
     """Trust-region Newton from u0 in the discrete W^{1,2} metric, in the
     quadrature-weighted inner product."""
     opts = opts or SolverOptions()
-    w = quad_weights(u0.grid)
     u = u0
     try:
         J, r = energy(config, u), residual(config, u)
@@ -243,7 +239,7 @@ def minimize(config: EnergyConfig, u0: GridFunction,
             break
         model = _newton_model(config, u)
         while model is not None and mu <= _MU_MAX:
-            d, pred, products = _shifted_step(u.grid, model, r.values, w, mu, modes)
+            d, pred, products = _shifted_step(u.grid, model, r.values, mu, modes)
             cg_products += products
             if d is not None and np.all(np.isfinite(u.values + d)):
                 trial = GridFunction(u.grid, u.values + d)
@@ -312,11 +308,11 @@ def estimate_embedding_constant(family, q, grid: DomainGrid,
     Maximum of the variable-exponent Lebesgue norm against the Sobolev-level
     norm over deterministic candidate fields plus random fields; a lower
     bound only (the true constant is a supremum over all fields),
-    deterministic for fixed seed and nondecreasing in the sample count.
+    deterministic for fixed seed and nondecreasing in the sample count;
+    ``samples`` is an integer >= 1 and ``seed`` an integer >= 0.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    samples = _int_at_least(samples, "samples", 1)
+    rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
     draws = [(int(rng.integers(0, 2 ** 62)), float(rng.choice([0.1, 1.0, 10.0])),
               int(rng.integers(0, 5))) for _ in range(samples)]
     U = np.concatenate([[u.values for u in _embedding_candidates(grid)],
@@ -433,7 +429,8 @@ def bump_seed(config: EnergyConfig, grid: DomainGrid) -> GridFunction:
 
 def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
                  opts: SolverOptions | None = None, seed: int = 0) -> SweepReport:
-    """Minimize the energy across a sorted list of positive parameters.
+    """Minimize the energy across a non-empty, strictly increasing list of
+    positive parameters.
 
     Each parameter runs from the seeds "bump" (``bump_seed``) and "constant"
     (_SWEEP_T0 times the unit field); its row is the run of lower energy, a
@@ -442,6 +439,8 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
     it converged with negative energy and norm above _NONTRIVIAL_NORM.
     """
     lams = [float(v) for v in lambda_list]
+    if not lams:
+        raise InputError("need at least one sweep parameter")
     if any(v <= 0.0 for v in lams):
         raise InputError("all sweep parameters must be positive")
     if any(b <= a for a, b in zip(lams, lams[1:])):

@@ -50,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-from .grid import GridFunction, _gradient_magnitude
+from .grid import GridFunction, _gradient_and_magnitude
 
 __all__ = [
     "modular", "luxemburg_norm", "conjugate_modular", "conjugate_norm",
@@ -243,16 +243,16 @@ def _stack_conjugate_norm(family, grid, U):
 
 
 def _stack_sobolev_modular(family, grid, U):
-    return _phi_sum(family, grid, (np.abs(U), _gradient_magnitude(grid, U)))
+    return _phi_sum(family, grid, (np.abs(U), _gradient_and_magnitude(grid, U)[1]))
 
 
 def _stack_sobolev_norm(family, grid, U):
-    return _phi_norm(family, grid, (np.abs(U), _gradient_magnitude(grid, U)))
+    return _phi_norm(family, grid, (np.abs(U), _gradient_and_magnitude(grid, U)[1]))
 
 
 def _stack_sobolev_norms(family, grid, U):
     """(n1, n2, n) per row; see sobolev_norms."""
-    au, gmag = np.abs(U), _gradient_magnitude(grid, U)
+    au, gmag = np.abs(U), _gradient_and_magnitude(grid, U)[1]
     nu, ng, n = (_phi_norm(family, grid, mags) for mags in ((au,), (gmag,), (au, gmag)))
     return ng + nu, np.maximum(ng, nu), n
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import CERTIFICATION_T_RANGE, EnergyConfig, directional_derivative, energy
-from .errors import InputError
+from .errors import InputError, _int_at_least
 from .families import (delta2_margin, growth_lower_margin, phi_odd_margin,
                        sample_x1, sqrt_convexity_margin)
 from .grid import GridFunction, _random_fields
@@ -490,12 +490,6 @@ def _absorb_field_samples(result, prop, draws, objects, grids):
             infos[k] = {key: float(value[j]) for key, value in info.items()}
     for k, args in enumerate(draws):
         result.absorb(margins[k:k + 1], {"property": name, **args, **infos[k]})
-
-
-def _int_at_least(value, name, least):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def run_property_suite(families, reactions, grids, n_samples: int,

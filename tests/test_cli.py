@@ -191,6 +191,19 @@ def test_verify_pass(tmp_path, capsys):
     assert "overall = True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--lambdas", "1", "--seed", "-1"], "seed must be an integer >= 0"),
+    (["--lambdas", ","], "at least one sweep parameter"),
+], ids=["negative-seed", "no-lambdas"])
+def test_bad_sweep_input_exits_3(solve_config, capsys, argv, message):
+    # a negative seed printed only numpy's "expected non-negative integer",
+    # and an empty list exited 0 with a header-only CSV
+    assert main(["sweep", "--config", solve_config] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 @pytest.mark.parametrize("command", ["norm", "modular", "conjugate", "solve"])
 def test_seed_is_rejected_where_nothing_is_drawn(command, family_file, solve_config):
     # only sweep and verify draw random numbers, so only they take --seed

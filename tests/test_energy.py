@@ -164,6 +164,14 @@ def test_directional_derivative_at_zero(config_p4_q2, grid_1d):
     assert ok.directional_derivative(config_p4_q2, z, v) == 0.0
 
 
+def test_directional_derivative_needs_one_grid(config_p4_q2):
+    # u on [0, 1] paired with v on [0, 2] returned 4.0
+    u = ok.GridFunction.constant(ok.make_grid(1, [(0.0, 1.0)], [5]), 1.0)
+    v = ok.GridFunction.constant(ok.make_grid(1, [(0.0, 2.0)], [5]), 1.0)
+    with pytest.raises(InputError, match="different grids"):
+        ok.directional_derivative(config_p4_q2, u, v)
+
+
 def test_directional_derivative_constant_stationary(config_p4_q2, grid_1d):
     # constants are stationary when p c^{p-1} = lam q c^{q-1}
     c_star = 2.0 ** -0.5

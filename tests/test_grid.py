@@ -6,8 +6,8 @@ import pytest
 import orliczkit as ok
 from orliczkit.config import grid_from_kv, parse_kv_text
 from orliczkit.errors import InputError
-from orliczkit.grid import (DomainGrid, _gradient_magnitude, _neumann_modes, _random_fields,
-                            bump_function,
+from orliczkit.grid import (DomainGrid, _gradient_and_magnitude, _metric_bands,
+                            _neumann_modes, _random_fields, bump_function,
                             gradient, gradient_adjoint, gradient_magnitude,
                             integrate, load_function, quad_weights,
                             random_function, save_function)
@@ -166,6 +166,24 @@ def test_neumann_modes_diagonalize_the_stencil(grid):
         np.testing.assert_allclose(V[:, -1] / V[0, -1], checkerboard, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 17), (-1.0, 2.5, 33)],
+                         ids=["17-nodes", "33-nodes"])
+def test_metric_bands_are_the_dense_metric(lo, hi, n):
+    # the upper band form of diag(w c) + D^T diag(w k) D, c of mixed sign,
+    # against dense matrices; the first superdiagonal and the unused corner
+    # of the band form are exactly 0
+    grid = ok.make_grid(1, [(lo, hi)], [n])
+    W, D = _dense_axis_stencil(lo, hi, n)
+    x = grid.axis_coords(0)
+    c, k = np.cos(3.0 * x) - 0.2, 1.5 + x * x
+    bands = _metric_bands(grid, c, k)
+    assert bands.shape == (3, n)
+    assert np.all(bands[1] == 0.0) and np.all(bands[0, :2] == 0.0)
+    banded = np.diag(bands[2]) + np.diag(bands[0, 2:], 2) + np.diag(bands[0, 2:], -2)
+    dense = W @ np.diag(c) + D.T @ W @ np.diag(k) @ D
+    np.testing.assert_allclose(banded, dense, rtol=0.0, atol=1e-13 * np.max(np.abs(dense)))
+
+
 def test_quad_weights_sum_to_measure(grid_2d):
     assert float(np.sum(quad_weights(grid_2d))) == pytest.approx(grid_2d.measure, rel=1e-13)
 
@@ -258,6 +276,20 @@ def test_grid_function_immutability(grid_1d):
     assert u.values.tolist() == [1.0] * grid_1d.size
 
 
+def test_fields_on_different_grids_do_not_combine():
+    # u + v returned a field on u's grid, and a 1-d plus a 2-d field raised
+    # "the grid has 5 nodes, got 25 values"
+    u = ok.GridFunction.constant(ok.make_grid(1, [(0.0, 1.0)], [5]), 1.0)
+    v = ok.GridFunction.constant(ok.make_grid(1, [(0.0, 2.0)], [5]), 1.0)
+    w = ok.GridFunction.constant(ok.make_grid(2, [(0.0, 1.0)] * 2, [5, 5]), 1.0)
+    for a, b in ((u, v), (v, u), (u, w)):
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(InputError, match="different grids"):
+                combine(a, b)
+    twin = ok.GridFunction.constant(ok.make_grid(1, [(0.0, 1.0)], [5]), 2.0)
+    assert (u + twin).values.tolist() == [3.0] * 5
+
+
 def test_grid_caches_are_per_grid_and_read_only():
     g = ok.make_grid(2, [(0.0, 1.0), (0.0, 2.0)], [5, 7])
     w, x1 = quad_weights(g), g.coords_first
@@ -277,7 +309,7 @@ def test_stacks_equal_their_rows(grid_1d, grid_2d):
     for g in (grid_1d, grid_2d):
         stack = _random_fields(g, seeds, amplitudes, smoothness)
         assert stack.shape == (4,) + g.shape
-        mags = _gradient_magnitude(g, stack)
+        _, mags = _gradient_and_magnitude(g, stack)
         for k, args in enumerate(zip(seeds, amplitudes, smoothness)):
             u = random_function(g, *args)
             assert np.array_equal(stack[k], u.values)

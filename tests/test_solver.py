@@ -195,8 +195,7 @@ def test_2d_step_rejects_a_shift_that_is_not_positive_definite(c):
     grid = ok.make_grid(2, [(0.0, 1.0)] * 2, [9, 9])
     ones = np.ones(grid.shape)
     model = (c * ones, ones, ones, np.stack([ones, 0.0 * ones]))
-    d, pred, products = _shifted_step(grid, model, ones, ok.quad_weights(grid), 1.0,
-                                      _neumann_modes(grid))
+    d, pred, products = _shifted_step(grid, model, ones, 1.0, _neumann_modes(grid))
     assert d is None and math.isnan(pred) and products == 1
 
 
@@ -312,6 +311,12 @@ def test_solver_options_validation():
         SolverOptions(max_iters=0)
     with pytest.raises(InputError):
         SolverOptions(tol_res=0.0)
+    # these constructed, then minimize died in range() or ran one iteration
+    for max_iters in (2.5, math.inf, True):
+        with pytest.raises(InputError, match="max_iters"):
+            SolverOptions(max_iters=max_iters)
+    with pytest.raises(InputError, match="tol_res"):
+        SolverOptions(tol_res="x")
 
 
 @pytest.mark.parametrize("key", ["tol_res"])
@@ -391,6 +396,17 @@ def test_embedding_estimate_deterministic_and_monotone(family_power_affine, grid
     assert a == b
     c = ok.estimate_embedding_constant(family_power_affine, q, grid_1d, 30, seed=5)
     assert c >= a
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": 2.5}, {"samples": math.nan}, {"samples": 0}, {"seed": 1.5}, {"seed": -1},
+], ids=["samples-2.5", "samples-nan", "samples-0", "seed-1.5", "seed-negative"])
+def test_embedding_estimate_rejects_bad_samples_and_seed(family_power_affine, grid_1d, kwargs):
+    # each raised TypeError or numpy's ValueError, except samples = 0
+    name = next(iter(kwargs))
+    with pytest.raises(InputError, match=name):
+        ok.estimate_embedding_constant(family_power_affine, ok.ExponentField.constant(2.0),
+                                       grid_1d, **{"samples": 10, "seed": 0, **kwargs})
 
 
 def test_default_rho_constraint():
@@ -483,6 +499,8 @@ def test_sweep_rejects_bad_lambdas(grid_1d):
         ok.sweep_lambda(fam, react, grid_1d, [0.0, 1.0])
     with pytest.raises(InputError):
         ok.sweep_lambda(fam, react, grid_1d, [2.0, 1.0])
+    with pytest.raises(InputError):
+        ok.sweep_lambda(fam, react, grid_1d, [])
     with pytest.raises(TypeError):      # the seeds are fixed: bump, then constant
         ok.sweep_lambda(fam, react, grid_1d, [1.0], u0_strategy="all")
 
