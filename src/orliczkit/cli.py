@@ -150,8 +150,6 @@ def _default_families(names):
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise InputError("--samples must be >= 1")
     families = _default_families([s.strip() for s in args.families.split(",") if s.strip()])
     reactions = [power_reaction(ExponentField.constant(2.0)),
                  power_log_reaction(ExponentField.constant(4.0)),

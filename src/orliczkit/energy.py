@@ -22,6 +22,17 @@ at s = 0.
 residual with v, so it is the *exact* derivative of the discrete ``energy``
 -- finite differences of J reproduce it to rounding.
 
+The energy and the residual are computed on a stack of fields of one grid,
+as the modulars of the spaces module are: ``_stack_energy`` and
+``_stack_residual`` take an array U of shape (rows,) + grid.shape and lam as
+a number or one value per row, and return one energy or one residual per
+row; a row's value does not depend on the other rows.  ``energy`` and
+``residual`` are the same code on a stack of one, and ``_ray_energies``
+gives J(t v) over a list of t as one stack for the solver's probes.  The
+energy runs a chunk of rows at a time, with the ``_row_chunks`` of the
+spaces module, so a long stack on a fine grid holds the temporaries of one
+chunk only.
+
 Three reaction families are built in, one entry each of the table
 ``_REACTIONS`` (q = q(x) is an exponent field):
 
@@ -42,7 +53,6 @@ positive C1 does not exist for it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,9 +60,9 @@ import numpy as np
 
 from .errors import InputError
 from .exponents import ExponentField
-from .grid import (GridFunction, _gradient_and_magnitude, _values_on, gradient_adjoint,
-                   quad_weights)
-from .spaces import sobolev_modular
+from .grid import (GridFunction, _col, _gradient_and_magnitude, _node_sums, _values_on,
+                   gradient_adjoint)
+from .spaces import _row_chunks, _stack_sobolev_modular
 
 __all__ = [
     "ReactionFamily", "power_reaction", "power_log_reaction", "power_sin_reaction",
@@ -201,24 +211,48 @@ class EnergyConfig:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise InputError("lam must be positive")
-        if not math.isfinite(self.lam):
-            raise InputError("lam must be finite")
+        _check_lam(self.lam)
+
+
+def _check_lam(lam):
+    """An InputError unless lam, a number or an array of one per row, is
+    positive and finite."""
+    if not np.all(lam > 0.0):
+        raise InputError("lam must be positive")
+    if not np.all(np.isfinite(lam)):
+        raise InputError("lam must be finite")
+
+
+def _stack_energy(family, reaction, grid, U, lam):
+    """J of each row of U at lam (a scalar or one value per row), a chunk
+    of rows at a time (``_row_chunks``), so a long stack on a fine grid
+    holds the gradients, magnitudes and reaction values of one chunk only."""
+    modular, growth = np.empty((2, len(U)))
+    for rows in _row_chunks(len(U), grid.size):
+        modular[rows] = _stack_sobolev_modular(family, grid, U[rows])
+        growth[rows] = _node_sums(grid.weights * reaction.G(grid.coords_first, U[rows]))
+    return modular - lam * growth
+
+
+def _one(stack_fn, config: EnergyConfig, u: GridFunction):
+    return stack_fn(config.family, config.reaction, u.grid, u.values[None], config.lam)[0]
 
 
 def energy(config: EnergyConfig, u: GridFunction) -> float:
     """J(u); equals 0 at u = 0."""
-    w = quad_weights(u.grid)
-    x1 = u.grid.coords_first
-    reaction_term = float(np.sum(w * np.asarray(config.reaction.G(x1, u.values))))
-    return sobolev_modular(config.family, u) - config.lam * reaction_term
+    return float(_one(_stack_energy, config, u))
+
+
+def _ray_energies(config: EnergyConfig, v: GridFunction, ts) -> np.ndarray:
+    """J(t v) for every t of ts, evaluated as one stack."""
+    return _stack_energy(config.family, config.reaction, v.grid,
+                         _col(ts, v.grid) * v.values, config.lam)
 
 
 def directional_derivative(config: EnergyConfig, u: GridFunction,
                            v: GridFunction) -> float:
     """<J'(u), v> = sum(w r v), the weighted pairing of the residual r with v."""
-    return float(np.sum(quad_weights(u.grid) * residual(config, u).values
+    return float(np.sum(u.grid.weights * residual(config, u).values
                         * _values_on(u.grid, v)))
 
 
@@ -231,21 +265,22 @@ def _flux_secant(family, x1, s, at_zero):
     return np.where(live, np.asarray(family.phi(x1, safe)) / safe, at_zero)
 
 
+def _stack_residual(family, reaction, grid, U, lam):
+    """The residual of each row of U at lam (a scalar or one value per row)."""
+    w, x1 = grid.weights, grid.coords_first
+    gu, gmag = _gradient_and_magnitude(grid, U)
+    # flux a(x,|grad u|) grad u, with a(x,0)*0 := 0
+    flux = _flux_secant(family, x1, gmag, 0.0) * gu
+    grad_part = gradient_adjoint(w * flux, grid) / w
+    # a(x,|u|) u = phi(x,u) by oddness
+    point_part = np.asarray(family.phi(x1, U)) - _col(lam, grid) * np.asarray(reaction.g(x1, U))
+    return grad_part + point_part
+
+
 def residual(config: EnergyConfig, u: GridFunction) -> GridFunction:
     """Nodal weak-form defect r with r_i = <J'(u), e_i> / w_i.
 
     Assembled through the exact adjoint of the gradient stencils, so that
     the weighted pairing of r with any v is the derivative of `energy`.
     """
-    fam = config.family
-    grid = u.grid
-    w = quad_weights(grid)
-    x1 = grid.coords_first
-    gu, gmag = _gradient_and_magnitude(grid, u.values)
-    # flux a(x,|grad u|) grad u, with a(x,0)*0 := 0
-    flux = _flux_secant(fam, x1, gmag, 0.0) * gu
-    grad_part = gradient_adjoint(w * flux, grid) / w
-    # a(x,|u|) u = phi(x,u) by oddness
-    point_part = np.asarray(fam.phi(x1, u.values)) \
-        - config.lam * np.asarray(config.reaction.g(x1, u.values))
-    return GridFunction(grid, grad_part + point_part)
+    return GridFunction(u.grid, _one(_stack_residual, config, u))

@@ -13,12 +13,17 @@ that is how the zero-flux boundary condition enters every weak form built
 on top of this module.  This module is the only one that knows the
 stencil: ``_gradient_and_magnitude`` gives D v and |D v| of a stack of
 fields (the modulars, the energy and the Newton model read it), the
-adjoint D^T is provided explicitly so residual assembly is an exact
-transpose of the same stencil, ``_metric_bands`` gives the band form of
+adjoint D^T (``gradient_adjoint``, on one field or a stack) is provided
+explicitly so residual assembly is an exact transpose of the same stencil,
+``_metric_bands`` gives the band form of
 diag(w c) + D^T diag(w k) D for the 1-d Newton solve, and
 ``_neumann_modes`` the per-axis cosine eigenpairs of D^T W D that
 precondition the 2-d one.  ``bump_function`` covers the middle
 ``_BUMP_WIDTH`` of each axis.
+
+A stack of fields is an array (rows,) + grid.shape.  ``_col`` shapes one
+value per row to scale a stack, and ``_node_sums`` sums each row over its
+nodes; the spaces, energy, solver and verify modules use both.
 """
 
 from __future__ import annotations
@@ -179,6 +184,17 @@ def _values_on(grid: DomainGrid, v: GridFunction) -> np.ndarray:
     return v.values
 
 
+def _col(values, grid: DomainGrid) -> np.ndarray:
+    """One value per row, shaped to scale a stack of nodal fields of grid."""
+    return np.asarray(values).reshape((-1,) + (1,) * grid.dim)
+
+
+def _node_sums(a: np.ndarray) -> np.ndarray:
+    """Per-row sums of a stack (rows,) + grid.shape, in the order of the
+    flattened nodes."""
+    return np.sum(a.reshape(len(a), -1), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -235,15 +251,17 @@ def gradient_magnitude(u: GridFunction) -> np.ndarray:
 
 
 def gradient_adjoint(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
-    """Adjoint of `gradient`: sum_k D_k^T fields[k], same stencils transposed."""
-    out = np.zeros(grid.shape)
+    """Adjoint of `gradient`: sum_k D_k^T fields[k], same stencils transposed.
+    fields has shape (dim,) + s, where s is grid.shape or the shape
+    (rows,) + grid.shape of a stack; the result has shape s."""
+    out = np.zeros(fields.shape[1:])
     for k, h in enumerate(grid.spacing):
         # reflection makes the boundary rows of D_k zero, so D_k^T reads only
         # the interior rows of fields[k], here between two rows of zeros
-        y = np.moveaxis(fields[k], k, 0)
+        y = np.moveaxis(fields[k], k - grid.dim, 0)
         z = np.zeros((len(y) + 2,) + y.shape[1:])
         z[2:-2] = y[1:-1]
-        out += np.moveaxis(z[:-2] - z[2:], 0, k) / (2.0 * h)
+        out += np.moveaxis(z[:-2] - z[2:], 0, k - grid.dim) / (2.0 * h)
     return out
 
 
@@ -317,8 +335,7 @@ def _random_fields(grid: DomainGrid, seeds, amplitudes, smoothness) -> np.ndarra
             prev, nxt = _neighbours(w, ax)
             w = 0.25 * (prev + 2.0 * w + nxt)
         v[rows] = w
-    v *= (amplitudes / np.max(np.abs(v.reshape(len(v), -1)), axis=1)).reshape(
-        (-1,) + (1,) * grid.dim)
+    v *= _col(amplitudes / np.max(np.abs(v), axis=tuple(range(1, v.ndim))), grid)
     return v
 
 

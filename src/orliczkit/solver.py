@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyConfig, _flux_secant, energy, residual
+from .energy import EnergyConfig, _flux_secant, _ray_energies, energy, residual
 from .errors import DomainError, InputError, _int_at_least
 from .families import power_family
 from .grid import (DomainGrid, GridFunction, _gradient, _gradient_and_magnitude, _metric_bands,
@@ -345,7 +345,7 @@ def small_t_probe(config: EnergyConfig, theta: GridFunction,
     if np.any(theta.values < 0.0) or theta.sup_norm() == 0.0:
         raise InputError("theta must be nonnegative and not identically zero")
     ts = np.asarray(sorted(float(t) for t in t_list))
-    energies = np.array([energy(config, t * theta) for t in ts])
+    energies = _ray_energies(config, theta, ts)
     neg = np.where(energies < 0.0)[0]
     return SmallTProbeReport(ts, energies, neg.size > 0,
                              float(ts[neg[0]]) if neg.size else math.nan)
@@ -369,8 +369,7 @@ def coercivity_probe(config: EnergyConfig, directions) -> CoercivityReport:
         n = sobolev_norm(config.family, d)
         if n == 0.0:
             raise InputError("directions must be nonzero")
-        dn = (1.0 / n) * d
-        energies = tuple(energy(config, t * dn) for t in _COERCIVITY_T)
+        energies = tuple(_ray_energies(config, (1.0 / n) * d, _COERCIVITY_T).tolist())
         ok = all(b > a for a, b in zip(energies, energies[1:])) and energies[-1] > 0.0
         rows.append((energies, ok))
     return CoercivityReport(_COERCIVITY_T, rows, all(ok for _, ok in rows))
@@ -420,7 +419,7 @@ def bump_seed(config: EnergyConfig, grid: DomainGrid) -> GridFunction:
     """Scaled bump with negative energy when the scan finds one."""
     theta = bump_function(grid)
     ts = np.geomspace(*_BUMP_T_SCAN)
-    energies = np.array([energy(config, float(t) * theta) for t in ts])
+    energies = _ray_energies(config, theta, ts)
     k = int(np.argmin(energies))
     if energies[k] >= 0.0:
         k = 0    # no negative value in range; start tiny
@@ -447,12 +446,12 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
         raise InputError("lambda_list must be strictly increasing")
     opts = opts or SolverOptions()
 
+    # J(u_const) = modular - lam growth
     u_const = GridFunction.constant(grid, _SWEEP_T0)
-    lam_root = math.nan
-    growth = integrate(GridFunction(grid, np.asarray(
-        reaction.G(grid.coords_first, u_const.values))))
-    if growth > 0.0:
-        lam_root = sobolev_modular(family, u_const) / growth
+    modular = sobolev_modular(family, u_const)
+    growth = integrate(GridFunction(grid, reaction.G(grid.coords_first, u_const.values)))
+    lam_root = modular / growth if growth > 0.0 else math.nan
+    lam_upper_emp = next((lam for lam in lams if modular - lam * growth < 0.0), math.nan)
 
     c1 = estimate_embedding_constant(family, reaction.q, grid,
                                      samples=_SWEEP_C1_SAMPLES, seed=seed)
@@ -462,11 +461,8 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
 
     rows = []
     lam_star_emp = math.nan
-    lam_upper_emp = math.nan
     for lam in lams:
         config = EnergyConfig(family, reaction, lam)
-        if math.isnan(lam_upper_emp) and energy(config, u_const) < 0.0:
-            lam_upper_emp = lam
         best = None
         for name, u0 in (("bump", bump_seed(config, grid)), ("constant", u_const)):
             rep = minimize(config, u0, opts)

@@ -50,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-from .grid import GridFunction, _gradient_and_magnitude
+from .grid import GridFunction, _col, _gradient_and_magnitude, _node_sums
 
 __all__ = [
     "modular", "luxemburg_norm", "conjugate_modular", "conjugate_norm",
@@ -127,12 +127,6 @@ def _x1(grid):
     return x1 if grid.dim == 1 else x1[:, :1]
 
 
-def _node_sums(a):
-    """Per-row sums of a stack (rows,) + grid.shape, in the order of the
-    flattened nodes."""
-    return np.sum(a.reshape(len(a), -1), axis=1)
-
-
 def _unit_norm(grid, mags, young, lo, hi):
     """The scales mu, one per row, at which the sum over the magnitude
     stacks a in ``mags`` (each (rows,) + grid.shape) of integral Psi(a/mu)
@@ -143,7 +137,7 @@ def _unit_norm(grid, mags, young, lo, hi):
     are Psi's ratio bounds.
     """
     w = grid.weights
-    top = np.max([np.max(a.reshape(len(a), -1), axis=1) for a in mags], axis=0)
+    top = np.max([np.max(a, axis=tuple(range(1, a.ndim))) for a in mags], axis=0)
     mu = np.zeros(top.shape)
     nonzero = np.flatnonzero(top > 0.0)
     for chunk in _row_chunks(nonzero.size, w.size):
@@ -156,7 +150,7 @@ def _unit_norm(grid, mags, young, lo, hi):
             # skipped
             live = ~np.isnan(mu)
             live = slice(None) if live.all() else np.flatnonzero(live)
-            scale = mu[live].reshape((-1,) + (1,) * grid.dim)
+            scale = _col(mu[live], grid)
             values, moment, moment2 = 0.0, 0.0, 0.0
             for a in stack:
                 t = a[live] / scale

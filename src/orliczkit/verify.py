@@ -38,11 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import CERTIFICATION_T_RANGE, EnergyConfig, directional_derivative, energy
+from .energy import CERTIFICATION_T_RANGE, _check_lam, _stack_energy, _stack_residual
 from .errors import InputError, _int_at_least
 from .families import (delta2_margin, growth_lower_margin, phi_odd_margin,
                        sample_x1, sqrt_convexity_margin)
-from .grid import GridFunction, _random_fields
+from .grid import _col, _node_sums, _random_fields
 from .spaces import (_stack_conjugate_norm, _stack_luxemburg_norm, _stack_modular,
                      _stack_sobolev_modular, _stack_sobolev_norm, _stack_sobolev_norms)
 
@@ -60,11 +60,6 @@ _CONVERGENCE_STEPS = 12
 # field evaluators also take per-sample arrays (one margin and one info entry
 # per sample), and scalars are a stack of one
 # ---------------------------------------------------------------------------
-
-def _col(values, grid):
-    """Per-sample values shaped to scale a stack of nodal fields of grid."""
-    return np.reshape(values, (-1,) + (1,) * grid.dim)
-
 
 def eval_norm_modular(family, grid, seed, amplitude, smoothness):
     U = _random_fields(grid, seed, amplitude, smoothness)
@@ -121,7 +116,7 @@ def eval_parallelogram(family, grid, seed, seed2, amplitude, smoothness):
 def eval_holder(family, grid, seed, seed2, amplitude, smoothness):
     U = _random_fields(grid, seed, amplitude, smoothness)
     V = _random_fields(grid, seed2, amplitude, smoothness)
-    pairing = np.abs(np.sum((grid.weights * (U * V)).reshape(len(U), -1), axis=1))
+    pairing = np.abs(_node_sums(grid.weights * (U * V)))
     bound = (2.0 * _stack_luxemburg_norm(family, grid, U)
              * _stack_conjugate_norm(family, grid, V))
     return bound - pairing, {"pairing": pairing, "bound": bound}
@@ -242,12 +237,12 @@ def eval_gradient_check(family, reaction, grid, seed, seed2, amplitude,
                         smoothness, lam):
     U = _random_fields(grid, seed, amplitude, smoothness)
     V = _random_fields(grid, seed2, amplitude, smoothness)
-    dd, fd, h = np.empty(len(U)), np.empty(len(U)), 1e-6
-    for k, lam_k in enumerate(np.atleast_1d(lam)):
-        config = EnergyConfig(family, reaction, float(lam_k))
-        u, v = GridFunction(grid, U[k]), GridFunction(grid, V[k])
-        dd[k] = directional_derivative(config, u, v)
-        fd[k] = (energy(config, u + h * v) - energy(config, u - h * v)) / (2.0 * h)
+    _check_lam(lam)
+    h = 1e-6
+    dd = _node_sums(grid.weights * _stack_residual(family, reaction, grid, U, lam) * V)
+    J = _stack_energy(family, reaction, grid, np.concatenate([U + V * h, U - V * h]),
+                      np.tile(lam, 2))
+    fd = (J[:len(U)] - J[len(U):]) / (2.0 * h)
     return 1e-5 * (1.0 + np.abs(dd)) - np.abs(dd - fd), {"dd": dd, "fd": fd}
 
 

@@ -220,8 +220,10 @@ def test_verify_negative_control(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_zero_samples():
+def test_verify_zero_samples(capsys):
+    # the suite checks the count itself, and the message names it
     assert main(["verify", "--samples", "0"]) == 3
+    assert "n_samples must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
 def test_unknown_family_name():

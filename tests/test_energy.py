@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit.energy import CERTIFICATION_T_RANGE, ReactionFamily
+from orliczkit import spaces
+from orliczkit.energy import (CERTIFICATION_T_RANGE, ReactionFamily, _stack_energy,
+                              _stack_residual)
 from orliczkit.errors import InputError
 from orliczkit.grid import quad_weights
 
@@ -225,6 +227,29 @@ def test_residual_pairing_matches_central_difference(all_families, reaction_q2,
                 pair = float(np.sum(w * r.values * v.values))
                 fd = (ok.energy(config, u + h * v) - ok.energy(config, u - h * v)) / (2.0 * h)
                 assert abs(pair - fd) <= 1e-6 * (1.0 + abs(pair))
+
+
+def test_stack_energy_and_residual_rows_are_independent(monkeypatch, family_logquot_affine,
+                                                        grid_1d, grid_2d):
+    # a stack with one lam per row gives each row's energy and residual bit
+    # for bit as a single call at that lam, also when the stack is split into
+    # chunks of one or two rows; a zero field has J = 0 and residual 0
+    react = ok.power_sin_reaction(ok.ExponentField.constant(3.0))
+    lams = np.array([0.5, 2.0, 1.0, 7.5])
+    for g in (grid_1d, grid_2d):
+        fields = [ok.random_function(g, 5, 1e-3, 0), ok.GridFunction.constant(g, 0.0),
+                  ok.random_function(g, 6, 10.0, 3), ok.random_function(g, 7, 1.0, 1)]
+        U = np.stack([u.values for u in fields])
+        configs = [ok.EnergyConfig(family_logquot_affine, react, lam) for lam in lams]
+        J = [ok.energy(c, u) for c, u in zip(configs, fields)]
+        R = np.stack([ok.residual(c, u).values for c, u in zip(configs, fields)])
+        assert J[1] == 0.0 and not R[1].any()
+        for budget in (spaces._NODE_BUDGET, g.size, 2 * g.size):
+            monkeypatch.setattr(spaces, "_NODE_BUDGET", budget)
+            assert _stack_energy(family_logquot_affine, react, g, U, lams).tolist() == J
+            assert _stack_residual(family_logquot_affine, react, g, U,
+                                   lams).tobytes() == R.tobytes()
+            monkeypatch.undo()
 
 
 def test_energy_translation_by_zero(config_p4_q2, grid_1d):

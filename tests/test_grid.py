@@ -135,6 +135,12 @@ def test_gradient_adjoint_identity(rng):
         lhs = float(np.sum(gu * y))
         rhs = float(np.sum(u * gradient_adjoint(y, g)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        # on a stack of fields, each row is the adjoint of that row alone
+        Y = rng.standard_normal((g.dim, 3) + g.shape)
+        stacked = gradient_adjoint(Y, g)
+        assert stacked.shape == (3,) + g.shape
+        for k in range(3):
+            assert stacked[k].tobytes() == gradient_adjoint(Y[:, k], g).tobytes()
 
 
 def _dense_axis_stencil(lo, hi, n):

@@ -80,6 +80,13 @@ def test_witness_replay(small_report, suite_inputs):
         assert replayed == prop.worst_margin, prop.name
 
 
+@pytest.mark.parametrize("lam", [0.0, math.inf])
+def test_gradient_check_witness_with_a_bad_lambda_raises(small_report, suite_inputs, lam):
+    witness = {**small_report["gradient_check"].witness, "lam": lam}
+    with pytest.raises(InputError, match="lam must be"):
+        replay_witness(witness, *suite_inputs)
+
+
 def test_witness_replays_through_a_wrapped_evaluator(small_report, suite_inputs,
                                                      monkeypatch):
     # a functools.wraps wrapper, as a tracer installs, takes *args/**kwargs;
