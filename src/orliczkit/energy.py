@@ -29,7 +29,7 @@ a number or one value per row, and return one energy or one residual per
 row; a row's value does not depend on the other rows.  ``energy`` and
 ``residual`` are the same code on a stack of one, and ``_ray_energies``
 gives J(t v) over a list of t as one stack for the solver's probes.  The
-energy runs a chunk of rows at a time, with the ``_row_chunks`` of the
+energy runs a chunk of rows at a time, through the ``_young_sum`` of the
 spaces module, so a long stack on a fine grid holds the temporaries of one
 chunk only.
 
@@ -60,9 +60,9 @@ import numpy as np
 
 from .errors import InputError
 from .exponents import ExponentField
-from .grid import (GridFunction, _col, _gradient_and_magnitude, _node_sums, _values_on,
+from .grid import (GridFunction, _col, _gradient_and_magnitude, _values_on,
                    gradient_adjoint)
-from .spaces import _row_chunks, _stack_sobolev_modular
+from .spaces import _stack_sobolev_modular, _young_sum
 
 __all__ = [
     "ReactionFamily", "power_reaction", "power_log_reaction", "power_sin_reaction",
@@ -224,14 +224,12 @@ def _check_lam(lam):
 
 
 def _stack_energy(family, reaction, grid, U, lam):
-    """J of each row of U at lam (a scalar or one value per row), a chunk
-    of rows at a time (``_row_chunks``), so a long stack on a fine grid
-    holds the gradients, magnitudes and reaction values of one chunk only."""
-    modular, growth = np.empty((2, len(U)))
-    for rows in _row_chunks(len(U), grid.size):
-        modular[rows] = _stack_sobolev_modular(family, grid, U[rows])
-        growth[rows] = _node_sums(grid.weights * reaction.G(grid.coords_first, U[rows]))
-    return modular - lam * growth
+    """J of each row of U at lam (a scalar or one value per row).  Both
+    integrals run a chunk of rows at a time (``spaces._young_sum``), so a
+    long stack on a fine grid holds the gradients, magnitudes and reaction
+    values of one chunk only."""
+    growth = _young_sum(lambda V: reaction.G(grid.coords_first, V), grid, U, lambda g, V: (V,))
+    return _stack_sobolev_modular(family, grid, U) - lam * growth
 
 
 def _one(stack_fn, config: EnergyConfig, u: GridFunction):

@@ -8,11 +8,12 @@ exponent bounds
 
 and a lower growth constant M_lower with M_lower*|t|^p(x) <= Phi(x,t) on the
 sampling window.  Three named families are built in, each one entry of the
-kernel table ``_KERNELS`` (formulas for phi and Phi, the closed-form phi_inv
-or else a Newton solve for it, the elasticity t phi'/phi (p - 1 for
-``power``; the phi_inv solve and the unit-modular solve of ``spaces`` use
-it), phi' (closed form for ``power``, phi times the elasticity over t for
-the log kinds), the smallest admissible p- and the phi0 rule):
+kernel table ``_KERNELS`` (formulas for phi and Phi, the elasticity
+t phi'/phi (p - 1 for ``power``; the phi_inv solve and the unit-modular
+solve of ``spaces`` use it), the closed-form phi_inv or else one safeguarded
+Newton solve for it, phi' (closed form for ``power``, phi times the
+elasticity over t for the log kinds), the smallest admissible p- and the
+phi0 rule):
 
 * ``power``        phi = p(x)|t|^{p(x)-2} t                 Phi = |t|^{p(x)}
 * ``log-quotient`` phi = p(x)|t|^{p(x)-2} t / log(1+|t|)
@@ -25,7 +26,8 @@ the log kinds), the smallest admissible p- and the phi0 rule):
 For ``power`` the bounds are phi0 = p-, phi_sup = p+; for ``log-quotient``
 phi0 = p- - 1, phi_sup = p+; for ``log-weight`` phi0 = p- and phi_sup is
 estimated numerically.  The ``custom`` entry calls a user phi callable, and
-a Phi callable or else adaptive quadrature of phi.
+a Phi callable or else adaptive quadrature of phi; its elasticity takes phi'
+from a central difference of phi.
 
 A descriptor holds only its inputs; ``__post_init__`` checks every
 construction and derives the kernel, phi0/phi_sup/M_lower (declared, by the
@@ -68,6 +70,8 @@ __all__ = [
 # phi_inv: iteration cap (bisection alone needs about 60) and stopping step
 _PHI_INV_MAX_ITER = 100
 _PHI_INV_ULPS = 4.0 * np.finfo(float).eps
+# the representable bracket of z = log t the phi_inv solve starts from
+_PHI_INV_BRACKET = (math.log(1e-300), math.log(1e300))
 # relative step of the central difference that stands in for a missing phi'
 _DPHI_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 _STRUCTURE_TOL = 1e-8
@@ -421,12 +425,13 @@ def _central_dphi(fam, x1, t):
 class _Kernel:
     """Formulas of one family kind, each called as f(family, x1, t).
 
-    phi_elasticity = t phi'/phi = d log phi/d log t (t > 0), where known:
-    p(x) - 1 for ``power``.  The unit-modular solve of ``spaces`` takes its
-    curvature term t^2 phi' = t phi * phi_elasticity from it without another
-    phi evaluation.  phi_inv is the closed-form inverse of phi; without one,
-    phi_inv solves phi = s in z = log t, taking Newton steps on log phi when
-    the elasticity is known and bisecting otherwise.  dphi is the derivative
+    phi_elasticity = t phi'/phi = d log phi/d log t (t > 0): p(x) - 1 for
+    ``power``, closed forms for the log kinds, and t phi'/phi with the
+    central-difference phi' for ``custom``.  The unit-modular solve of
+    ``spaces`` takes its curvature term t^2 phi' = t phi * phi_elasticity
+    from it, and the phi_inv solve its Newton slope.  phi_inv is the
+    closed-form inverse of phi; without one, phi_inv solves phi = s in
+    z = log t (see MusielakFamily._solve_phi_inv).  dphi is the derivative
     phi' (even in t, finite at t = 0); without a formula it is a central
     difference of phi.
     The remaining slots are the smallest admissible p-, the rule
@@ -437,14 +442,18 @@ class _Kernel:
 
     phi: Callable
     Phi: Callable
+    phi_elasticity: Callable
     phi_inv: Callable | None = None
-    phi_elasticity: Callable | None = None
     dphi: Callable = _central_dphi
     p_min: float = 1.0
     phi0_drop: float = 0.0
     estimates: tuple = ()
     uses_alpha: bool = False
     shifted_lower_bound: bool = False
+
+
+def _custom_elasticity(fam, x1, t):
+    return t * _central_dphi(fam, x1, t) / fam.phi_fn(x1, t)
 
 
 def _custom_Phi(fam, x1, t):
@@ -583,52 +592,47 @@ class MusielakFamily:
     def _solve_phi_inv(self, x1, s):
         """t > 0 with phi(x1, t) = s > 0, elementwise over 1-d arrays.
 
-        Works in z = log t inside a bracket lo < z < hi that every phi
-        evaluation narrows.  The Newton step on log phi(e^z) - log s (slope:
-        the kernel's elasticity) is taken when it lands strictly inside the
-        bracket, the midpoint otherwise; an element stops once its step is a
-        few ulp of z, and its root is e^z times e^step so that rounding z
-        costs no accuracy in t.
+        Works in z = log t inside a bracket lo < z < hi, the representable
+        _PHI_INV_BRACKET at the start, that every phi evaluation narrows.
+        The first z is the root of phi = p t^{p-1} where the family has an
+        exponent field, else the midpoint.  The Newton step on
+        log phi(e^z) - log s (slope: the kernel's elasticity) is taken when
+        it lands strictly inside the bracket, the midpoint otherwise; an
+        element stops once its step is a few ulp of z, and its root is e^z
+        times e^step so that rounding z costs no accuracy in t.  An element
+        that stops at the top of the bracket has its root beyond it.
         """
-        hi = np.full(s.shape, 1e30)
-        for _ in range(11):         # ten growths by 1e27 reach the 1e300 cap
-            short = self.phi(x1, hi) < s
-            if not np.any(short):
-                break
-            hi = np.where(short, np.minimum(hi * 1e27, 1e300), hi)
-        else:
-            raise NumericsError("phi_inv: s beyond representable range")
-        lo, hi = np.full(s.shape, math.log(1e-300)), np.log(hi)
-        elasticity = self.kernel.phi_elasticity
+        lo, hi = (np.full(s.shape, end) for end in _PHI_INV_BRACKET)
         z = 0.5 * (lo + hi)
-        if elasticity is not None:
-            p = self.p(x1)
-            guess = (np.log(s) - np.log(p)) / (p - 1.0)     # phi = p t^{p-1}
-            z = np.where((lo < guess) & (guess < hi), guess, z)
         out = np.empty(s.shape)
         active = np.arange(s.size)
-        for _ in range(_PHI_INV_MAX_ITER):
-            t = np.exp(z)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        elasticity = self.kernel.phi_elasticity
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            if self.p is not None:
+                p = self.p(x1)
+                guess = (np.log(s) - np.log(p)) / (p - 1.0)     # phi = p t^{p-1}
+                z = np.where((lo < guess) & (guess < hi), guess, z)
+            for _ in range(_PHI_INV_MAX_ITER):
+                t = np.exp(z)
                 # log of the ratio, not a difference of logs: near the root
                 # it is accurate to rounding whatever the size of s
                 gap = np.log(self.phi(x1, t) / s)
                 lo = np.where(gap < 0.0, z, lo)
                 hi = np.where(gap > 0.0, z, hi)
-                step = 0.5 * (lo + hi) - z
                 tol = _PHI_INV_ULPS * np.maximum(np.abs(z), 1.0)
-                if elasticity is not None:
-                    newton = -gap / elasticity(self, x1, t)
-                    # a final step below the spacing of z lands on z itself
-                    take = ((lo < z + newton) & (z + newton < hi)) | (np.abs(newton) <= tol)
-                    step = np.where(take, newton, step)
-            done = np.abs(step) <= tol
-            out[active[done]] = (t * np.exp(step))[done]
-            keep = ~done
-            if not np.any(keep):
-                return out
-            active, x1, s = active[keep], x1[keep], s[keep]
-            lo, hi, z = lo[keep], hi[keep], (z + step)[keep]
+                newton = -gap / elasticity(self, x1, t)
+                # a final step below the spacing of z lands on z itself
+                take = ((lo < z + newton) & (z + newton < hi)) | (np.abs(newton) <= tol)
+                step = np.where(take, newton, 0.5 * (lo + hi) - z)
+                done = np.abs(step) <= tol
+                if np.any(z[done] + step[done] >= _PHI_INV_BRACKET[1] - 2.0 * tol[done]):
+                    raise NumericsError("phi_inv: s beyond representable range")
+                out[active[done]] = (t * np.exp(step))[done]
+                keep = ~done
+                if not np.any(keep):
+                    return out
+                active, x1, s = active[keep], x1[keep], s[keep]
+                lo, hi, z = lo[keep], hi[keep], (z + step)[keep]
         raise NumericsError("phi_inv: root solve did not converge")
 
     def conjugate(self, x1, s):
@@ -759,21 +763,19 @@ def _m_lower(family):
 
 
 _KERNELS = {
-    "power": _Kernel(_power_phi, _power_Phi, _power_phi_inv,
-                     phi_elasticity=_power_elasticity, dphi=_power_dphi, p_min=2.0),
-    "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi,
-                            phi_elasticity=_log_quotient_elasticity,
+    "power": _Kernel(_power_phi, _power_Phi, _power_elasticity, _power_phi_inv,
+                     dphi=_power_dphi, p_min=2.0),
+    "log-quotient": _Kernel(_log_quotient_phi, _log_quotient_Phi, _log_quotient_elasticity,
                             dphi=functools.partial(_elastic_dphi, _log_quotient_dphi0),
                             p_min=3.0,
                             phi0_drop=1.0, estimates=((("M_lower",), _m_lower),),
                             shifted_lower_bound=True),
-    "log-weight": _Kernel(_log_weight_phi, _log_weight_Phi,
-                          phi_elasticity=_log_weight_elasticity,
+    "log-weight": _Kernel(_log_weight_phi, _log_weight_Phi, _log_weight_elasticity,
                           dphi=functools.partial(_elastic_dphi, _log_weight_dphi0),
                           p_min=2.0,
                           estimates=((("phi_sup",), _refined_sup), (("M_lower",), _m_lower)),
                           uses_alpha=True),
-    "custom": _Kernel(lambda fam, x1, t: fam.phi_fn(x1, t), _custom_Phi,
+    "custom": _Kernel(lambda fam, x1, t: fam.phi_fn(x1, t), _custom_Phi, _custom_elasticity,
                       estimates=((("phi0", "phi_sup"),
                                   lambda fam: exponent_bounds(fam, np.geomspace(1e-4, 1e4, 161))),
                                  (("M_lower",), _m_lower))),

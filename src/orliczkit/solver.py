@@ -276,9 +276,10 @@ def minimize(config: EnergyConfig, u0: GridFunction,
 
 def lambda_star_formula(rho: float, C2: float, c1: float, phi_sup: float,
                         q_minus: float) -> float:
-    """Small-parameter threshold rho^{phi_sup-q_minus} / (2 C2 c1^{q_minus})."""
-    if C2 <= 0.0 or c1 <= 0.0:
-        raise InputError("C2 and c1 must be positive")
+    """Small-parameter threshold rho^{phi_sup-q_minus} / (2 C2 c1^{q_minus}),
+    for positive finite C2 and c1."""
+    if not (0.0 < C2 < math.inf and 0.0 < c1 < math.inf):
+        raise InputError("C2 and c1 must be positive and finite")
     if not 0.0 < rho < 1.0:
         raise InputError("rho must lie in (0, 1)")
     if not rho < 1.0 / c1:
@@ -341,10 +342,13 @@ class SmallTProbeReport:
 
 def small_t_probe(config: EnergyConfig, theta: GridFunction,
                   t_list) -> SmallTProbeReport:
-    """Energies J(t * theta) along small t; theta a nonnegative bump."""
+    """Energies J(t * theta) along a nonempty list of small t; theta a
+    nonnegative bump."""
     if np.any(theta.values < 0.0) or theta.sup_norm() == 0.0:
         raise InputError("theta must be nonnegative and not identically zero")
     ts = np.asarray(sorted(float(t) for t in t_list))
+    if not ts.size:
+        raise InputError("t_list must hold at least one value")
     energies = _ray_energies(config, theta, ts)
     neg = np.where(energies < 0.0)[0]
     return SmallTProbeReport(ts, energies, neg.size > 0,
@@ -359,7 +363,8 @@ class CoercivityReport:
 
 
 def coercivity_probe(config: EnergyConfig, directions) -> CoercivityReport:
-    """Growth of J along rays t*d for unit directions d, t in _COERCIVITY_T.
+    """Growth of J along rays t*d for one or more unit directions d, t in
+    _COERCIVITY_T.
 
     Each direction is normalized to Sobolev-level norm 1; the probe requires
     J to increase between consecutive t values and end positive.
@@ -372,6 +377,8 @@ def coercivity_probe(config: EnergyConfig, directions) -> CoercivityReport:
         energies = tuple(_ray_energies(config, (1.0 / n) * d, _COERCIVITY_T).tolist())
         ok = all(b > a for a, b in zip(energies, energies[1:])) and energies[-1] > 0.0
         rows.append((energies, ok))
+    if not rows:
+        raise InputError("need at least one direction")
     return CoercivityReport(_COERCIVITY_T, rows, all(ok for _, ok in rows))
 
 

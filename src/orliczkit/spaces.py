@@ -17,6 +17,9 @@ a leading batch axis: the ``_stack_*`` functions take an array of shape
 (rows,) + grid.shape and return one value per row, and the public
 functions are the same code on a stack of one.  A row's value never
 depends on the other rows (Phi and phi are elementwise, sums run per row).
+A stack is evaluated a chunk of rows at a time (``_row_chunks``), and the
+magnitudes |U| and |grad U| are formed inside each chunk, so a long stack
+on a fine grid holds the temporaries of one chunk only.
 The first coordinate is passed to the family as a column in 2-d, so the
 exponent is evaluated once per grid row.
 
@@ -31,9 +34,9 @@ exact derivatives
 and the step is m - 2 F F' / (2 F'^2 - F F'').  The term t^2 psi' comes
 without another evaluation of the Young function, as t psi times the
 elasticity E = t psi'/psi: the kernel's phi_elasticity (p - 1 for
-``power``), t phi'/phi for a custom family, and 1/E(t*) at t* = phi_inv(s)
-for the conjugate (psi = phi_inv); it is 0 where t psi = 0.  The exponent
-bounds give, from the same R, the rigorous enclosure  mu* in
+``power``) for every family kind, and 1/E(t*) at t* = phi_inv(s) for the
+conjugate (psi = phi_inv); it is 0 where t psi = 0.  The exponent bounds
+give, from the same R, the rigorous enclosure  mu* in
 [mu R^{1/phi_sup}, mu R^{1/phi0}]  (R > 1; mirrored for R < 1); a step that
 leaves it or the row's bracket of evaluated scales, or is not finite (a
 nonpositive denominator counts as such), is replaced by the bisection
@@ -127,22 +130,24 @@ def _x1(grid):
     return x1 if grid.dim == 1 else x1[:, :1]
 
 
-def _unit_norm(grid, mags, young, lo, hi):
-    """The scales mu, one per row, at which the sum over the magnitude
-    stacks a in ``mags`` (each (rows,) + grid.shape) of integral Psi(a/mu)
-    equals 1; 0 for a row where every magnitude vanishes.
+def _unit_norm(grid, U, mags, young, lo, hi):
+    """The scales mu, one per row of U, at which the sum over the magnitude
+    stacks a in ``mags(grid, U)`` (each (rows,) + grid.shape) of integral
+    Psi(a/mu) equals 1; 0 for a row where every magnitude vanishes.
 
     ``young(t)`` returns (Psi(t), psi(t), t psi'(t)/psi(t)) at the nodal
     magnitudes t; the elasticity is not used where t psi(t) = 0.  lo/hi
-    are Psi's ratio bounds.
+    are Psi's ratio bounds.  The magnitudes are formed per chunk of rows.
     """
     w = grid.weights
-    top = np.max([np.max(a, axis=tuple(range(1, a.ndim))) for a in mags], axis=0)
-    mu = np.zeros(top.shape)
-    nonzero = np.flatnonzero(top > 0.0)
-    for chunk in _row_chunks(nonzero.size, w.size):
-        rows = nonzero[chunk]
-        stack = tuple(a[rows] for a in mags)
+    mu = np.zeros(len(U))
+    for chunk in _row_chunks(len(U), w.size):
+        stack = mags(grid, U[chunk])
+        top = np.max([np.max(a, axis=tuple(range(1, a.ndim))) for a in stack], axis=0)
+        rows = np.flatnonzero(top > 0.0)
+        if not rows.size:
+            continue
+        stack = tuple(a[rows] for a in stack)
 
         def rho(mu):
             # values keeps the sum order of _young_sum, so R(1) equals the
@@ -165,89 +170,90 @@ def _unit_norm(grid, mags, young, lo, hi):
             curvature[live] = (moment + moment2) / R[live] - slope[live] ** 2
             return R, slope, curvature
 
-        mu[rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows])
+        mu[chunk.start + rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows])
     return mu
 
 
-def _young_sum(Psi, grid, mags):
-    """integral of the sum of Psi(a) over the magnitude stacks a, per row."""
+def _young_sum(Psi, grid, U, mags):
+    """integral of the sum of Psi(a) over the magnitude stacks a in
+    ``mags(grid, U)``, per row of U, formed per chunk of rows."""
     w = grid.weights
-    out = np.empty(len(mags[0]))
+    out = np.empty(len(U))
     for rows in _row_chunks(out.size, w.size):
         values = 0.0
-        for a in mags:
-            values = values + np.asarray(Psi(a[rows]))
+        for a in mags(grid, U[rows]):
+            values = values + np.asarray(Psi(a))
         out[rows] = _node_sums(w * values)
     return out
 
 
-def _elasticity(family, x1, t, phi):
-    """t phi'(x,t)/phi(x,t) at t > 0, given phi = phi(x,t): the kernel's
-    formula, else t dphi/phi."""
-    formula = family.kernel.phi_elasticity
-    if formula is not None:
-        return formula(family, x1, t)
-    return t * np.asarray(family.dphi(x1, t)) / phi
-
-
-def _phi_norm(family, grid, mags):
+def _phi_norm(family, grid, U, mags):
     """_unit_norm with Psi = Phi of the family."""
     x1 = _x1(grid)
+    elasticity = family.kernel.phi_elasticity
 
     def young(t):
-        phi = np.asarray(family.phi(x1, t))
-        return family.Phi(x1, t), phi, _elasticity(family, x1, t, phi)
+        return family.Phi(x1, t), family.phi(x1, t), elasticity(family, x1, t)
 
-    return _unit_norm(grid, mags, young, family.phi0, family.phi_sup)
+    return _unit_norm(grid, U, mags, young, family.phi0, family.phi_sup)
 
 
-def _phi_sum(family, grid, mags):
+def _phi_sum(family, grid, U, mags):
     """integral of the sum of Phi(x, a) over the magnitude stacks a, per row."""
     x1 = _x1(grid)
-    return _young_sum(lambda t: family.Phi(x1, t), grid, mags)
+    return _young_sum(lambda t: family.Phi(x1, t), grid, U, mags)
 
 
 # ---------------------------------------------------------------------------
 # stacks: U holds one nodal field of ``grid`` per row, shape (rows,) + shape,
-# and so do the magnitude stacks |U| and |grad U|
+# and the magnitude stacks of a chunk of its rows are |U|, |grad U| or both
 # ---------------------------------------------------------------------------
 
+def _abs(grid, U):
+    return (np.abs(U),)
+
+
+def _abs_and_grad_abs(grid, U):
+    return (np.abs(U), _gradient_and_magnitude(grid, U)[1])
+
+
 def _stack_modular(family, grid, U):
-    return _phi_sum(family, grid, (np.abs(U),))
+    return _phi_sum(family, grid, U, _abs)
 
 
 def _stack_luxemburg_norm(family, grid, U):
-    return _phi_norm(family, grid, (np.abs(U),))
+    return _phi_norm(family, grid, U, _abs)
 
 
 def _stack_conjugate_modular(family, grid, U):
     x1 = _x1(grid)
-    return _young_sum(lambda s: family.conjugate_with_argmax(x1, s)[0], grid, (np.abs(U),))
+    return _young_sum(lambda s: family.conjugate_with_argmax(x1, s)[0], grid, U, _abs)
 
 
 def _stack_conjugate_norm(family, grid, U):
     x1 = _x1(grid)
+    elasticity = family.kernel.phi_elasticity
 
     def young(s):
         # psi = phi_inv, so s psi'(s)/psi(s) = 1/E(t*) at t* = phi_inv(s)
         conj, t_star = family.conjugate_with_argmax(x1, s)
-        return conj, t_star, 1.0 / _elasticity(family, x1, t_star, s)
+        return conj, t_star, 1.0 / elasticity(family, x1, t_star)
 
-    return _unit_norm(grid, (np.abs(U),), young, *family.conjugate_exponent_bounds())
+    return _unit_norm(grid, U, _abs, young, *family.conjugate_exponent_bounds())
 
 
 def _stack_sobolev_modular(family, grid, U):
-    return _phi_sum(family, grid, (np.abs(U), _gradient_and_magnitude(grid, U)[1]))
+    return _phi_sum(family, grid, U, _abs_and_grad_abs)
 
 
 def _stack_sobolev_norm(family, grid, U):
-    return _phi_norm(family, grid, (np.abs(U), _gradient_and_magnitude(grid, U)[1]))
+    return _phi_norm(family, grid, U, _abs_and_grad_abs)
 
 
 def _stack_sobolev_norms(family, grid, U):
     """(n1, n2, n) per row; see sobolev_norms."""
-    au, gmag = np.abs(U), _gradient_and_magnitude(grid, U)[1]
-    nu, ng, n = (_phi_norm(family, grid, mags) for mags in ((au,), (gmag,), (au, gmag)))
+    nu, ng, n = (_phi_norm(family, grid, U, mags) for mags in
+                 (_abs, lambda grid, V: _abs_and_grad_abs(grid, V)[1:], _abs_and_grad_abs))
     return ng + nu, np.maximum(ng, nu), n
 
 

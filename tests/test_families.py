@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy.integrate as si
 
 import orliczkit as ok
-from orliczkit.errors import DomainError, InputError
+from orliczkit.errors import DomainError, InputError, NumericsError
 from orliczkit import families
 from orliczkit.families import check_structure, exponent_bounds
 
@@ -386,9 +387,53 @@ def test_phi_inv_batch_takes_few_phi_evaluations(monkeypatch, family_logquot_aff
             s = np.abs(ok.random_function(grid, 7, amplitude, 3).values)
             sizes.clear()
             t = np.asarray(counted.phi_inv(x1, s))
-            assert len(sizes) <= 12
+            assert len(sizes) <= 5
             back = np.asarray(fam.phi(x1, t))
             assert np.all(np.abs(back - s) <= 1e-12 * s)
+
+
+def test_custom_phi_inv_batch_takes_few_phi_evaluations():
+    # a custom family takes the same Newton steps, with the elasticity from a
+    # central difference (three phi_fn calls); a bisection in log t to full
+    # precision takes about 60 phi_fn calls
+    grid = ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [129, 129])
+    calls = []
+
+    def phi_fn(x, t):
+        calls.append(np.size(t))
+        return 3.0 * np.abs(t) * t
+
+    fam = ok.custom_family(phi_fn, lambda x, t: np.abs(t) ** 3)
+    s = np.abs(ok.random_function(grid, 7, 1.0, 3).values)
+    calls.clear()
+    t = np.asarray(fam.phi_inv(grid.coords_first, s))
+    assert s.size == 16641 and len(calls) <= 15
+    np.testing.assert_allclose(t, np.sqrt(s / 3.0), rtol=1e-14)
+
+
+def test_log_family_conjugate_norm_takes_few_phi_evaluations(monkeypatch, family_logquot_affine,
+                                                              family_logweight):
+    # three modular evaluations of one phi_inv batch each, with no phi call
+    # beyond the Newton iterations
+    grid = ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [129, 129])
+    for fam in (family_logquot_affine, family_logweight):
+        counted, sizes = _counting_phi(monkeypatch, fam)
+        for amplitude in (0.1, 1.0, 10.0):
+            u = ok.random_function(grid, 7, amplitude, 3)
+            sizes.clear()
+            assert ok.conjugate_norm(counted, u) == ok.conjugate_norm(fam, u)
+            assert len(sizes) <= 15
+
+
+def test_phi_inv_beyond_range_raises_numerics_error():
+    # phi = 1.1 t^0.1 reaches 1e200 only at t ~ 1e1999: the solve ends at the
+    # top of its bracket, without overflowing on the way
+    fam = ok.custom_family(lambda x, t: 1.1 * np.sign(t) * np.abs(t) ** 0.1,
+                           lambda x, t: np.abs(t) ** 1.1, phi0=1.1, phi_sup=1.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="beyond representable range"):
+            fam.phi_inv(0.0, 1e200)
 
 
 def test_conjugate_power_closed_form(family_power_p2):

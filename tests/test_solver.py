@@ -380,6 +380,14 @@ def test_lambda_star_formula_guards():
         ok.lambda_star_formula(0.5, -1.0, 1.0, 3.0, 2.0)
 
 
+def test_lambda_star_formula_rejects_nan_constants():
+    # a NaN C2 or c1 fails no comparison and would come back as a NaN threshold
+    with pytest.raises(InputError, match="C2 and c1"):
+        ok.lambda_star_formula(0.5, math.nan, 1.0, 3.0, 2.0)
+    with pytest.raises(InputError, match="C2 and c1"):
+        ok.lambda_star_formula(0.5, 1.0, math.nan, 3.0, 2.0)
+
+
 def test_embedding_ratio_constant_fields(family_power_p2, grid_1d):
     # for constants on a measure-1 domain both norms equal |c|
     q2 = ok.power_family(ok.ExponentField.constant(2.0))
@@ -449,6 +457,11 @@ def test_small_t_probe_rejects_bad_theta(config_p4_q2, grid_1d):
         ok.small_t_probe(config_p4_q2, ok.GridFunction.constant(grid_1d, 0.0), [0.01])
 
 
+def test_small_t_probe_rejects_empty_t_list(config_p4_q2, grid_1d):
+    with pytest.raises(InputError, match="t_list"):
+        ok.small_t_probe(config_p4_q2, ok.bump_function(grid_1d), [])
+
+
 def _directions(grid):
     return [ok.GridFunction.constant(grid, 1.0), ok.bump_function(grid),
             ok.random_function(grid, 17, 1.0, 3)]
@@ -457,6 +470,12 @@ def _directions(grid):
 def test_coercivity_probe_passes(config_p4_q2, grid_1d):
     rep = ok.coercivity_probe(config_p4_q2, _directions(grid_1d))
     assert rep.passed
+
+
+def test_coercivity_probe_rejects_no_directions(config_p4_q2):
+    # an empty probe would certify coercivity along no ray at all
+    with pytest.raises(InputError, match="direction"):
+        ok.coercivity_probe(config_p4_q2, [])
 
 
 def test_coercivity_probe_negative_control(grid_1d):

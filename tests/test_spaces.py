@@ -2,6 +2,7 @@
 norm-modular inequality family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,21 @@ def test_stack_norms_equal_single_norms(monkeypatch, family_logquot_affine, grid
                 monkeypatch.setattr(spaces, "_NODE_BUDGET", budget)
                 assert stack_fn(family_logquot_affine, g, U).tolist() == expected
             monkeypatch.undo()
+
+
+def test_stack_sobolev_norm_holds_one_chunk_of_magnitudes(family_logquot_affine):
+    # |U| and |grad U| are formed per chunk of rows: a 65-row stack on 129^2
+    # (8.7 MB) is solved without a temporary the size of the stack
+    g = ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [129, 129])
+    U = np.stack([ok.random_function(g, k, 1.0, 3).values for k in range(65)])
+    spaces._stack_sobolev_norm(family_logquot_affine, g, U[:2])
+    tracemalloc.start()
+    try:
+        spaces._stack_sobolev_norm(family_logquot_affine, g, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < U.nbytes / 2, peak
 
 
 def test_solve_unit_modular_rows_are_independent():
