@@ -48,9 +48,7 @@ def _load_field_args(args):
     else:
         if args.const is None or args.domain is None or args.nodes is None:
             raise InputError("need --function FILE or --const C with --domain/--nodes")
-        if len(args.domain) != 2 * len(args.nodes):
-            raise InputError("--domain needs one 'lo hi' pair per --nodes entry")
-        grid = make_grid(len(args.nodes), np.reshape(args.domain, (-1, 2)), args.nodes)
+        grid = make_grid(len(args.nodes), args.domain, args.nodes)
         u = GridFunction.constant(grid, args.const)
     return family, u
 

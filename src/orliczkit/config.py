@@ -8,6 +8,14 @@ may instead point at a standalone descriptor file via ``family.file``.  The
 ``reaction.``, ``grid.`` and ``u0.`` prefixes are fixed.  In a family
 descriptor, phi0, phi_sup and M_lower are either a declared number or the
 word ``estimate``: computed from the other inputs on load.
+
+The parsers here only turn text into numbers (``finite_float`` names the
+key of a malformed or non-finite value) and hand them to the type that
+builds the object; that type makes every structural check once:
+``ExponentField`` the exponent kind and counts, ``make_grid`` and
+``DomainGrid`` the grid's axes, extents and node counts, ``GridFunction``
+the number of nodal values, ``MusielakFamily``, ``ReactionFamily`` and
+``EnergyConfig`` the rest.
 """
 
 from __future__ import annotations
@@ -69,26 +77,16 @@ def _floats(kv: dict, key: str, default: str = "") -> list:
 
 def exponent_from_kv(kv: dict, prefix: str) -> ExponentField:
     """Exponent field from ``<prefix>kind`` plus ``x1``/``values`` (tabulated)
-    or ``coeffs`` (1 constant, 2 affine) and ``x1_range`` (affine, ``0 1``)."""
+    or ``coeffs`` and ``x1_range`` (default ``0 1``); ``ExponentField``
+    checks the kind and the counts."""
     kind = kv.get(prefix + "kind")
     if kind is None:
         raise InputError(f"missing '{prefix}kind'")
     if kind == "tabulated":
         return ExponentField.tabulated(np.array(_floats(kv, prefix + "x1")),
                                        np.array(_floats(kv, prefix + "values")))
-    n_coeffs = {"constant": 1, "affine": 2}.get(kind)
-    if n_coeffs is None:
-        raise InputError(f"unknown exponent kind {kind!r}")
-    coeffs = _floats(kv, prefix + "coeffs")
-    if len(coeffs) != n_coeffs:
-        raise InputError(f"'{prefix}coeffs' of a {kind} exponent needs "
-                         f"{n_coeffs} value(s), got {len(coeffs)}")
-    if kind == "constant":
-        return ExponentField.constant(coeffs[0])
-    rng = _floats(kv, prefix + "x1_range", "0 1")
-    if len(rng) != 2:
-        raise InputError(f"'{prefix}x1_range' needs 2 values, got {len(rng)}")
-    return ExponentField.affine(coeffs[0], coeffs[1], tuple(rng))
+    return ExponentField(kind, tuple(_floats(kv, prefix + "coeffs")),
+                         tuple(_floats(kv, prefix + "x1_range", "0 1")))
 
 
 def reaction_from_kv(kv: dict) -> ReactionFamily:
@@ -107,11 +105,7 @@ def grid_from_kv(kv: dict) -> DomainGrid:
         nodes = [int(v) for v in kv["grid.nodes"].split()]
     except ValueError as exc:
         raise InputError(f"malformed grid values: {exc}") from exc
-    ext = _floats(kv, "grid.extents")
-    if len(ext) != 2 * dim:
-        raise InputError("grid.extents must list lo hi per axis")
-    extents = [(ext[2 * k], ext[2 * k + 1]) for k in range(dim)]
-    return make_grid(dim, extents, nodes)
+    return make_grid(dim, _floats(kv, "grid.extents"), nodes)
 
 
 def family_from_kv(kv: dict, prefix: str = "") -> MusielakFamily:

@@ -48,7 +48,15 @@ the entry's floor) and computes the envelope constants C0, C1, C2 with
 constructor arguments.  They are analytic for ``power`` and certified by
 dense sampling over |t| in [1e-3, 10] for the other two (slot
 ``certified``); the sin family genuinely degenerates as t -> 0^- so a global
-positive C1 does not exist for it.
+positive C1 does not exist for it.  ``g``, ``G`` and ``dg`` evaluate two
+scalar arguments as a batch of one, as the family methods do, so a scalar
+call gets the bits of the same element of a batch call.  The energy layer
+passes only ``GridFunction`` values, which are finite, so unlike the family
+methods they make no finiteness pass.
+
+The parameter lam is checked (positive and finite) in one place,
+``_check_lam``: ``EnergyConfig`` runs it, and ``solver.sweep_lambda`` runs
+it on its whole list before any solve.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ import numpy as np
 
 from .errors import InputError
 from .exponents import ExponentField
+from .families import _batch_args, _maybe_scalar
 from .grid import (GridFunction, _col, _gradient_and_magnitude, _values_on,
                    gradient_adjoint)
 from .spaces import _stack_sobolev_modular, _young_sum
@@ -152,15 +161,14 @@ class ReactionFamily:
         return self._eval(_REACTIONS[self.example_id].dg, x1, t, zero_at_0=False)
 
     def _eval(self, formula, x1, t, zero_at_0):
-        x1 = np.asarray(x1, dtype=float)
-        t = np.asarray(t, dtype=float)
+        x1, t, scalar = _batch_args(x1, t)
         q = self.q(x1)
         at = np.abs(t)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = formula(q, at, t)
         if zero_at_0:
             out = np.where(at == 0.0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return _maybe_scalar(out, scalar)
 
 
 def _certify(reaction):
@@ -217,10 +225,10 @@ class EnergyConfig:
 def _check_lam(lam):
     """An InputError unless lam, a number or an array of one per row, is
     positive and finite."""
-    if not np.all(lam > 0.0):
-        raise InputError("lam must be positive")
     if not np.all(np.isfinite(lam)):
         raise InputError("lam must be finite")
+    if not np.all(lam > 0.0):
+        raise InputError("lam must be positive")
 
 
 def _stack_energy(family, reaction, grid, U, lam):

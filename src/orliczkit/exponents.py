@@ -9,9 +9,11 @@ first spatial coordinate.  Three kinds are supported:
 
 A field holds only these inputs, as tuples, so it is immutable and hashes;
 its bounds ``p_minus`` and ``p_plus`` are computed from them.  Every
-construction, through a builder or directly, is checked once in
-``__post_init__``: the values are finite and p_minus > 1.  The same type
-serves both the Young-function exponent p and the reaction exponent q.
+construction, through a builder, a config parser or directly, is checked
+once, in ``__post_init__`` and nowhere else: a known kind with its number
+of coefficients (1, 2 or 0), a (lo, hi) x1_range (for an affine field
+with hi > lo and a finite width), finite values and p_minus > 1.  The same type serves both the Young-function exponent p and
+the reaction exponent q.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .errors import InputError
 
 __all__ = ["ExponentField"]
 
+_COEFF_COUNTS = {"constant": 1, "affine": 2, "tabulated": 0}
+
 
 @dataclass(frozen=True)
 class ExponentField:
@@ -37,9 +41,12 @@ class ExponentField:
     table_values: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        x1 = self.table_x1
-        if len(self.coeffs) != {"constant": 1, "affine": 2, "tabulated": 0}.get(self.kind):
-            raise InputError(f"unknown exponent kind {self.kind!r} or wrong coefficient count")
+        x1, n_coeffs = self.table_x1, _COEFF_COUNTS.get(self.kind)
+        if n_coeffs is None:
+            raise InputError(f"unknown exponent kind {self.kind!r}")
+        if len(self.coeffs) != n_coeffs or len(self.x1_range) != 2:
+            raise InputError(f"a {self.kind} exponent needs {n_coeffs} coefficient(s) and a "
+                             f"(lo, hi) x1_range, got {self.coeffs} and {self.x1_range}")
         if self.kind == "tabulated":
             if len(x1) != len(self.table_values) or not x1:
                 raise InputError("tabulated exponent needs matching x1/value tables")
@@ -47,8 +54,8 @@ class ExponentField:
                 raise InputError("tabulated exponent tables must be finite")
             if list(x1) != sorted(x1) or self.x1_range != (x1[0], x1[-1]):
                 raise InputError("tabulated exponent needs a sorted x1 table over x1_range")
-        if self.kind == "affine" and not self.x1_range[1] > self.x1_range[0]:
-            raise InputError("affine exponent needs a nondegenerate x1 range")
+        if self.kind == "affine" and not 0.0 < self.x1_range[1] - self.x1_range[0] < math.inf:
+            raise InputError("affine exponent needs a nondegenerate x1 range of finite width")
         if not self.p_minus > 1.0:
             raise InputError(f"exponent field must satisfy inf p(x) > 1, got {self.p_minus}")
         if not all(map(math.isfinite, self.coeffs + self.x1_range + (self.p_plus,))):
@@ -64,7 +71,7 @@ class ExponentField:
     def affine(a: float, b: float, x1_range=(0.0, 1.0)) -> "ExponentField":
         """p(x) = a + b*x1 on the closed coordinate range [lo, hi]."""
         return ExponentField("affine", coeffs=(float(a), float(b)),
-                             x1_range=(float(x1_range[0]), float(x1_range[1])))
+                             x1_range=tuple(map(float, x1_range)))
 
     @staticmethod
     def tabulated(x1: np.ndarray, values: np.ndarray) -> "ExponentField":

@@ -82,17 +82,23 @@ def _as_array(v):
     return np.asarray(v, dtype=float)
 
 
-def _finite_args(x1, t, name):
-    """(x1, t, scalar): float arrays, checked finite.  Two 0-d inputs come
-    back as 1-element arrays with scalar = True: numpy's scalar power can
-    differ from its array loop in the last bit, and a scalar should get the
-    value the same element gets in a batch."""
+def _batch_args(x1, t):
+    """(x1, t, scalar): float arrays.  Two 0-d inputs come back as 1-element
+    arrays with scalar = True: numpy's scalar power can differ from its
+    array loop in the last bit, and a scalar should get the value the same
+    element gets in a batch (``_maybe_scalar`` turns it back)."""
     x1, t = _as_array(x1), _as_array(t)
+    scalar = x1.ndim == t.ndim == 0
+    return (x1.reshape(1), t.reshape(1), True) if scalar else (x1, t, False)
+
+
+def _finite_args(x1, t, name):
+    """``_batch_args``, with both inputs checked finite."""
+    x1, t, scalar = _batch_args(x1, t)
     for label, arr in (("x", x1), (name, t)):
         if not np.isfinite(arr).all():
             raise DomainError(f"{label} must be finite")
-    scalar = x1.ndim == t.ndim == 0
-    return (x1.reshape(1), t.reshape(1), True) if scalar else (x1, t, False)
+    return x1, t, scalar
 
 
 def _maybe_scalar(out, scalar=False):
@@ -556,26 +562,27 @@ class MusielakFamily:
 
     # -- pointwise operations ------------------------------------------
 
-    def phi(self, x1, t):
-        """phi(x,t); odd in t, phi(x,0) = 0."""
+    def _pointwise(self, formula, x1, t):
+        """A kernel formula on finite (x1, t), a scalar for two scalars."""
         x1, t, scalar = _finite_args(x1, t, "t")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _maybe_scalar(self.kernel.phi(self, x1, t), scalar)
+            return _maybe_scalar(formula(self, x1, t), scalar)
+
+    def phi(self, x1, t):
+        """phi(x,t); odd in t, phi(x,0) = 0."""
+        return self._pointwise(self.kernel.phi, x1, t)
 
     def dphi(self, x1, t):
         """phi'(x,t) = d phi/dt; even in t and finite at t = 0."""
-        x1, t, scalar = _finite_args(x1, t, "t")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _maybe_scalar(self.kernel.dphi(self, x1, t), scalar)
+        return self._pointwise(self.kernel.dphi, x1, t)
 
     def Phi(self, x1, t):
         """Phi(x,t) = integral of phi from 0 to |t| (even extension)."""
-        x1, t, scalar = _finite_args(x1, t, "t")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _maybe_scalar(self.kernel.Phi(self, x1, t), scalar)
+        return self._pointwise(self.kernel.Phi, x1, t)
 
     def phi_inv(self, x1, s):
-        """Inverse of phi(x,.) on [0,inf); monotone in s, phi_inv(x,0)=0."""
+        """Inverse of phi(x,.) on [0,inf); monotone in s, phi_inv(x,0)=0.
+        It alone checks s >= 0, also for ``conjugate``."""
         x1, s, scalar = _finite_args(x1, s, "s")
         if np.any(s < 0.0):
             raise InputError("phi_inv expects s >= 0")
@@ -644,8 +651,6 @@ class MusielakFamily:
         """(conjugate(x,s), t*) as arrays, t* = phi_inv(x,s) the maximizer;
         t* is also the s-derivative of the conjugate."""
         x1, s = _as_array(x1), _as_array(s)
-        if np.any(s < 0.0):
-            raise InputError("conjugate expects s >= 0")
         t_star = np.asarray(self.phi_inv(x1, s))
         val = s * t_star - np.asarray(self.Phi(x1, t_star))
         return np.maximum(val, 0.0), t_star

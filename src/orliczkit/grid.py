@@ -1,11 +1,16 @@
 """Uniform grids on an interval or rectangle, nodal fields, and quadrature.
 
 The domain is discretized with evenly spaced nodes including the endpoints.
-A grid holds only its extents and node counts, checked in ``__post_init__``
-(finite hi > lo, at least 3 integer nodes per axis); its dimension, spacing
-and measure, its quadrature weights and its nodal first coordinates are
-computed from them once per grid.  Integrals use the trapezoid rule (exact
-for affine data in 1d).  Two fields combine only on the same grid.
+A grid holds only its extents and node counts.  ``make_grid`` takes the
+extents as pairs or flat and checks only that there are dim pairs and dim
+counts; ``DomainGrid.__post_init__`` makes every other check (1 or 2 axes,
+finite hi > lo and a finite measure, at least 3 integer nodes per axis) and
+``GridFunction`` checks the number of nodal values, so the config parser,
+the CLI and the solution-file reader pass their numbers on unchecked.  A
+grid's dimension, spacing and measure, its quadrature weights and its
+nodal first coordinates are computed from its inputs once per grid.
+Integrals use the trapezoid rule (exact for affine data in 1d).  Two
+fields combine only on the same grid.
 
 The discrete gradient D uses central differences with reflected ghost
 nodes, so the normal derivative vanishes identically at boundary nodes --
@@ -24,6 +29,9 @@ precondition the 2-d one.  ``bump_function`` covers the middle
 A stack of fields is an array (rows,) + grid.shape.  ``_col`` shapes one
 value per row to scale a stack, and ``_node_sums`` sums each row over its
 nodes; the spaces, energy, solver and verify modules use both.
+``_row_chunks`` splits a stack into chunks of rows of at most
+``_NODE_BUDGET`` nodes: the modulars and norms of the spaces module and
+the smoothing passes of ``_random_fields`` run one chunk at a time.
 """
 
 from __future__ import annotations
@@ -42,20 +50,23 @@ __all__ = [
     "bump_function", "save_function", "load_function",
 ]
 
+# nodes per chunk of a stack (see _row_chunks)
+_NODE_BUDGET = 129 * 129
+
 
 @dataclass(frozen=True)
 class DomainGrid:
     """Uniform grid from its inputs; ``dim``, ``spacing`` and ``measure``
     are computed from them once per grid, like ``weights``."""
 
-    extents: tuple          # ((lo, hi), ...) per axis, finite with hi > lo
+    extents: tuple          # ((lo, hi), ...) per axis, hi > lo, finite measure
     nodes: tuple            # integer node count per axis, each >= 3
 
     def __post_init__(self):
         if self.dim not in (1, 2) or [len(e) for e in self.extents] != [2] * self.dim:
             raise InputError("a grid needs 1 or 2 axes, each a (lo, hi) pair and a node count")
-        if not np.all(np.isfinite(self.extents)):
-            raise InputError("extents must be finite")
+        if not math.isfinite(self.measure):
+            raise InputError("extents must be finite, and so must the domain's measure")
         if not all(isinstance(n, (int, np.integer)) and n >= 3 for n in self.nodes):
             raise InputError(f"need at least 3 nodes per axis, as integers, got {self.nodes}")
         if not all(hi > lo for lo, hi in self.extents):
@@ -111,17 +122,18 @@ class DomainGrid:
 
 
 def make_grid(dim: int, extents, nodes) -> DomainGrid:
-    """Build a grid; extents per axis as (lo, hi), nodes per axis >= 3
-    (integral counts such as 5.0 are taken as integers)."""
-    if dim not in (1, 2):
-        raise InputError("dim must be 1 or 2")
-    ext = np.atleast_2d(np.asarray(extents, dtype=float))
-    if ext.shape != (dim, 2):
-        raise InputError(f"extents must be {dim} (lo, hi) pairs")
+    """Build a grid from ``dim``, its extents as one (lo, hi) pair per axis,
+    given as pairs or flat (lo1 hi1 [lo2 hi2]), and a node count per axis
+    (integral counts such as 5.0 are taken as integers).  The counts are
+    checked here; everything else about the grid in ``DomainGrid``."""
+    try:
+        ext = np.asarray(extents, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"extents must be numbers: {exc}") from exc
     nn = np.atleast_1d(nodes)
-    if nn.shape != (dim,):
-        raise InputError(f"nodes must give {dim} per-axis counts")
-    return DomainGrid(tuple((float(lo), float(hi)) for lo, hi in ext),
+    if ext.size != 2 * dim or nn.shape != (dim,):
+        raise InputError(f"a {dim}-d grid needs {dim} (lo, hi) pair(s) and {dim} node count(s)")
+    return DomainGrid(tuple(zip(ext[::2].tolist(), ext[1::2].tolist())),
                       tuple(int(n) if float(n).is_integer() else float(n) for n in nn))
 
 
@@ -193,6 +205,15 @@ def _node_sums(a: np.ndarray) -> np.ndarray:
     """Per-row sums of a stack (rows,) + grid.shape, in the order of the
     flattened nodes."""
     return np.sum(a.reshape(len(a), -1), axis=1)
+
+
+def _row_chunks(n_rows, n_nodes):
+    """Slices of at most max(1, _NODE_BUDGET // n_nodes) rows covering n_rows:
+    a stack is evaluated in chunks, so the nodal arrays of one chunk (its
+    magnitudes, Phi and phi values, its smoothing passes) stay within those
+    of a single 129^2 field however many rows the stack holds."""
+    step = max(1, _NODE_BUDGET // n_nodes)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +335,33 @@ def _neumann_modes(grid: DomainGrid) -> list:
 _BUMP_WIDTH = 0.8
 
 def _random_fields(grid: DomainGrid, seeds, amplitudes, smoothness) -> np.ndarray:
-    """``random_function`` values, one row per entry of the equally long
-    seeds, amplitudes and smoothness counts (or scalars: one row), stacked
-    as (rows,) + grid.shape.  The passes run on the stack, on the rows whose
-    smoothness is not yet used up, so a row equals its own random_function.
+    """``random_function`` values, one row per entry of the seeds, amplitudes
+    and smoothness counts broadcast against each other (scalars: one row),
+    stacked as (rows,) + grid.shape.  The passes run on one chunk of rows
+    at a time, on the rows whose smoothness is not yet used up, so a row
+    equals its own random_function.
     """
-    seeds, amplitudes, smoothness = map(np.atleast_1d, (seeds, amplitudes, smoothness))
+    seeds, amplitudes, smoothness = np.broadcast_arrays(
+        *map(np.atleast_1d, (seeds, amplitudes, smoothness)))
     if not np.all(amplitudes > 0.0):
         raise InputError("amplitude must be positive")
     for name, arr in (("seed", seeds), ("smoothness", smoothness)):
         if arr.dtype.kind not in "iuf" or not np.all(
                 np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
             raise InputError(f"{name} must be an integer >= 0")
-    v = np.stack([np.random.default_rng(int(s)).uniform(-1.0, 1.0, size=grid.shape)
-                  for s in seeds])
-    for k in range(int(np.max(smoothness))):
-        rows = np.flatnonzero(smoothness > k)
-        w = v[rows]
-        for ax in range(-grid.dim, 0):
-            prev, nxt = _neighbours(w, ax)
-            w = 0.25 * (prev + 2.0 * w + nxt)
-        v[rows] = w
-    v *= _col(amplitudes / np.max(np.abs(v), axis=tuple(range(1, v.ndim))), grid)
+    v = np.empty((len(seeds),) + grid.shape)
+    for i, s in enumerate(seeds):
+        v[i] = np.random.default_rng(int(s)).uniform(-1.0, 1.0, size=grid.shape)
+    for chunk in _row_chunks(len(v), grid.size):
+        c, passes = v[chunk], smoothness[chunk]
+        for k in range(int(np.max(passes))):
+            rows = np.flatnonzero(passes > k)
+            w = c[rows]
+            for ax in range(-grid.dim, 0):
+                prev, nxt = _neighbours(w, ax)
+                w = 0.25 * (prev + 2.0 * w + nxt)
+            c[rows] = w
+        c *= _col(amplitudes[chunk] / np.max(np.abs(c), axis=tuple(range(1, c.ndim))), grid)
     return v
 
 
@@ -388,13 +414,8 @@ def load_function(path) -> GridFunction:
     try:
         dim = int(head[0])
         nodes = [int(v) for v in head[1:1 + dim]]
-        rest = [float(v) for v in head[1 + dim:]]
-        extents = [(rest[2 * k], rest[2 * k + 1]) for k in range(dim)]
-        values = np.array([float(v) for v in lines[1:]])
-    except (ValueError, IndexError) as exc:
+        extents = [float(v) for v in head[1 + dim:]]
+        values = [float(v) for v in lines[1:]]
+    except ValueError as exc:
         raise InputError(f"malformed solution file {path}: {exc}") from exc
-    grid = make_grid(dim, extents, nodes)
-    if values.size != grid.size:
-        raise InputError(
-            f"solution file {path} has {values.size} values, grid needs {grid.size}")
-    return GridFunction(grid, values.reshape(grid.shape))
+    return GridFunction(make_grid(dim, extents, nodes), values)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyConfig, _flux_secant, _ray_energies, energy, residual
+from .energy import EnergyConfig, _check_lam, _flux_secant, _ray_energies, energy, residual
 from .errors import DomainError, InputError, _int_at_least
 from .families import power_family
 from .grid import (DomainGrid, GridFunction, _gradient, _gradient_and_magnitude, _metric_bands,
@@ -447,8 +447,7 @@ def sweep_lambda(family, reaction, grid: DomainGrid, lambda_list,
     lams = [float(v) for v in lambda_list]
     if not lams:
         raise InputError("need at least one sweep parameter")
-    if any(v <= 0.0 for v in lams):
-        raise InputError("all sweep parameters must be positive")
+    _check_lam(np.asarray(lams))
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise InputError("lambda_list must be strictly increasing")
     opts = opts or SolverOptions()

@@ -17,9 +17,9 @@ a leading batch axis: the ``_stack_*`` functions take an array of shape
 (rows,) + grid.shape and return one value per row, and the public
 functions are the same code on a stack of one.  A row's value never
 depends on the other rows (Phi and phi are elementwise, sums run per row).
-A stack is evaluated a chunk of rows at a time (``_row_chunks``), and the
-magnitudes |U| and |grad U| are formed inside each chunk, so a long stack
-on a fine grid holds the temporaries of one chunk only.
+A stack is evaluated a chunk of rows at a time (``grid._row_chunks``), and
+the magnitudes |U| and |grad U| are formed inside each chunk, so a long
+stack on a fine grid holds the temporaries of one chunk only.
 The first coordinate is passed to the family as a column in 2-d, so the
 exponent is evaluated once per grid row.
 
@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-from .grid import GridFunction, _col, _gradient_and_magnitude, _node_sums
+from .grid import GridFunction, _col, _gradient_and_magnitude, _node_sums, _row_chunks
 
 __all__ = [
     "modular", "luxemburg_norm", "conjugate_modular", "conjugate_norm",
@@ -63,7 +63,6 @@ __all__ = [
 NORM_TOL = 1e-8
 _NORM_MAX_ITER = 120
 _LOG64 = math.log(64.0)
-_NODE_BUDGET = 129 * 129
 
 
 def _libm(fn, v):
@@ -110,15 +109,6 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0) -> np.ndarray
             m = np.where(live, m_next, m)
     raise NumericsError("unit-modular solve did not converge "
                         f"(last scale {math.exp(m[live][0]):g})")
-
-
-def _row_chunks(n_rows, n_nodes):
-    """Slices of at most max(1, _NODE_BUDGET // n_nodes) rows covering n_rows:
-    a stack is evaluated in chunks, so the nodal arrays of one chunk (its
-    magnitudes, Phi and phi values) stay within those of a single 129^2
-    field however many rows the stack holds."""
-    step = max(1, _NODE_BUDGET // n_nodes)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _x1(grid):

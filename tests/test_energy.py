@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit import spaces
+from orliczkit import grid as grid_module
 from orliczkit.energy import (CERTIFICATION_T_RANGE, ReactionFamily, _stack_energy,
                               _stack_residual)
 from orliczkit.errors import InputError
@@ -63,6 +63,22 @@ def test_primitive_consistency(reactions, rng):
         fd = (np.asarray(r.G(x, t + h)) - np.asarray(r.G(x, t - h))) / (2.0 * h)
         g = np.asarray(r.g(x, t))
         assert np.all(np.abs(fd - g) <= 1e-6 * (1.0 + np.abs(g)))
+
+
+def test_reaction_scalar_values_equal_batch_values():
+    # a 0-d (x, t) is evaluated as a batch of one, not by numpy's scalar
+    # power, so it gets its batch element's value to the last bit
+    q = ok.ExponentField.affine(4.0, 1.3)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 1.0, 1000)
+    t = rng.uniform(-3.0, 3.0, 1000)
+    t[::97] = 0.0
+    for react in (ok.power_reaction(q), ok.power_log_reaction(q), ok.power_sin_reaction(q)):
+        for name in ("g", "G", "dg"):
+            method = getattr(react, name)
+            single = [method(xi, ti) for xi, ti in zip(x, t)]
+            assert all(type(v) is float for v in single), (react.example_id, name)
+            assert np.array(single).tobytes() == method(x, t).tobytes(), (react.example_id, name)
 
 
 def test_dg_matches_central_difference(reactions, reaction_q2, rng):
@@ -244,8 +260,8 @@ def test_stack_energy_and_residual_rows_are_independent(monkeypatch, family_logq
         J = [ok.energy(c, u) for c, u in zip(configs, fields)]
         R = np.stack([ok.residual(c, u).values for c, u in zip(configs, fields)])
         assert J[1] == 0.0 and not R[1].any()
-        for budget in (spaces._NODE_BUDGET, g.size, 2 * g.size):
-            monkeypatch.setattr(spaces, "_NODE_BUDGET", budget)
+        for budget in (grid_module._NODE_BUDGET, g.size, 2 * g.size):
+            monkeypatch.setattr(grid_module, "_NODE_BUDGET", budget)
             assert _stack_energy(family_logquot_affine, react, g, U, lams).tolist() == J
             assert _stack_residual(family_logquot_affine, react, g, U,
                                    lams).tobytes() == R.tobytes()

@@ -591,11 +591,26 @@ def test_constructor_guards():
     lambda: ok.ExponentField("constant"),                    # no coefficient
     lambda: ok.ExponentField("tabulated", x1_range=(1.0, 0.0),
                              table_x1=(1.0, 0.0), table_values=(2.0, 3.0)),
+    # the width overflowed, and so did the affine field's sample points
+    lambda: ok.ExponentField.affine(3.0, 0.0, (-1e308, 1e308)),
 ], ids=["constant-inf", "affine-inf-range", "affine-p+-overflow", "direct-inf",
-        "direct-no-coefficient", "direct-unsorted-table"])
+        "direct-no-coefficient", "direct-unsorted-table", "affine-range-width-overflow"])
 def test_exponent_field_checks_every_construction(build):
     with pytest.raises(InputError):
         build()
+
+
+def test_exponent_x1_range_needs_exactly_two_entries():
+    # a one-entry range ended in an IndexError; a three-entry affine range
+    # took p+ from its third point while sample_points covered the first two
+    for kind, coeffs in (("constant", (3.0,)), ("affine", (3.0, 4.0))):
+        for x1_range in ((0.0,), (0.0, 1.0, 5.0)):
+            with pytest.raises(InputError, match="x1_range"):
+                ok.ExponentField(kind, coeffs, x1_range)
+    with pytest.raises(InputError, match="x1_range"):
+        ok.ExponentField.affine(3.0, 4.0, (0.0, 1.0, 5.0))
+    with pytest.raises(InputError, match="affine exponent needs 2 coefficient"):
+        ok.ExponentField("affine", (3.0,))
 
 
 def test_exponent_tables_are_read_only():

@@ -1,9 +1,12 @@
 """Grid construction, stencils, quadrature, and solution-file round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import orliczkit as ok
+from orliczkit import grid as grid_module
 from orliczkit.config import grid_from_kv, parse_kv_text
 from orliczkit.errors import InputError
 from orliczkit.grid import (DomainGrid, _gradient_and_magnitude, _metric_bands,
@@ -32,6 +35,17 @@ def test_make_grid_rejects_degenerate():
         ok.make_grid(1, [(0.0, 1.0)], [2])
     with pytest.raises(InputError):
         ok.make_grid(3, [(0.0, 1.0)] * 3, [5, 5, 5])
+
+
+def test_make_grid_takes_flat_or_paired_extents():
+    g = ok.make_grid(2, [(0.0, 1.0), (0.0, 2.0)], [3, 5])
+    assert ok.make_grid(2, [0.0, 1.0, 0.0, 2.0], [3, 5]) == g
+    assert ok.make_grid(1, [0.0, 1.0], 3) == ok.make_grid(1, [(0.0, 1.0)], [3])
+    for dim, extents, nodes in ((1, [0.0, 1.0, 2.0], [3]), (2, [0.0, 1.0], [3, 3]),
+                                (2, [(0.0, 1.0)] * 2, [3]), (1, [(0.0, 1.0), (2.0,)], [3]),
+                                (0, [], [])):
+        with pytest.raises(InputError):
+            ok.make_grid(dim, extents, nodes)
 
 
 def test_make_grid_node_counts_must_be_integral():
@@ -74,6 +88,16 @@ def test_make_grid_rejects_non_finite_extents(tmp_path, lo, hi):
     p.write_text(f"1 3 {lo!r} {hi!r}\n0.0\n0.0\n0.0\n")
     with pytest.raises(InputError, match="extents must be finite"):
         load_function(p)
+
+
+@pytest.mark.parametrize("extents", [[(0.0, 1.0), (-1e308, 1e308)],
+                                     [(0.0, 1e200), (0.0, 1e200)]],
+                         ids=["width", "area"])
+def test_domain_grid_rejects_an_overflowing_measure(extents):
+    # an infinite width or area overflowed the nodes' coordinates or the
+    # weights, with numpy warnings on the CLI's stderr
+    with pytest.raises(InputError, match="extents must be finite"):
+        ok.make_grid(2, extents, [3, 3])
 
 
 def test_gradient_constant_is_zero(grid_2d):
@@ -239,6 +263,27 @@ def test_random_function_takes_integral_floats_and_integer_arrays(grid_1d):
     assert np.array_equal(random_function(grid_1d, 7.0, 1.0, 2.0).values, a.values)
     stack = _random_fields(grid_1d, np.array([7, 8], dtype=np.int64), 1.0, np.array([2, 0]))
     assert np.array_equal(stack[0], a.values)
+
+
+def test_random_fields_smooth_one_chunk_of_rows_at_a_time(monkeypatch, grid_1d):
+    # every row is its own random_function bit for bit, whatever the chunk
+    # size, and a 40-row stack on 129^2 (5.3 MB) is smoothed without a
+    # temporary the size of the stack
+    g = ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [129, 129])
+    seeds, smoothness = np.arange(40), np.arange(40) % 5
+    tracemalloc.start()
+    try:
+        stack = _random_fields(g, seeds, 1.0, smoothness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack.nbytes, peak
+    for grid in (g, grid_1d):
+        rows = [random_function(grid, s, 1.0, k).values for s, k in zip(seeds, smoothness)]
+        for budget in (grid.size, 3 * grid.size, 64 * grid.size):
+            monkeypatch.setattr(grid_module, "_NODE_BUDGET", budget)
+            assert np.array_equal(_random_fields(grid, seeds, 1.0, smoothness), rows)
+        monkeypatch.undo()
 
 
 def test_bump_properties(grid_1d, grid_2d):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
+from orliczkit import solver
 from orliczkit.errors import InputError
 from orliczkit.grid import _neumann_modes
 from orliczkit.solver import SolverOptions, _default_rho, _fast_diagonalization, _shifted_step
@@ -511,11 +512,18 @@ def test_sweep_basics(grid_1d):
     assert all(r.nontrivial and r.min_energy < 0.0 for r in above)
 
 
-def test_sweep_rejects_bad_lambdas(grid_1d):
+def test_sweep_rejects_bad_lambdas(grid_1d, monkeypatch):
     fam = ok.power_family(ok.ExponentField.constant(4.0))
     react = ok.power_reaction(ok.ExponentField.constant(2.0))
-    with pytest.raises(InputError):
-        ok.sweep_lambda(fam, react, grid_1d, [0.0, 1.0])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a bad parameter list must be rejected before any solve")
+
+    monkeypatch.setattr(solver, "minimize", no_solve)
+    for lams, message in (([0.0, 1.0], "positive"), ([1.0, np.nan], "finite"),
+                          ([1.0, np.inf], "finite")):
+        with pytest.raises(InputError, match=f"lam must be {message}"):
+            ok.sweep_lambda(fam, react, grid_1d, lams)
     with pytest.raises(InputError):
         ok.sweep_lambda(fam, react, grid_1d, [2.0, 1.0])
     with pytest.raises(InputError):

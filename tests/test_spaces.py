@@ -10,7 +10,7 @@ import scipy.integrate as si
 import scipy.optimize
 
 import orliczkit as ok
-from orliczkit import spaces
+from orliczkit import grid as grid_module, spaces
 from orliczkit.spaces import (conjugate_norm, luxemburg_norm, modular,
                               sobolev_modular, sobolev_norm, sobolev_norms)
 
@@ -301,8 +301,8 @@ def test_stack_norms_equal_single_norms(monkeypatch, family_logquot_affine, grid
                                  (spaces._stack_conjugate_modular, ok.conjugate_modular)):
             expected = [single(family_logquot_affine, u) for u in fields]
             assert expected[1] == 0.0
-            for budget in (spaces._NODE_BUDGET, g.size, 2 * g.size):
-                monkeypatch.setattr(spaces, "_NODE_BUDGET", budget)
+            for budget in (grid_module._NODE_BUDGET, g.size, 2 * g.size):
+                monkeypatch.setattr(grid_module, "_NODE_BUDGET", budget)
                 assert stack_fn(family_logquot_affine, g, U).tolist() == expected
             monkeypatch.undo()
 
