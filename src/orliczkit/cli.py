@@ -88,6 +88,8 @@ def _cmd_solve(args) -> int:
                f"residual_sup = {report.residual_sup!r}\n"
                f"message = {report.message}\n"
                f"energy_evals = {report.energy_evals}\n"
+               f"step_probes = {report.step_probes}\n"
+               f"doubled_steps = {report.doubled_steps}\n"
                f"residual_evals = {report.residual_evals}\n"
                f"cg_products = {report.cg_products}\n")
     if args.report:
