@@ -27,7 +27,8 @@ For ``power`` the bounds are phi0 = p-, phi_sup = p+; for ``log-quotient``
 phi0 = p- - 1, phi_sup = p+; for ``log-weight`` phi0 = p- and phi_sup is
 estimated numerically.  The ``custom`` entry calls a user phi callable, and
 a Phi callable or else adaptive quadrature of phi; its elasticity takes phi'
-from a central difference of phi.
+from a central difference of phi, and phi from its caller where the caller
+has just evaluated it.
 
 A descriptor holds only its inputs; ``__post_init__`` checks every
 construction and derives the kernel, phi0/phi_sup/M_lower (declared, by the
@@ -334,7 +335,7 @@ def _power_phi_inv(fam, x1, s):
     return (s / p) ** (1.0 / (p - 1.0))
 
 
-def _power_elasticity(fam, x1, t):
+def _power_elasticity(fam, x1, t, phi=None):
     return fam.p(x1) - 1.0
 
 
@@ -345,7 +346,7 @@ def _log_quotient_phi(fam, x1, t):
     return np.where(at == 0.0, 0.0, p * (t / np.log1p(at)) * at ** (p - 2.0))
 
 
-def _log_quotient_elasticity(fam, x1, t):
+def _log_quotient_elasticity(fam, x1, t, phi=None):
     return (fam.p(x1) - 1.0) - t / ((1.0 + t) * np.log1p(t))
 
 
@@ -391,7 +392,7 @@ def _log_weight_phi(fam, x1, t):
     return p * np.log(1.0 + fam.alpha + at) * at ** (p - 2.0) * t
 
 
-def _log_weight_elasticity(fam, x1, t):
+def _log_weight_elasticity(fam, x1, t, phi=None):
     kappa = 1.0 + fam.alpha
     return (fam.p(x1) - 1.0) + t / ((kappa + t) * np.log(kappa + t))
 
@@ -433,13 +434,15 @@ class _Kernel:
 
     phi_elasticity = t phi'/phi = d log phi/d log t (t > 0): p(x) - 1 for
     ``power``, closed forms for the log kinds, and t phi'/phi with the
-    central-difference phi' for ``custom``.  The unit-modular solve of
-    ``spaces`` takes its curvature term t^2 phi' = t phi * phi_elasticity
-    from it, and the phi_inv solve its Newton slope.  phi_inv is the
-    closed-form inverse of phi; without one, phi_inv solves phi = s in
-    z = log t (see MusielakFamily._solve_phi_inv).  dphi is the derivative
-    phi' (even in t, finite at t = 0); without a formula it is a central
-    difference of phi.
+    central-difference phi' for ``custom``; it takes phi(x, t) as an
+    optional fourth argument, which only ``custom`` reads (it calls phi_fn
+    otherwise).  The unit-modular solve of ``spaces`` takes its curvature
+    term t^2 phi' = t phi * phi_elasticity from it, and the phi_inv solve
+    its Newton slope, both passing the phi they have just evaluated.
+    phi_inv is the closed-form inverse of phi; without one, phi_inv solves
+    phi = s in z = log t (see MusielakFamily._solve_phi_inv).  dphi is the
+    derivative phi' (even in t, finite at t = 0); without a formula it is a
+    central difference of phi.
     The remaining slots are the smallest admissible p-, the rule
     phi0 = p- - phi0_drop, the numerical estimates as (names, helper) pairs
     with helper(family) -> the values of names, whether alpha enters the
@@ -458,8 +461,8 @@ class _Kernel:
     shifted_lower_bound: bool = False
 
 
-def _custom_elasticity(fam, x1, t):
-    return t * _central_dphi(fam, x1, t) / fam.phi_fn(x1, t)
+def _custom_elasticity(fam, x1, t, phi=None):
+    return t * _central_dphi(fam, x1, t) / (fam.phi_fn(x1, t) if phi is None else phi)
 
 
 def _custom_Phi(fam, x1, t):
@@ -623,11 +626,12 @@ class MusielakFamily:
                 t = np.exp(z)
                 # log of the ratio, not a difference of logs: near the root
                 # it is accurate to rounding whatever the size of s
-                gap = np.log(self.phi(x1, t) / s)
+                phi = self.phi(x1, t)
+                gap = np.log(phi / s)
                 lo = np.where(gap < 0.0, z, lo)
                 hi = np.where(gap > 0.0, z, hi)
                 tol = _PHI_INV_ULPS * np.maximum(np.abs(z), 1.0)
-                newton = -gap / elasticity(self, x1, t)
+                newton = -gap / elasticity(self, x1, t, phi)
                 # a final step below the spacing of z lands on z itself
                 take = ((lo < z + newton) & (z + newton < hi)) | (np.abs(newton) <= tol)
                 step = np.where(take, newton, 0.5 * (lo + hi) - z)

@@ -234,21 +234,22 @@ def integrate(f: GridFunction) -> float:
 # gradient with reflected ghosts and its exact adjoint
 # ---------------------------------------------------------------------------
 
-def _neighbours(v: np.ndarray, axis: int):
-    """v at the previous and at the next node along ``axis``, with the
-    reflected ghosts v[1] before the first node and v[-2] after the last."""
-    i = np.arange(v.shape[axis])
-    return (np.take(v, np.abs(i - 1), axis=axis),
-            np.take(v, i[-1] - np.abs(i[-2] - i), axis=axis))
+def _along(axis: int, index) -> tuple:
+    """Index tuple that applies ``index`` (a slice or an integer) along
+    ``axis``, counted from the end, of a field or a stack of fields."""
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
 
 def _gradient(grid: DomainGrid, v: np.ndarray) -> np.ndarray:
-    """``gradient`` of a stack v of nodal fields, shape (dim,) + v.shape."""
-    parts = []
+    """``gradient`` of a stack v of nodal fields, shape (dim,) + v.shape:
+    (v[i+1] - v[i-1]) / (2h) along each axis, 0 on its boundary rows."""
+    g = np.zeros((grid.dim,) + v.shape)
     for k, h in enumerate(grid.spacing):
-        prev, nxt = _neighbours(v, k - grid.dim)
-        parts.append((nxt - prev) / (2.0 * h))
-    return np.stack(parts)
+        ax = k - grid.dim
+        part = g[k][_along(ax, slice(1, -1))]
+        np.subtract(v[_along(ax, slice(2, None))], v[_along(ax, slice(None, -2))], out=part)
+        part /= 2.0 * h
+    return g
 
 
 def _gradient_and_magnitude(grid: DomainGrid, v: np.ndarray):
@@ -279,10 +280,12 @@ def gradient_adjoint(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
     for k, h in enumerate(grid.spacing):
         # reflection makes the boundary rows of D_k zero, so D_k^T reads only
         # the interior rows of fields[k], here between two rows of zeros
-        y = np.moveaxis(fields[k], k - grid.dim, 0)
-        z = np.zeros((len(y) + 2,) + y.shape[1:])
-        z[2:-2] = y[1:-1]
-        out += np.moveaxis(z[:-2] - z[2:], 0, k - grid.dim) / (2.0 * h)
+        ax = k - grid.dim
+        shape = list(out.shape)
+        shape[ax] += 2
+        z = np.zeros(shape)
+        z[_along(ax, slice(2, -2))] = fields[k][_along(ax, slice(1, -1))]
+        out += (z[_along(ax, slice(None, -2))] - z[_along(ax, slice(2, None))]) / (2.0 * h)
     return out
 
 
@@ -358,8 +361,14 @@ def _random_fields(grid: DomainGrid, seeds, amplitudes, smoothness) -> np.ndarra
             rows = np.flatnonzero(passes > k)
             w = c[rows]
             for ax in range(-grid.dim, 0):
-                prev, nxt = _neighbours(w, ax)
-                w = 0.25 * (prev + 2.0 * w + nxt)
+                # (prev + 2 w + nxt) / 4, the reflected ghost w[1] before the
+                # first node and w[-2] after the last
+                acc = 2.0 * w
+                acc[_along(ax, slice(1, None))] += w[_along(ax, slice(None, -1))]
+                acc[_along(ax, 0)] += w[_along(ax, 1)]
+                acc[_along(ax, slice(None, -1))] += w[_along(ax, slice(1, None))]
+                acc[_along(ax, -1)] += w[_along(ax, -2)]
+                w = 0.25 * acc
             c[rows] = w
         c *= _col(amplitudes[chunk] / np.max(np.abs(c), axis=tuple(range(1, c.ndim))), grid)
     return v

@@ -16,17 +16,19 @@ model for its unit coefficients, which the grid's per-axis cosine modes
 diagonalize (the fast diagonalization method, ``_fast_diagonalization``).
 A trial is accepted when J falls by more than 0.1 of the decrease its
 quadratic model predicts (and mu then shrinks by 4 if J fell by more than
-0.75 of it).  An accepted trial u + d is followed by one probe of the
-doubled step u + 2d, which is kept when its energy is lower still (a probe
-that is not finite, or whose gradient overflows, is dropped).  Where a
-p > 2 gradient term dominates, J is nearly p-homogeneous along d: Newton's
+0.75 of it).  Each trial evaluates J at u + d and at the doubled step
+u + 2d together, as one 2-row energy stack (``_step_energies``), and an
+accepted trial u + d is replaced by the probe u + 2d when its energy is
+lower still (a probe that is not finite, or whose gradient overflows, is
+dropped).  Where a p > 2 gradient term dominates, J is nearly
+p-homogeneous along d: Newton's
 u + d then covers only 1/(p-1) of the way to the minimum along the ray, and
 the residual falls by ((p-2)/(p-1))^{p-1}, 0.30 at p = 4, per step, the
 linear rate of Newton's method at a degenerate point (Decker, Keller &
 Kelley, SIAM J. Numer. Anal. 20, 1983); the doubled step about halves the
 iterations there, while near a regular minimum J(u + 2d) is about J(u) and
 the probe is seldom kept.  At the rounding level of J (``_PRED_ROUNDING``)
-a trial is also accepted, without a probe, when J does not rise and the
+a trial is also accepted, without its probe, when J does not rise and the
 residual sup falls.  Otherwise, or when H + mu S is not positive definite,
 mu grows to max(4 mu, -min c): H + mu S is then semidefinite for increasing
 phi.  mu starts at 1 and carries over; a non-finite model, or mu above
@@ -35,9 +37,12 @@ the residual (the weak-solution defect) reaches its tolerance.  A converged
 report is a discrete critical-point certificate in the spirit of a
 Palais-Smale sequence: energies recorded along the way are nonincreasing and
 the final derivative is small against every direction.  The report also
-counts the ``energy`` and ``residual`` evaluations the run made, the probes
-among the former and the probes kept (``step_probes``, ``doubled_steps``),
-and the products with H + mu S of its 2-d CG (``cg_products``).
+counts the rows of J the run evaluated (``energy_evals``: the start, then
+the trial and the probe of each trial, less the points that are not
+finite), the ``residual`` evaluations, the probe rows among the former,
+one per finite trial, and the probes kept (``step_probes``,
+``doubled_steps``), and the products with H + mu S of its 2-d CG
+(``cg_products``).
 
 ``lambda_star_formula`` evaluates the small-parameter existence threshold
 
@@ -63,7 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyConfig, _check_lam, _flux_secant, _ray_energies, energy, residual
+from .energy import (EnergyConfig, _check_lam, _flux_secant, _ray_energies, _stack_energy,
+                     energy, residual)
 from .errors import DomainError, InputError, _int_at_least
 from .families import power_family
 from .grid import (DomainGrid, GridFunction, _gradient, _gradient_and_magnitude, _metric_bands,
@@ -112,10 +118,10 @@ class SolveReport:
     converged: bool
     trajectory: np.ndarray          # rows (energy, residual_sup)
     message: str = ""
-    energy_evals: int = 0
+    energy_evals: int = 0           # rows of J evaluated: the start, each finite trial and probe
     residual_evals: int = 0
     cg_products: int = 0            # products with H + mu S in 2-d CG; 0 in 1-d
-    step_probes: int = 0            # energy calls at u + 2d, also in energy_evals
+    step_probes: int = 0            # rows of J at u + 2d, one per finite trial; in energy_evals
     doubled_steps: int = 0          # probes kept in place of u + d
 
 
@@ -220,18 +226,34 @@ def _shifted_step(grid: DomainGrid, model, r, mu: float, modes):
             products)
 
 
-def _point_energy(config: EnergyConfig, u: GridFunction, d):
-    """(u + d, J(u + d)), with J = inf where |grad(u + d)| overflows, or
-    (None, inf) without an energy call when u + d is not finite (d None
-    included)."""
-    values = None if d is None else u.values + d
-    if values is None or not np.all(np.isfinite(values)):
-        return None, math.inf
-    point = GridFunction(u.grid, values)
+def _step_energies(config: EnergyConfig, u: GridFunction, d) -> list:
+    """[(u + d, J(u + d)), (u + 2d, J(u + 2d))] as (values, J) pairs, less
+    the points that are not finite: no pair for a trial that is not finite
+    (d None included), and none for the probe u + 2d then either.
+
+    Both points are one 2-row ``_stack_energy`` call, each row bit for bit
+    its own ``energy`` call.  When a row's gradient overflows, the stack
+    raises DomainError; the rows are then evaluated one at a time, and a
+    row that raises reads J = inf.
+    """
+    rows = []
+    for values in (() if d is None else (u.values + d, u.values + 2.0 * d)):
+        if not np.all(np.isfinite(values)):
+            break
+        rows.append(values)
+    if not rows:
+        return []
     try:
-        return point, energy(config, point)
+        J = _stack_energy(config.family, config.reaction, u.grid, np.array(rows),
+                          config.lam).tolist()
     except DomainError:
-        return point, math.inf
+        J = []
+        for values in rows:
+            try:
+                J.append(energy(config, GridFunction(u.grid, values)))
+            except DomainError:
+                J.append(math.inf)
+    return list(zip(rows, J))
 
 
 # overflow is silent: a non-finite model, trial, energy or residual is
@@ -267,21 +289,20 @@ def minimize(config: EnergyConfig, u0: GridFunction,
         while model is not None and mu <= _MU_MAX:
             d, pred, products = _shifted_step(u.grid, model, r.values, mu, modes)
             cg_products += products
-            trial, J_trial = _point_energy(config, u, d)
-            if trial is not None:
-                energy_evals += 1
+            steps = _step_energies(config, u, d)
+            energy_evals += len(steps)
+            step_probes += len(steps) == 2
+            if steps:
+                values, J_trial = steps[0]
                 accept = J - J_trial > 0.1 * pred
                 if accept:
                     if J - J_trial > 0.75 * pred:
                         mu = max(mu / 4.0, 1.0 / _MU_MAX)
-                    probe, J_probe = _point_energy(config, u, 2.0 * d)
-                    if probe is not None:
-                        energy_evals += 1
-                        step_probes += 1
-                    if J_probe < J_trial:
-                        trial, J_trial = probe, J_probe
+                    if len(steps) == 2 and steps[1][1] < J_trial:
+                        values, J_trial = steps[1]
                         doubled_steps += 1
                 if accept or (pred <= _PRED_ROUNDING * max(1.0, abs(J)) and J_trial <= J):
+                    trial = GridFunction(u.grid, values)
                     r_trial = residual(config, trial)
                     residual_evals += 1
                     if accept or r_trial.sup_norm() < res_sup:

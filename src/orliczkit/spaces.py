@@ -127,40 +127,47 @@ def _unit_norm(grid, U, mags, young, lo, hi):
 
     ``young(t)`` returns (Psi(t), psi(t), t psi'(t)/psi(t)) at the nodal
     magnitudes t; the elasticity is not used where t psi(t) = 0.  lo/hi
-    are Psi's ratio bounds.  The magnitudes are formed per chunk of rows.
+    are Psi's ratio bounds.  The magnitudes are formed per chunk of rows,
+    and each chunk is one ``_chunk_unit_norm``.
     """
+    mu = np.empty(len(U))
+    for chunk in _row_chunks(len(U), grid.size):
+        mu[chunk] = _chunk_unit_norm(grid, mags(grid, U[chunk]), young, lo, hi)
+    return mu
+
+
+def _chunk_unit_norm(grid, stack, young, lo, hi):
+    """``_unit_norm`` of the rows of one chunk, given its magnitude stacks."""
     w = grid.weights
-    mu = np.zeros(len(U))
-    for chunk in _row_chunks(len(U), w.size):
-        stack = mags(grid, U[chunk])
-        top = np.max([np.max(a, axis=tuple(range(1, a.ndim))) for a in stack], axis=0)
-        rows = np.flatnonzero(top > 0.0)
-        if not rows.size:
-            continue
-        stack = tuple(a[rows] for a in stack)
+    top = np.max([np.max(a, axis=tuple(range(1, a.ndim))) for a in stack], axis=0)
+    mu = np.zeros(top.shape)
+    rows = np.flatnonzero(top > 0.0)
+    if not rows.size:
+        return mu
+    stack = tuple(a[rows] for a in stack)
 
-        def rho(mu):
-            # values keeps the sum order of _young_sum, so R(1) equals the
-            # modular of the same Psi bit for bit; rows finished (NaN) are
-            # skipped
-            live = ~np.isnan(mu)
-            live = slice(None) if live.all() else np.flatnonzero(live)
-            scale = _col(mu[live], grid)
-            values, moment, moment2 = 0.0, 0.0, 0.0
-            for a in stack:
-                t = a[live] / scale
-                Psi, psi, elasticity = young(t)
-                values = values + np.asarray(Psi)
-                wtpsi = w * t * np.asarray(psi)
-                moment = moment + _node_sums(wtpsi)
-                moment2 = moment2 + _node_sums(np.where(wtpsi > 0.0, wtpsi * elasticity, 0.0))
-            R, slope, curvature = np.full((3, mu.size), np.nan)
-            R[live] = _node_sums(w * values)
-            slope[live] = -moment / R[live]     # under the solve's errstate
-            curvature[live] = (moment + moment2) / R[live] - slope[live] ** 2
-            return R, slope, curvature
+    def rho(mu):
+        # values keeps the sum order of _young_sum, so R(1) equals the
+        # modular of the same Psi bit for bit; rows finished (NaN) are
+        # skipped
+        live = ~np.isnan(mu)
+        live = slice(None) if live.all() else np.flatnonzero(live)
+        scale = _col(mu[live], grid)
+        values, moment, moment2 = 0.0, 0.0, 0.0
+        for a in stack:
+            t = a[live] / scale
+            Psi, psi, elasticity = young(t)
+            values = values + np.asarray(Psi)
+            wtpsi = w * t * np.asarray(psi)
+            moment = moment + _node_sums(wtpsi)
+            moment2 = moment2 + _node_sums(np.where(wtpsi > 0.0, wtpsi * elasticity, 0.0))
+        R, slope, curvature = np.full((3, mu.size), np.nan)
+        R[live] = _node_sums(w * values)
+        slope[live] = -moment / R[live]     # under the solve's errstate
+        curvature[live] = (moment + moment2) / R[live] - slope[live] ** 2
+        return R, slope, curvature
 
-        mu[chunk.start + rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows])
+    mu[rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows])
     return mu
 
 
@@ -177,15 +184,22 @@ def _young_sum(Psi, grid, U, mags):
     return out
 
 
-def _phi_norm(family, grid, U, mags):
-    """_unit_norm with Psi = Phi of the family."""
+def _phi_young(family, grid):
+    """young(t) = (Phi, phi, elasticity) of the family at the magnitudes t;
+    the elasticity takes the phi just evaluated."""
     x1 = _x1(grid)
     elasticity = family.kernel.phi_elasticity
 
     def young(t):
-        return family.Phi(x1, t), family.phi(x1, t), elasticity(family, x1, t)
+        phi = family.phi(x1, t)
+        return family.Phi(x1, t), phi, elasticity(family, x1, t, phi)
 
-    return _unit_norm(grid, U, mags, young, family.phi0, family.phi_sup)
+    return young
+
+
+def _phi_norm(family, grid, U, mags):
+    """_unit_norm with Psi = Phi of the family."""
+    return _unit_norm(grid, U, mags, _phi_young(family, grid), family.phi0, family.phi_sup)
 
 
 def _phi_sum(family, grid, U, mags):
@@ -241,9 +255,14 @@ def _stack_sobolev_norm(family, grid, U):
 
 
 def _stack_sobolev_norms(family, grid, U):
-    """(n1, n2, n) per row; see sobolev_norms."""
-    nu, ng, n = (_phi_norm(family, grid, U, mags) for mags in
-                 (_abs, lambda grid, V: _abs_and_grad_abs(grid, V)[1:], _abs_and_grad_abs))
+    """(n1, n2, n) per row; see sobolev_norms.  |U| and |grad U| are formed
+    once per chunk of rows, and the chunk's three norm solves share them."""
+    young = _phi_young(family, grid)
+    nu, ng, n = np.empty((3, len(U)))
+    for rows in _row_chunks(len(U), grid.size):
+        a, g = _abs_and_grad_abs(grid, U[rows])
+        for out, stack in ((nu, (a,)), (ng, (g,)), (n, (a, g))):
+            out[rows] = _chunk_unit_norm(grid, stack, young, family.phi0, family.phi_sup)
     return ng + nu, np.maximum(ng, nu), n
 
 

@@ -394,8 +394,8 @@ def test_phi_inv_batch_takes_few_phi_evaluations(monkeypatch, family_logquot_aff
 
 def test_custom_phi_inv_batch_takes_few_phi_evaluations():
     # a custom family takes the same Newton steps, with the elasticity from a
-    # central difference (three phi_fn calls); a bisection in log t to full
-    # precision takes about 60 phi_fn calls
+    # central difference (two phi_fn calls besides the step's phi); a
+    # bisection in log t to full precision takes about 60 phi_fn calls
     grid = ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [129, 129])
     calls = []
 

@@ -9,7 +9,7 @@ import orliczkit as ok
 from orliczkit import grid as grid_module
 from orliczkit.config import grid_from_kv, parse_kv_text
 from orliczkit.errors import InputError
-from orliczkit.grid import (DomainGrid, _gradient_and_magnitude, _metric_bands,
+from orliczkit.grid import (DomainGrid, _gradient, _gradient_and_magnitude, _metric_bands,
                             _neumann_modes, _random_fields, bump_function,
                             gradient, gradient_adjoint, gradient_magnitude,
                             integrate, load_function, quad_weights,
@@ -165,6 +165,76 @@ def test_gradient_adjoint_identity(rng):
         assert stacked.shape == (3,) + g.shape
         for k in range(3):
             assert stacked[k].tobytes() == gradient_adjoint(Y[:, k], g).tobytes()
+
+
+def _take_neighbours(v, axis):
+    """The reference stencil: v at the previous and the next node along
+    axis by np.take gathers, with the reflected ghosts v[1] before the
+    first node and v[-2] after the last."""
+    i = np.arange(v.shape[axis])
+    return (np.take(v, np.abs(i - 1), axis=axis),
+            np.take(v, i[-1] - np.abs(i[-2] - i), axis=axis))
+
+
+def _take_gradient(g, v):
+    parts = []
+    for k, h in enumerate(g.spacing):
+        prev, nxt = _take_neighbours(v, k - g.dim)
+        parts.append((nxt - prev) / (2.0 * h))
+    return np.stack(parts)
+
+
+def _take_gradient_adjoint(fields, g):
+    out = np.zeros(fields.shape[1:])
+    for k, h in enumerate(g.spacing):
+        y = np.moveaxis(fields[k], k - g.dim, 0)
+        z = np.zeros((len(y) + 2,) + y.shape[1:])
+        z[2:-2] = y[1:-1]
+        out += np.moveaxis(z[:-2] - z[2:], 0, k - g.dim) / (2.0 * h)
+    return out
+
+
+def _take_random_fields(g, seeds, amplitude, smoothness):
+    rows = []
+    for seed in seeds:
+        v = np.random.default_rng(seed).uniform(-1.0, 1.0, size=g.shape)
+        for _ in range(smoothness):
+            for ax in range(-g.dim, 0):
+                prev, nxt = _take_neighbours(v, ax)
+                v = 0.25 * (prev + 2.0 * v + nxt)
+        rows.append(v * (amplitude / np.max(np.abs(v))))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("grid", [
+    ok.make_grid(1, [(0.0, 1.0)], [17]),
+    ok.make_grid(1, [(-1.0, 2.5)], [3]),
+    ok.make_grid(2, [(0.0, 1.0), (0.0, 2.0)], [9, 13]),
+    ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [3, 4]),
+], ids=["1d-17", "1d-3", "2d-9x13", "2d-3x4"])
+def test_slice_stencil_matches_the_take_reference(rng, grid, rows):
+    # D, D^T and the smoothing of random fields index slices where the
+    # reference gathers neighbours with np.take; the arithmetic is the same,
+    # so every output is byte-identical, signed zeros included
+    v = rng.standard_normal((rows,) + grid.shape)
+    v[v > 1.0] = -0.0
+    f = rng.standard_normal((grid.dim, rows) + grid.shape)
+    f[f > 1.0] = -0.0
+    f[f < -1.0] = 0.0
+    assert _gradient(grid, v).tobytes() == _take_gradient(grid, v).tobytes()
+    assert gradient_adjoint(f, grid).tobytes() == _take_gradient_adjoint(f, grid).tobytes()
+    seeds = [3, 4, 5][:rows]
+    for smoothness in (0, 1, 3):
+        assert (_random_fields(grid, seeds, 0.7, smoothness).tobytes()
+                == _take_random_fields(grid, seeds, 0.7, smoothness).tobytes())
+    assert (random_function(grid, 3, 0.7, 2).values.tobytes()
+            == _take_random_fields(grid, [3], 0.7, 2)[0].tobytes())
+    # <D v, f>_w = <v, D^T (w f) / w>_w, row by row
+    w = grid.weights
+    lhs = np.sum((w * np.sum(_gradient(grid, v) * f, axis=0)).reshape(rows, -1), axis=1)
+    rhs = np.sum((v * gradient_adjoint(w * f, grid)).reshape(rows, -1), axis=1)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def _dense_axis_stencil(lo, hi, n):

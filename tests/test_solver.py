@@ -8,7 +8,7 @@ import pytest
 
 import orliczkit as ok
 from orliczkit import solver
-from orliczkit.errors import InputError
+from orliczkit.errors import DomainError, InputError
 from orliczkit.grid import _neumann_modes
 from orliczkit.solver import SolverOptions, _default_rho, _fast_diagonalization, _shifted_step
 
@@ -99,12 +99,49 @@ def test_first_step_is_shifted_newton_step(config_p4_q2, rough):
     J2 = ok.energy(config_p4_q2, ok.GridFunction(grid, u0.values + 2.0 * d))
     kept = 2.0 * d if J2 < J1 else d
     assert rep.iterations == 1
-    assert rep.step_probes == 1 and rep.doubled_steps == int(J2 < J1)
-    assert rep.energy_evals == 1 + trials + rep.step_probes and rep.residual_evals == 2
+    # every trial evaluates J at u0 + d and u0 + 2d as one 2-row stack, and
+    # energy_evals counts rows: the start, then two per trial
+    assert rep.step_probes == trials and rep.doubled_steps == int(J2 < J1)
+    assert rep.energy_evals == 1 + 2 * trials and rep.residual_evals == 2
     assert rep.cg_products == 0         # 1-d steps are banded Cholesky solves
     np.testing.assert_allclose(rep.final_u.values, u0.values + kept, rtol=1e-10, atol=1e-14)
     assert rep.final_energy == ok.energy(config_p4_q2, rep.final_u)
     assert rep.trajectory[0, 0] == J0
+
+
+def test_step_energies_evaluate_the_rows_alone_when_one_overflows():
+    # one 2-row stack gives J(u + d) and J(u + 2d), each row bit for bit its
+    # own energy call; here u + d has |grad| = 1e154 (Phi = s^2 = 1e308) and
+    # u + 2d has |grad|^2 = 4e308, which overflows, so the stack raises
+    # DomainError and the rows are evaluated one at a time
+    q2 = ok.power_reaction(ok.ExponentField.constant(2.0))
+    config = ok.EnergyConfig(ok.power_family(ok.ExponentField.constant(2.0)), q2, 1.0)
+    grid = ok.make_grid(1, [(0.0, 1.0)], [11])
+    u = ok.GridFunction.constant(grid, 0.3)
+    d = np.zeros(grid.shape)
+    d[5] = 2e153                    # D d = +-1e154 at nodes 4 and 6
+    with np.errstate(over="ignore", invalid="ignore"):    # as in minimize
+        with pytest.raises(DomainError):
+            ok.energy(config, ok.GridFunction(grid, u.values + 2.0 * d))
+        J1 = ok.energy(config, ok.GridFunction(grid, u.values + d))
+        steps = solver._step_energies(config, u, d)
+        assert math.isfinite(J1)
+        assert [v.tobytes() for v, _ in steps] == [(u.values + d).tobytes(),
+                                                   (u.values + 2.0 * d).tobytes()]
+        assert steps[0][1] == J1 and steps[1][1] == math.inf
+        # finite rows: both equal their single energy calls
+        d = ok.random_function(grid, 3, 0.2, 1).values.copy()
+        assert [J for _, J in solver._step_energies(config, u, d)] == [
+            ok.energy(config, ok.GridFunction(grid, u.values + t * d)) for t in (1.0, 2.0)]
+        # a point that is not finite is not evaluated: u + 2d overflows here
+        # (the trial's gradient overflows too, so it reads inf), and no point
+        # of a non-finite or missing d is
+        d[5] = 1e308
+        steps = solver._step_energies(config, u, d)
+        assert len(steps) == 1 and steps[0][1] == math.inf
+        d[5] = math.nan
+        assert solver._step_energies(config, u, d) == []
+        assert solver._step_energies(config, u, None) == []
 
 
 def test_minimize_at_max_iters_records_the_returned_iterate(config_p4_q2):
@@ -311,13 +348,13 @@ def test_bench_random_starts_converge_in_few_newton_steps(config_p4_q2, family, 
 
 
 def test_accepted_steps_probe_the_doubled_step(config_p4_q2):
-    # one probe of u + 2d per accepted step at most, counted in energy_evals
-    # too; on this start some probes are kept
+    # one probe row of u + 2d per trial, counted in energy_evals too; on this
+    # start no trial is rejected and some probes are kept
     grid = ok.make_grid(1, [(0.0, 1.0)], [101])
     rep = ok.minimize(config_p4_q2, _bench_start(grid, _BENCH_NOISE_SEEDS[1][0]))
     assert rep.converged
     assert 1 <= rep.doubled_steps <= rep.step_probes <= rep.iterations
-    assert rep.energy_evals >= 1 + rep.iterations + rep.step_probes
+    assert rep.energy_evals == 1 + 2 * rep.step_probes
 
 
 def test_minimize_custom_family_reaches_power_minimizer(config_p4_q2, grid_1d):
@@ -353,8 +390,8 @@ def test_small_lambda_solve_converges_on_201_nodes():
 
 def test_small_lambda_solves_spend_at_most_two_energy_calls_per_step(grid_1d):
     # criterion 08's three parameters from the bump seed: rejected trials are
-    # rare, so a step costs at most two trial energy calls on average, besides
-    # its one probe of the doubled step
+    # rare, so a step costs at most two trial energy rows on average, besides
+    # the probe row of the doubled step that each trial evaluates with it
     fam = ok.power_family(ok.ExponentField.affine(3.0, 1.0))
     react = ok.power_reaction(ok.ExponentField.constant(2.0))
     c1 = ok.estimate_embedding_constant(fam, react.q, grid_1d, samples=50, seed=0)

@@ -238,6 +238,26 @@ def _cubic_plus_square():
                             phi0=2.0, phi_sup=3.0)
 
 
+def test_custom_elasticity_takes_phi_from_the_modular(grid_1d):
+    # a modular evaluation of a custom Luxemburg norm calls phi_fn once for
+    # phi and twice for the central difference of its elasticity, which
+    # takes phi from the first call: 3 evaluations, 9 calls (12 when the
+    # elasticity evaluated phi again)
+    calls = []
+
+    def phi_fn(x, t):
+        calls.append(np.size(t))
+        return 3.0 * t * np.abs(t) + t
+
+    fam = ok.custom_family(phi_fn=phi_fn, Phi_fn=lambda x, t: np.abs(t) ** 3 + 0.5 * t * t,
+                           phi0=2.0, phi_sup=3.0)
+    u = ok.random_function(grid_1d, 7, 1.0, 2)
+    calls.clear()
+    N = luxemburg_norm(fam, u)
+    assert len(calls) == 9
+    assert N == luxemburg_norm(_cubic_plus_square(), u)
+
+
 @pytest.mark.parametrize("norm", [luxemburg_norm, sobolev_norm, conjugate_norm])
 def test_modular_curvature_matches_slope_difference(monkeypatch, all_families, grid_2d,
                                                     norm):
