@@ -12,8 +12,10 @@ its bounds ``p_minus`` and ``p_plus`` are computed from them.  Every
 construction, through a builder, a config parser or directly, is checked
 once, in ``__post_init__`` and nowhere else: a known kind with its number
 of coefficients (1, 2 or 0), a (lo, hi) x1_range (for an affine field
-with hi > lo and a finite width), finite values and p_minus > 1.  The same type serves both the Young-function exponent p and
-the reaction exponent q.
+with hi > lo and a finite width; for a tabulated one, the ends of its
+table), finite values and p_minus > 1.  A tabulated field's tables, of
+matching sizes, are sorted by x1 there (stably).  The same type serves
+both the Young-function exponent p and the reaction exponent q.
 """
 
 from __future__ import annotations
@@ -52,8 +54,14 @@ class ExponentField:
                 raise InputError("tabulated exponent needs matching x1/value tables")
             if not all(map(math.isfinite, x1 + self.table_values)):
                 raise InputError("tabulated exponent tables must be finite")
-            if list(x1) != sorted(x1) or self.x1_range != (x1[0], x1[-1]):
-                raise InputError("tabulated exponent needs a sorted x1 table over x1_range")
+            order = np.argsort(x1, kind="stable")
+            x1 = tuple(np.asarray(x1, dtype=float)[order].tolist())
+            object.__setattr__(self, "table_x1", x1)
+            object.__setattr__(self, "table_values",
+                               tuple(np.asarray(self.table_values, dtype=float)[order].tolist()))
+            if self.x1_range != (x1[0], x1[-1]):
+                raise InputError("tabulated exponent needs an x1_range from the least to "
+                                 "the largest table x1")
         if self.kind == "affine" and not 0.0 < self.x1_range[1] - self.x1_range[0] < math.inf:
             raise InputError("affine exponent needs a nondegenerate x1 range of finite width")
         if not self.p_minus > 1.0:
@@ -76,13 +84,9 @@ class ExponentField:
     @staticmethod
     def tabulated(x1: np.ndarray, values: np.ndarray) -> "ExponentField":
         """Per-node values over a coordinate table (nearest lookup), sorted by x1."""
-        x1 = np.asarray(x1, dtype=float).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        if x1.size != values.size or x1.size < 1:
-            raise InputError("tabulated exponent needs matching x1/value tables")
-        order = np.argsort(x1)
-        x1, values = tuple(x1[order].tolist()), tuple(values[order].tolist())
-        return ExponentField("tabulated", x1_range=(x1[0], x1[-1]),
+        x1 = tuple(np.asarray(x1, dtype=float).ravel().tolist())
+        values = tuple(np.asarray(values, dtype=float).ravel().tolist())
+        return ExponentField("tabulated", x1_range=(min(x1, default=0.0), max(x1, default=0.0)),
                              table_x1=x1, table_values=values)
 
     # -- bounds ---------------------------------------------------------

@@ -152,18 +152,19 @@ def _poly(b, x, out=None):
     Horner's rule in x^4 on four interleaved partial sums, joined as
     (l0 + l1 x) + (l2 + l3 x) x^2: a K-term sum in K/2 + 4 array operations
     of multiply-adds only (2K for plain Horner)."""
-    x2 = x * x
-    y = x2 * x2
+    y = x * x
+    y *= y
     blocks = b.reshape((-1, 4) + b.shape[1:])
     lanes = blocks[-1] * y
     for block in blocks[-2:0:-1]:
         lanes += block
         lanes *= y
+    del y
     lanes += blocks[0]
     odd = lanes[1::2]
     odd *= x
     odd += lanes[0::2]
-    out = np.multiply(lanes[3], x2, out=out)
+    out = np.multiply(lanes[3], x * x, out=out)
     out += lanes[1]
     return out
 
@@ -266,8 +267,8 @@ def _corr_log_quotient(V, p, p_plus):
     (at most 128), for the exp(p*v) growth.
     """
     c = np.minimum(V, 1.0)
-    out = np.power(c, p - 1.0)
-    out *= _series(c, p, functools.partial(_log_quotient_coeffs, p_plus))
+    out = _series(c, p, functools.partial(_log_quotient_coeffs, p_plus))
+    out *= np.power(c, p - 1.0)
     far, V, p = _past_cut(out, V, 1.0, p)
     if far is not None:
         def tail(v, q):
@@ -381,9 +382,10 @@ def _series_args(fam, x1, t):
 def _log_quotient_Phi(fam, x1, t):
     p, at, p_plus = _series_args(fam, x1, t)
     V = np.log1p(at)
+    corr = _corr_log_quotient(V, p, p_plus)
     lead = at ** p      # 0 at t = 0, where V is 0 too
     lead /= np.where(V > 0, V, 1.0)
-    return lead + _corr_log_quotient(V, p, p_plus)
+    return lead + corr
 
 
 def _log_weight_phi(fam, x1, t):
@@ -583,62 +585,64 @@ class MusielakFamily:
         """Phi(x,t) = integral of phi from 0 to |t| (even extension)."""
         return self._pointwise(self.kernel.Phi, x1, t)
 
-    def phi_inv(self, x1, s):
+    def phi_inv(self, x1, s, _start=None):
         """Inverse of phi(x,.) on [0,inf); monotone in s, phi_inv(x,0)=0.
-        It alone checks s >= 0, also for ``conjugate``."""
+        It alone checks s >= 0, also for ``conjugate``.  The private
+        ``_start`` (broadcastable against s) is a first z = log t for the
+        root solve of a family without a closed form."""
         x1, s, scalar = _finite_args(x1, s, "s")
         if np.any(s < 0.0):
             raise InputError("phi_inv expects s >= 0")
         if self.kernel.phi_inv is not None:
             root = np.broadcast_arrays(self.kernel.phi_inv(self, x1, s), s)[0]
             return _maybe_scalar(root, scalar)
-        x1, s = np.broadcast_arrays(x1, s)
-        root = np.zeros(s.shape)
+        # flat 1-d arrays, views of s and start where they have the full shape
+        shape = np.broadcast_shapes(x1.shape, s.shape)
+        x1, s = (np.broadcast_to(a, shape).reshape(-1) for a in (x1, s))
+        start = None if _start is None else np.broadcast_to(_start, shape).reshape(-1)
+        root = np.zeros(s.size)
         live = s > 0.0
-        if np.any(live):
-            root[live] = self._solve_phi_inv(x1[live], s[live])
-        return _maybe_scalar(root, scalar)
+        if live.any():
+            live = slice(None) if live.all() else live
+            root[live] = self._solve_phi_inv(x1[live], s[live],
+                                             None if start is None else start[live])
+        return _maybe_scalar(root.reshape(shape), scalar)
 
-    def _solve_phi_inv(self, x1, s):
+    def _solve_phi_inv(self, x1, s, start=None):
         """t > 0 with phi(x1, t) = s > 0, elementwise over 1-d arrays.
 
         Works in z = log t inside a bracket lo < z < hi, the representable
         _PHI_INV_BRACKET at the start, that every phi evaluation narrows.
-        The first z is the root of phi = p t^{p-1} where the family has an
-        exponent field, else the midpoint.  The Newton step on
-        log phi(e^z) - log s (slope: the kernel's elasticity) is taken when
-        it lands strictly inside the bracket, the midpoint otherwise; an
-        element stops once its step is a few ulp of z, and its root is e^z
-        times e^step so that rounding z costs no accuracy in t.  An element
-        that stops at the top of the bracket has its root beyond it.
+        The first z is ``start`` where given, else the root of
+        phi = p t^{p-1} where the family has an exponent field, and the
+        midpoint where that first z is not inside the bracket.  Each
+        iteration is one ``_phi_inv_step``; an element stops once its step
+        is a few ulp of z, and its root is e^z times e^step so that rounding
+        z costs no accuracy in t.  An element that stops at the top of the
+        bracket has its root beyond it.  The arrays are compressed to the
+        elements left only after an iteration where some element stops.
         """
         lo, hi = (np.full(s.shape, end) for end in _PHI_INV_BRACKET)
-        z = 0.5 * (lo + hi)
         out = np.empty(s.shape)
         active = np.arange(s.size)
-        elasticity = self.kernel.phi_elasticity
         with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            if self.p is not None:
+            if start is None and self.p is not None:
                 p = self.p(x1)
-                guess = (np.log(s) - np.log(p)) / (p - 1.0)     # phi = p t^{p-1}
-                z = np.where((lo < guess) & (guess < hi), guess, z)
+                start = (np.log(s) - np.log(p)) / (p - 1.0)     # phi = p t^{p-1}
+                del p       # as start below: no array the loop does not read
+            z = 0.5 * (lo + hi)
+            if start is not None:
+                z = np.where((lo < start) & (start < hi), start, z)
+            del start
             for _ in range(_PHI_INV_MAX_ITER):
-                t = np.exp(z)
-                # log of the ratio, not a difference of logs: near the root
-                # it is accurate to rounding whatever the size of s
-                phi = self.phi(x1, t)
-                gap = np.log(phi / s)
-                lo = np.where(gap < 0.0, z, lo)
-                hi = np.where(gap > 0.0, z, hi)
-                tol = _PHI_INV_ULPS * np.maximum(np.abs(z), 1.0)
-                newton = -gap / elasticity(self, x1, t, phi)
-                # a final step below the spacing of z lands on z itself
-                take = ((lo < z + newton) & (z + newton < hi)) | (np.abs(newton) <= tol)
-                step = np.where(take, newton, 0.5 * (lo + hi) - z)
+                step, tol = self._phi_inv_step(x1, s, z, lo, hi)
                 done = np.abs(step) <= tol
+                if not done.any():
+                    z += step
+                    continue
                 if np.any(z[done] + step[done] >= _PHI_INV_BRACKET[1] - 2.0 * tol[done]):
                     raise NumericsError("phi_inv: s beyond representable range")
-                out[active[done]] = (t * np.exp(step))[done]
+                out[active[done]] = np.exp(z[done]) * np.exp(step[done])
                 keep = ~done
                 if not np.any(keep):
                     return out
@@ -646,16 +650,48 @@ class MusielakFamily:
                 lo, hi, z = lo[keep], hi[keep], (z + step)[keep]
         raise NumericsError("phi_inv: root solve did not converge")
 
+    def _phi_inv_step(self, x1, s, z, lo, hi):
+        """(step, tol) of one iteration of ``_solve_phi_inv`` at z: it
+        evaluates phi at t = e^z, narrows the bracket (lo, hi) in place, and
+        takes the Newton step on log phi(e^z) - log s (slope: the kernel's
+        elasticity) when it lands strictly inside the bracket, the step to
+        the midpoint otherwise.  tol is the stopping step, a few ulp of z.
+        phi is the kernel's: x1 is checked finite and t is inside the
+        bracket.  The temporaries of the step are gone once it returns."""
+        t = np.exp(z)
+        phi = self.kernel.phi(self, x1, t)
+        # log of the ratio, not a difference of logs: near the root it is
+        # accurate to rounding whatever the size of s
+        gap = phi / s
+        np.log(gap, out=gap)
+        np.copyto(lo, z, where=gap < 0.0)
+        np.copyto(hi, z, where=gap > 0.0)
+        newton = np.divide(gap, self.kernel.phi_elasticity(self, x1, t, phi), out=gap)
+        np.negative(newton, out=newton)
+        tol = np.abs(z)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= _PHI_INV_ULPS
+        landing = z + newton
+        # a final step below the spacing of z lands on z itself
+        take = (lo < landing) & (landing < hi)
+        take |= np.abs(newton) <= tol
+        step = lo + hi
+        step *= 0.5
+        step -= z
+        np.copyto(step, newton, where=take)
+        return step, tol
+
     def conjugate(self, x1, s):
         """Conjugate Young function: sup_{t>0} (s t - Phi(x,t)), attained
         at t = phi_inv(x,s) by strict monotonicity of phi."""
         return _maybe_scalar(self.conjugate_with_argmax(x1, s)[0])
 
-    def conjugate_with_argmax(self, x1, s):
+    def conjugate_with_argmax(self, x1, s, _start=None):
         """(conjugate(x,s), t*) as arrays, t* = phi_inv(x,s) the maximizer;
-        t* is also the s-derivative of the conjugate."""
+        t* is also the s-derivative of the conjugate.  ``_start`` is the
+        first log t of the phi_inv solve."""
         x1, s = _as_array(x1), _as_array(s)
-        t_star = np.asarray(self.phi_inv(x1, s))
+        t_star = np.asarray(self.phi_inv(x1, s, _start))
         val = s * t_star - np.asarray(self.Phi(x1, t_star))
         return np.maximum(val, 0.0), t_star
 

@@ -192,11 +192,13 @@ def _shifted_step(grid: DomainGrid, model, r, mu: float, modes):
         e = 0.0
     else:
         a, n = model[2:]
+        # fixed for the whole CG solve; each product as (a + mu) g + (phi' - a) n (n.g)
+        a_mu, radial_n, c_mu = a + mu, (radial - a) * n, c + mu
 
         def apply(v):
             gv = _gradient(grid, v)
-            flux = (a + mu) * gv + (radial - a) * n * np.sum(n * gv, axis=0)
-            return gradient_adjoint(w * flux, grid) / w + (c + mu) * v
+            flux = a_mu * gv + radial_n * np.sum(n * gv, axis=0)
+            return gradient_adjoint(w * flux, grid) / w + c_mu * v
 
         # weighted means <f>_w = sum(w f) / |Omega|
         c_bar = max(float(np.sum(w * c)) / grid.measure + mu, 1e-3 * mu + 1e-12)

@@ -25,25 +25,34 @@ exponent is evaluated once per grid row.
 
 The unit-modular equation is solved by safeguarded Halley steps in log-log
 coordinates, one vector iteration for all rows.  With m = log mu, t = |u|/mu
-and F(m) = log R, R = rho(u/mu), each modular evaluation also returns the
-exact derivatives
+and F(m) = log R, R = rho(u/mu), the step needs the exact derivatives
 
     F'  = -integral of t psi(x,t) / R,
     F'' =  integral of (t psi + t^2 psi'(x,t)) / R - F'^2,
 
-and the step is m - 2 F F' / (2 F'^2 - F F'').  The term t^2 psi' comes
-without another evaluation of the Young function, as t psi times the
-elasticity E = t psi'/psi: the kernel's phi_elasticity (p - 1 for
-``power``) for every family kind, and 1/E(t*) at t* = phi_inv(s) for the
-conjugate (psi = phi_inv); it is 0 where t psi = 0.  The exponent bounds
-give, from the same R, the rigorous enclosure  mu* in
-[mu R^{1/phi_sup}, mu R^{1/phi0}]  (R > 1; mirrored for R < 1); a step that
-leaves it or the row's bracket of evaluated scales, or is not finite (a
-nonpositive denominator counts as such), is replaced by the bisection
-point.  A row that has converged leaves the active set, and its modular
-is no longer evaluated.  Every norm is solved to |rho(u/mu) - 1| <=
-``NORM_TOL`` within ``_NORM_MAX_ITER`` modular evaluations; the norms of
-the built-in families take at most 3 (2 for a constant exponent).
+and is m - 2 F F' / (2 F'^2 - F F'').  A modular evaluation has two
+phases: it forms R alone, and the solve asks for (F', F'') only at the
+rows still live after the |R - 1| test, so the evaluation that certifies
+a row evaluates no psi and no elasticity.  The term t^2 psi' comes without
+another evaluation of the Young function, as t psi times the elasticity
+E = t psi'/psi: the kernel's phi_elasticity (p - 1 for ``power``) for
+every family kind, and 1/E(t*) at t* = phi_inv(s) for the conjugate
+(psi = phi_inv); it is 0 where t psi = 0.  The derivative phase of a
+conjugate evaluation also leaves the next one its phi_inv start,
+z = log t* + log(s_next/s)/E(t*), exact to first order since
+d log t*/d log s = 1/E(t*); the root it reaches agrees with a cold start's
+to the solve's few-ulp stopping step.  The exponent bounds give, from the
+same R, the rigorous enclosure  mu* in [mu R^{1/phi_sup}, mu R^{1/phi0}]
+(R > 1; mirrored for R < 1); a step that leaves it or the row's bracket of
+evaluated scales, or is not finite (a nonpositive denominator counts as
+such), is replaced by the bisection point.  A row that has converged
+leaves the active set, and its modular is no longer evaluated.  Every norm
+is solved to |rho(u/mu) - 1| <= ``NORM_TOL`` within ``_NORM_MAX_ITER``
+modular evaluations; the norms of the built-in families take at most 3 (2
+for a constant exponent).  On a 129^2 log-quotient field with 3
+evaluations, a Luxemburg norm makes 3 Phi, 2 phi and 2 elasticity kernel
+calls, a Sobolev norm 6, 4 and 4, and a conjugate norm 3 Phi, 13 phi and
+15 elasticity calls (its phi_inv solves take 5, 4 and 4 phi calls).
 """
 
 from __future__ import annotations
@@ -75,10 +84,13 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0) -> np.ndarray
     """Solve R(mu) = 1 for strictly decreasing modular-of-scale maps, one
     row per entry of the starting scales ``mu0``, each with its own bracket.
 
-    ``rho(mu)`` maps the vector of scales to the vectors ``(R, F', F'')``,
-    the first and second derivatives of F = log R in m = log mu; a row that
-    has converged is passed as NaN and its outputs are ignored, so rho may
-    skip it.  exp_lo/exp_hi are ratio bounds of the underlying Young
+    ``rho(mu)`` maps the vector of scales to the pair (R, derivatives):
+    the vector R, and a function that, given the boolean mask of the rows
+    still live after the |R - 1| test, returns the vectors (F', F'') of
+    the first and second derivatives of F = log R in m = log mu (the values
+    at other rows are ignored), so a converged row costs no derivative.  A
+    row that has converged is passed as NaN and its outputs are ignored, so
+    rho may skip it.  exp_lo/exp_hi are ratio bounds of the underlying Young
     function; they only safeguard the iteration (the enclosure above),
     correctness needs just monotonicity.  Returns the vector of mu with
     |R(mu) - 1| <= NORM_TOL.
@@ -89,10 +101,12 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0) -> np.ndarray
     live = np.ones(m.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NORM_MAX_ITER):
-            R, slope, curvature = rho(np.where(live, _libm(math.exp, m), np.nan))
+            R, derivatives = rho(np.where(live, _libm(math.exp, m), np.nan))
             live &= ~(np.abs(R - 1.0) <= NORM_TOL)
             if not live.any():
                 return _libm(math.exp, m)
+            slope, curvature = derivatives(live)
+            del derivatives     # its arrays go before the next evaluation
             regular = (R > 0.0) & (R < np.inf)
             F = _libm(math.log, np.where(regular, R, 1.0))     # 0 where irregular
             m_lo = np.where(F > 0.0, m, m_lo)
@@ -125,9 +139,13 @@ def _unit_norm(grid, U, mags, young, lo, hi):
     stacks a in ``mags(grid, U)`` (each (rows,) + grid.shape) of integral
     Psi(a/mu) equals 1; 0 for a row where every magnitude vanishes.
 
-    ``young(t)`` returns (Psi(t), psi(t), t psi'(t)/psi(t)) at the nodal
-    magnitudes t; the elasticity is not used where t psi(t) = 0.  lo/hi
-    are Psi's ratio bounds.  The magnitudes are formed per chunk of rows,
+    ``young(t, start)`` returns Psi(t) at the nodal magnitudes t and a
+    deferred ``later(rows)``, which returns, at the rows ``rows`` of t, psi,
+    the elasticity t psi'(t)/psi(t) (not used where t psi(t) = 0) and
+    None or a function of the column log(mu_prev/mu) that gives the
+    ``start`` of the next evaluation at those rows (for the conjugate, the
+    first log t of its phi_inv solve); ``start`` is None at a first
+    evaluation.  lo/hi are Psi's ratio bounds.  The magnitudes are formed per chunk of rows,
     and each chunk is one ``_chunk_unit_norm``.
     """
     mu = np.empty(len(U))
@@ -137,7 +155,12 @@ def _unit_norm(grid, U, mags, young, lo, hi):
 
 
 def _chunk_unit_norm(grid, stack, young, lo, hi):
-    """``_unit_norm`` of the rows of one chunk, given its magnitude stacks."""
+    """``_unit_norm`` of the rows of one chunk, given its magnitude stacks.
+
+    Its rho is two-phase: R first, then (F', F'') for the rows the solve
+    still needs.  A derivative phase leaves, per magnitude stack, the start
+    of the next evaluation, which takes it only if it evaluates exactly the
+    rows that phase covered (as the solve does)."""
     w = grid.weights
     top = np.max([np.max(a, axis=tuple(range(1, a.ndim))) for a in stack], axis=0)
     mu = np.zeros(top.shape)
@@ -145,27 +168,55 @@ def _chunk_unit_norm(grid, stack, young, lo, hi):
     if not rows.size:
         return mu
     stack = tuple(a[rows] for a in stack)
+    carried = None      # (rows, their scales, per stack the start function)
 
     def rho(mu):
         # values keeps the sum order of _young_sum, so R(1) equals the
         # modular of the same Psi bit for bit; rows finished (NaN) are
         # skipped
-        live = ~np.isnan(mu)
-        live = slice(None) if live.all() else np.flatnonzero(live)
+        nonlocal carried
+        evaluated = ~np.isnan(mu)
+        live = slice(None) if evaluated.all() else np.flatnonzero(evaluated)
         scale = _col(mu[live], grid)
-        values, moment, moment2 = 0.0, 0.0, 0.0
-        for a in stack:
+        starts = [None] * len(stack)
+        if carried is not None and np.array_equal(carried[0], evaluated):
+            shift = _col(np.log(carried[1] / mu[evaluated]), grid)
+            starts = [None if f is None else f(shift) for f in carried[2]]
+        carried = None
+        ts, laters, values = [], [], None
+        for a, start in zip(stack, starts):
             t = a[live] / scale
-            Psi, psi, elasticity = young(t)
-            values = values + np.asarray(Psi)
-            wtpsi = w * t * np.asarray(psi)
-            moment = moment + _node_sums(wtpsi)
-            moment2 = moment2 + _node_sums(np.where(wtpsi > 0.0, wtpsi * elasticity, 0.0))
-        R, slope, curvature = np.full((3, mu.size), np.nan)
+            Psi, later = young(t, start)
+            values = np.asarray(Psi) if values is None else values + Psi
+            ts.append(t)
+            laters.append(later)
+        R = np.full(mu.size, np.nan)
         R[live] = _node_sums(w * values)
-        slope[live] = -moment / R[live]     # under the solve's errstate
-        curvature[live] = (moment + moment2) / R[live] - slope[live] ** 2
-        return R, slope, curvature
+
+        def derivatives(keep):
+            # (F', F'') at the rows of keep, all of them evaluated above
+            nonlocal carried
+            sub = keep[evaluated]
+            sub = slice(None) if sub.all() else np.flatnonzero(sub)
+            moment, moment2, nexts = 0.0, 0.0, []
+            for t, later in zip(ts, laters):
+                psi, elasticity, next_start = later(sub)
+                wtpsi = w * t[sub]
+                wtpsi *= psi
+                moment = moment + _node_sums(wtpsi)
+                # the same buffer becomes w t psi E, 0 where w t psi = 0
+                positive = wtpsi > 0.0
+                np.multiply(wtpsi, elasticity, out=wtpsi, where=positive)
+                np.copyto(wtpsi, 0.0, where=~positive)
+                moment2 = moment2 + _node_sums(wtpsi)
+                nexts.append(next_start)
+            carried = (keep.copy(), mu[keep], nexts)
+            slope, curvature = np.full((2, mu.size), np.nan)
+            slope[keep] = -moment / R[keep]     # under the solve's errstate
+            curvature[keep] = (moment + moment2) / R[keep] - slope[keep] ** 2
+            return slope, curvature
+
+        return R, derivatives
 
     mu[rows] = solve_unit_modular(rho, lo, hi, mu0=top[rows])
     return mu
@@ -177,22 +228,26 @@ def _young_sum(Psi, grid, U, mags):
     w = grid.weights
     out = np.empty(len(U))
     for rows in _row_chunks(out.size, w.size):
-        values = 0.0
+        values = None
         for a in mags(grid, U[rows]):
-            values = values + np.asarray(Psi(a))
+            values = np.asarray(Psi(a)) if values is None else values + Psi(a)
         out[rows] = _node_sums(w * values)
     return out
 
 
 def _phi_young(family, grid):
-    """young(t) = (Phi, phi, elasticity) of the family at the magnitudes t;
-    the elasticity takes the phi just evaluated."""
+    """young(t, start) of ``_unit_norm`` for Psi = Phi of the family: phi
+    and its elasticity, which takes the phi just evaluated, are deferred."""
     x1 = _x1(grid)
     elasticity = family.kernel.phi_elasticity
 
-    def young(t):
-        phi = family.phi(x1, t)
-        return family.Phi(x1, t), phi, elasticity(family, x1, t, phi)
+    def young(t, start=None):
+        def later(rows):
+            at = t[rows]
+            phi = family.phi(x1, at)
+            return phi, elasticity(family, x1, at, phi), None
+
+        return family.Phi(x1, t), later
 
     return young
 
@@ -238,10 +293,18 @@ def _stack_conjugate_norm(family, grid, U):
     x1 = _x1(grid)
     elasticity = family.kernel.phi_elasticity
 
-    def young(s):
-        # psi = phi_inv, so s psi'(s)/psi(s) = 1/E(t*) at t* = phi_inv(s)
-        conj, t_star = family.conjugate_with_argmax(x1, s)
-        return conj, t_star, 1.0 / elasticity(family, x1, t_star)
+    def young(s, start=None):
+        conj, t_star = family.conjugate_with_argmax(x1, s, _start=start)
+
+        def later(rows):
+            # psi = phi_inv, so s psi'(s)/psi(s) = 1/E(t*) at t* = phi_inv(s),
+            # which is also d log t*/d log s: the next scale's phi_inv starts
+            # at log t* + log(s/s_prev)/E(t*)
+            t = t_star[rows]
+            e = 1.0 / elasticity(family, x1, t)
+            return t, e, lambda shift: np.log(t) + e * shift
+
+        return conj, later
 
     return _unit_norm(grid, U, _abs, young, *family.conjugate_exponent_bounds())
 

@@ -24,7 +24,8 @@ exercised (``modular_convergence`` halves them ``_CONVERGENCE_STEPS``
 times).  The samples of one (property, objects, grid) are evaluated as one
 stack of fields with a leading batch axis, by one evaluator call with
 per-sample argument arrays, and absorbed in draw order, each with its own
-witness.  A replayed witness is the same evaluator on a stack of one, and a
+witness.  An evaluator concatenates the stacks that go through the same
+norm or modular (u, v and u + v, say) into one call (``_stacked``).  A replayed witness is the same evaluator on a stack of one, and a
 sample's margin does not depend on the rest of its stack.
 """
 
@@ -61,6 +62,13 @@ _CONVERGENCE_STEPS = 12
 # per sample), and scalars are a stack of one
 # ---------------------------------------------------------------------------
 
+def _stacked(stack_fn, family, grid, *stacks):
+    """stack_fn on the rows of equal-length stacks as one concatenated
+    stack, split back into one value array per stack; a row's value does
+    not depend on the other rows, so each equals its own stack's call."""
+    return np.split(stack_fn(family, grid, np.concatenate(stacks)), len(stacks))
+
+
 def eval_norm_modular(family, grid, seed, amplitude, smoothness):
     U = _random_fields(grid, seed, amplitude, smoothness)
     N = _stack_luxemburg_norm(family, grid, U)
@@ -90,8 +98,7 @@ def eval_unit_ball(family, grid, seed, amplitude, smoothness):
 def eval_homogeneity(family, grid, seed, amplitude, smoothness, scale):
     U = _random_fields(grid, seed, amplitude, smoothness)
     scale = np.atleast_1d(scale)
-    n1 = _stack_luxemburg_norm(family, grid, U * _col(scale, grid))
-    n0 = _stack_luxemburg_norm(family, grid, U)
+    n1, n0 = _stacked(_stack_luxemburg_norm, family, grid, U * _col(scale, grid), U)
     rel = np.abs(n1 - np.abs(scale) * n0) / np.maximum(np.abs(scale) * n0, 1e-300)
     return -rel, {"scale": scale}
 
@@ -99,18 +106,16 @@ def eval_homogeneity(family, grid, seed, amplitude, smoothness, scale):
 def eval_triangle(family, grid, seed, seed2, amplitude, smoothness):
     U = _random_fields(grid, seed, amplitude, smoothness)
     V = _random_fields(grid, seed2, amplitude, smoothness)
-    m = (_stack_luxemburg_norm(family, grid, U) + _stack_luxemburg_norm(family, grid, V)
-         - _stack_luxemburg_norm(family, grid, U + V))
-    return m, {}
+    nu, nv, nuv = _stacked(_stack_luxemburg_norm, family, grid, U, V, U + V)
+    return nu + nv - nuv, {}
 
 
 def eval_parallelogram(family, grid, seed, seed2, amplitude, smoothness):
     U = _random_fields(grid, seed, amplitude, smoothness)
     V = _random_fields(grid, seed2, amplitude, smoothness)
-    m = (0.5 * (_stack_modular(family, grid, U) + _stack_modular(family, grid, V))
-         - _stack_modular(family, grid, (U + V) * 0.5)
-         - _stack_modular(family, grid, (U - V) * 0.5))
-    return m, {}
+    rho_u, rho_v, rho_mean, rho_diff = _stacked(_stack_modular, family, grid,
+                                                U, V, (U + V) * 0.5, (U - V) * 0.5)
+    return 0.5 * (rho_u + rho_v) - rho_mean - rho_diff, {}
 
 
 def eval_holder(family, grid, seed, seed2, amplitude, smoothness):
@@ -131,8 +136,8 @@ def eval_norm_equivalences(family, grid, seed, amplitude, smoothness):
 
 def eval_modular_convergence(family, grid, seed, amplitude, smoothness):
     V = _random_fields(grid, seed, amplitude, smoothness)
-    rhos = np.stack([_stack_modular(family, grid, V * (2.0 ** -k))
-                     for k in range(_CONVERGENCE_STEPS + 1)], axis=1)
+    rhos = np.stack(_stacked(_stack_modular, family, grid,
+                             *(V * (2.0 ** -k) for k in range(_CONVERGENCE_STEPS + 1))), axis=1)
     decreasing = np.min(rhos[:, :-1] - rhos[:, 1:], axis=1)
     # scaling gives rho(2^-k v) <= 2^{-k phi0} rho(v)
     vanish = 2.0 ** (-_CONVERGENCE_STEPS * family.phi0) * rhos[:, 0] * (1.0 + 1e-9) - rhos[:, -1]

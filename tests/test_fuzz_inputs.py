@@ -89,6 +89,21 @@ def descriptor_text(draw):
     return "\n".join(lines) + "\n"
 
 
+@FUZZ
+@given(x1=st.lists(st.floats(0.0, 1.0).map(repr), min_size=1, max_size=4),
+       values=st.lists(exponent, min_size=1, max_size=4))
+def test_fuzz_tabulated_exponent_tables(workdir, x1, values):
+    # the tables are sorted by x1 after their sizes are checked: tables of
+    # different sizes exit 3, never with a traceback (an IndexError) and
+    # never as a table cut to the shorter one
+    path = workdir / "tab.cfg"
+    path.write_text(f"family = power\np.kind = tabulated\np.x1 = {' '.join(x1)}\n"
+                    f"p.values = {' '.join(values)}\n")
+    code = _run(["modular", "--family", str(path), "--const", "1.5",
+                 "--domain", "0", "1", "--nodes", "5"])
+    assert code == (0 if len(x1) == len(values) else 3)
+
+
 @st.composite
 def solution_text(draw):
     nodes = draw(st.lists(st.integers(3, 5), min_size=1, max_size=2))

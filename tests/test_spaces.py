@@ -1,6 +1,8 @@
 """Modular/norm computations against independent oracles and the
 norm-modular inequality family."""
 
+import collections
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +12,7 @@ import scipy.integrate as si
 import scipy.optimize
 
 import orliczkit as ok
-from orliczkit import grid as grid_module, spaces
+from orliczkit import families, grid as grid_module, spaces
 from orliczkit.spaces import (conjugate_norm, luxemburg_norm, modular,
                               sobolev_modular, sobolev_norm, sobolev_norms)
 
@@ -231,6 +233,58 @@ def test_every_norm_takes_at_most_three_modular_evaluations(monkeypatch, all_fam
             assert mod(fam, (1.0 / N) * u) == pytest.approx(1.0, abs=1e-7)
 
 
+def _norms_2d_fields(seed):
+    """The three 129^2 fields of the norms-2d benchmark workload for a seed."""
+    g = ok.make_grid(2, [(0.0, 1.0), (0.0, 1.0)], [129, 129])
+    rng = np.random.default_rng(seed)
+    return [ok.random_function(g, int(rng.integers(0, 2 ** 62)), amp, 2)
+            for amp in (0.1, 1.0, 10.0)]
+
+
+def test_norm_kernel_calls_on_129_squared(monkeypatch):
+    # a solve's last modular evaluation converges and forms R alone, with
+    # no phi and no elasticity; the conjugate's phi_inv solve starts each
+    # later evaluation from the last roots (5 phi calls, then 4 and 4), and
+    # every Newton step and derivative phase takes one elasticity
+    calls = collections.Counter()
+    kernel = families._KERNELS["log-quotient"]
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setitem(families._KERNELS, "log-quotient", dataclasses.replace(
+        kernel, phi=counted("phi", kernel.phi), Phi=counted("Phi", kernel.Phi),
+        phi_elasticity=counted("elasticity", kernel.phi_elasticity)))
+    fam = ok.log_quotient_family(ok.ExponentField.affine(3.0, 1.0))
+    u = _norms_2d_fields(1)[1]
+    for norm, expected in ((luxemburg_norm, {"phi": 2, "Phi": 3, "elasticity": 2}),
+                           (sobolev_norm, {"phi": 4, "Phi": 6, "elasticity": 4}),
+                           (conjugate_norm, {"phi": 13, "Phi": 3, "elasticity": 15})):
+        calls.clear()
+        norm(fam, u)
+        assert dict(calls) == expected, norm.__name__
+
+
+def test_warm_started_conjugate_norms_equal_cold_ones(monkeypatch, all_families):
+    # on the fields of the norms-2d workload (seeds 1 and 20071) every
+    # conjugate norm equals, bit for bit, the one whose phi_inv solves all
+    # start cold
+    fields = _norms_2d_fields(1) + _norms_2d_fields(20071)
+    warm = [conjugate_norm(fam, u) for fam in all_families for u in fields]
+    solve, starts = families.MusielakFamily._solve_phi_inv, []
+
+    def cold(self, x1, s, start=None):
+        starts.append(start is not None)
+        return solve(self, x1, s)
+
+    monkeypatch.setattr(families.MusielakFamily, "_solve_phi_inv", cold)
+    assert [conjugate_norm(fam, u) for fam in all_families for u in fields] == warm
+    assert starts.count(True) == 2 * starts.count(False)
+
+
 def _cubic_plus_square():
     # phi = 3t|t| + t: elasticity (6t + 1)/(3t + 1) runs from 1 to 2
     return ok.custom_family(phi_fn=lambda x, t: 3.0 * t * np.abs(t) + t,
@@ -239,9 +293,11 @@ def _cubic_plus_square():
 
 
 def test_custom_elasticity_takes_phi_from_the_modular(grid_1d):
-    # a modular evaluation of a custom Luxemburg norm calls phi_fn once for
-    # phi and twice for the central difference of its elasticity, which
-    # takes phi from the first call: 3 evaluations, 9 calls (12 when the
+    # the derivative phase of a modular evaluation of a custom Luxemburg
+    # norm calls phi_fn once for phi and twice for the central difference
+    # of its elasticity, which takes phi from the first call; of the 3
+    # evaluations, the last one converges and has no derivative phase:
+    # 6 calls (9 when every evaluation formed the derivatives, 12 when the
     # elasticity evaluated phi again)
     calls = []
 
@@ -254,17 +310,23 @@ def test_custom_elasticity_takes_phi_from_the_modular(grid_1d):
     u = ok.random_function(grid_1d, 7, 1.0, 2)
     calls.clear()
     N = luxemburg_norm(fam, u)
-    assert len(calls) == 9
+    assert len(calls) == 6
     assert N == luxemburg_norm(_cubic_plus_square(), u)
+
+
+def _derivatives(rho, mu):
+    """(F', F'') of a one-row rho at the scale mu: its R phase, then its
+    derivative phase for the row."""
+    return tuple(d[0] for d in rho(np.array([mu]))[1](np.array([True])))
 
 
 @pytest.mark.parametrize("norm", [luxemburg_norm, sobolev_norm, conjugate_norm])
 def test_modular_curvature_matches_slope_difference(monkeypatch, all_families, grid_2d,
                                                     norm):
-    # F'' returned by rho against a central difference of its F' in
-    # m = log mu, on a field that vanishes at every fifth node (t = 0 for
-    # Phi, s = 0 for the conjugate); a wrong psi' still converges under the
-    # safeguards, so only this sees it
+    # F'' returned by rho's derivative phase against a central difference
+    # of its F' in m = log mu, on a field that vanishes at every fifth node
+    # (t = 0 for Phi, s = 0 for the conjugate); a wrong psi' still
+    # converges under the safeguards, so only this sees it
     solves = _recorded_solves(monkeypatch)
     u = ok.random_function(grid_2d, 31, 1.0, 2)
     values = u.values.copy()
@@ -279,11 +341,11 @@ def test_modular_curvature_matches_slope_difference(monkeypatch, all_families, g
         # 0/0 at t = 0, where it is not used
         with np.errstate(divide="ignore", invalid="ignore"):
             for mu in N * np.array([0.25, 1.0, 4.0]):
-                _, slope, curvature = rho(np.array([mu]))
-                up, down = (rho(np.array([mu * math.exp(d)]))[1] for d in (h, -h))
+                slope, curvature = _derivatives(rho, mu)
+                up, down = (_derivatives(rho, mu * math.exp(d))[0] for d in (h, -h))
                 fd = (up - down) / (2.0 * h)
-                assert abs(curvature[0] - fd[0]) <= 1e-8 * (1.0 + abs(slope[0])), (
-                    fam.label, mu / N, curvature[0], fd[0])
+                assert abs(curvature - fd) <= 1e-8 * (1.0 + abs(slope)), (
+                    fam.label, mu / N, curvature, fd)
 
 
 @pytest.mark.parametrize("norm, mod", [(luxemburg_norm, modular),
@@ -346,7 +408,8 @@ def test_solve_unit_modular_rows_are_independent():
     # R(mu) = (c/mu)^p per row, overflowing to inf below c/1e3 and 0 above
     # 1e3 c: each row escapes the bad scales by its own x64 steps, converges
     # to c, and gives the same scale alone as inside the batch; log R is
-    # linear in log mu, so its curvature is 0
+    # linear in log mu, so its curvature is 0 (rho returns R and the
+    # function that gives the derivatives at the rows still live)
     c = np.array([1e-6, 0.3, 2.0, 5e4])
     p = np.array([2.0, 3.5, 4.0, 2.5])
     mu0 = np.array([1e-12, 1e9, 2.0, 1.0])
@@ -355,7 +418,7 @@ def test_solve_unit_modular_rows_are_independent():
         def rho(mu):
             r = (c[rows] / mu) ** p[rows]
             r = np.where(mu < c[rows] / 1e3, np.inf, np.where(mu > 1e3 * c[rows], 0.0, r))
-            return r, np.full(mu.shape, -p[rows]), np.zeros(mu.shape)
+            return r, lambda live: (np.full(mu.shape, -p[rows]), np.zeros(mu.shape))
         return rho
 
     together = spaces.solve_unit_modular(make_rho(slice(None)), 2.0, 4.0, mu0=mu0)
