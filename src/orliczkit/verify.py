@@ -14,19 +14,28 @@ objects it runs over (families, reactions, or every family-reaction pair),
 its per-sample arguments in draw order, and its sample rule (random fields
 stacked per grid, one call on max(k, n_samples) points, or one call on fixed
 arguments).  The suite draws from its seed property by property, in table
-order, and for each property object by object.  ``replay_witness`` reads the
-evaluator's arguments from the same table.  Evaluators are looked up in
-``EVALUATORS`` at call time, so a wrapper put there sees every call.
+order, and for each property object by object; a property draws the samples
+of all its objects before it evaluates any, and evaluation never draws from
+the suite's generator.  ``replay_witness`` reads the evaluator's arguments
+from the same table.  Evaluators are looked up in ``EVALUATORS`` at call
+time, so a wrapper put there sees every call.
 
 Random fields are drawn at the three ``_AMPLITUDES`` so that both the
 small-norm and large-norm branches of the norm-modular relations get
 exercised (``modular_convergence`` halves them ``_CONVERGENCE_STEPS``
-times).  The samples of one (property, objects, grid) are evaluated as one
-stack of fields with a leading batch axis, by one evaluator call with
-per-sample argument arrays, and absorbed in draw order, each with its own
-witness.  An evaluator concatenates the stacks that go through the same
-norm or modular (u, v and u + v, say) into one call (``_stacked``).  A replayed witness is the same evaluator on a stack of one, and a
-sample's margin does not depend on the rest of its stack.
+times).  The fields of one (property, grid) are built by one
+``_random_fields`` call, across the property's objects, with the rows of
+each sample's ``seed`` and ``seed2`` together (``_field_stacks``).  A field
+evaluator takes field stacks with a leading batch axis, ``U`` (and ``V``
+for the second seeds), in place of seeds, amplitudes and smoothness: one
+call per (property, objects, grid), on that run's rows of the stacks, with
+per-sample arrays of its other arguments.  The samples are absorbed in draw
+order, each with its own witness.  An evaluator concatenates the stacks
+that go through the same norm or modular (u, v and u + v, say) into one
+call (``_stacked``).  A replayed witness builds its stacks of one field
+through the same ``_field_stacks`` and runs the same evaluator; a row of
+``_random_fields`` or of an evaluator does not depend on the rest of its
+stack, so the replay reproduces the margin bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +67,9 @@ _CONVERGENCE_STEPS = 12
 
 # ---------------------------------------------------------------------------
 # evaluators: (resolved objects + scalars) -> (margins array, info dict); the
-# field evaluators also take per-sample arrays (one margin and one info entry
-# per sample), and scalars are a stack of one
+# field evaluators take the field stacks U (and V) of their samples and
+# per-sample arrays of their other arguments, with one margin and one info
+# entry per row; a scalar is a stack of one
 # ---------------------------------------------------------------------------
 
 def _stacked(stack_fn, family, grid, *stacks):
@@ -69,8 +79,7 @@ def _stacked(stack_fn, family, grid, *stacks):
     return np.split(stack_fn(family, grid, np.concatenate(stacks)), len(stacks))
 
 
-def eval_norm_modular(family, grid, seed, amplitude, smoothness):
-    U = _random_fields(grid, seed, amplitude, smoothness)
+def eval_norm_modular(family, grid, U):
     N = _stack_luxemburg_norm(family, grid, U)
     rho = _stack_modular(family, grid, U)
     m = np.select([N > 1.0 + _CUT, N < 1.0 - _CUT],
@@ -79,8 +88,7 @@ def eval_norm_modular(family, grid, seed, amplitude, smoothness):
     return m, {"norm": N, "modular": rho}
 
 
-def eval_sobolev_modular_bounds(family, grid, seed, amplitude, smoothness):
-    U = _random_fields(grid, seed, amplitude, smoothness)
+def eval_sobolev_modular_bounds(family, grid, U):
     n = _stack_sobolev_norm(family, grid, U)
     mod = _stack_sobolev_modular(family, grid, U)
     m = np.select([n > 1.0 + _CUT, n < 1.0 - _CUT],
@@ -88,58 +96,48 @@ def eval_sobolev_modular_bounds(family, grid, seed, amplitude, smoothness):
     return m, {"norm": n, "modular": mod}
 
 
-def eval_unit_ball(family, grid, seed, amplitude, smoothness):
-    U = _random_fields(grid, seed, amplitude, smoothness)
+def eval_unit_ball(family, grid, U):
     N = _stack_luxemburg_norm(family, grid, U)
     m = _stack_modular(family, grid, U * _col(1.0 / N, grid))
     return -np.abs(m - 1.0), {"norm": N}
 
 
-def eval_homogeneity(family, grid, seed, amplitude, smoothness, scale):
-    U = _random_fields(grid, seed, amplitude, smoothness)
+def eval_homogeneity(family, grid, U, scale):
     scale = np.atleast_1d(scale)
     n1, n0 = _stacked(_stack_luxemburg_norm, family, grid, U * _col(scale, grid), U)
     rel = np.abs(n1 - np.abs(scale) * n0) / np.maximum(np.abs(scale) * n0, 1e-300)
     return -rel, {"scale": scale}
 
 
-def eval_triangle(family, grid, seed, seed2, amplitude, smoothness):
-    U = _random_fields(grid, seed, amplitude, smoothness)
-    V = _random_fields(grid, seed2, amplitude, smoothness)
+def eval_triangle(family, grid, U, V):
     nu, nv, nuv = _stacked(_stack_luxemburg_norm, family, grid, U, V, U + V)
     return nu + nv - nuv, {}
 
 
-def eval_parallelogram(family, grid, seed, seed2, amplitude, smoothness):
-    U = _random_fields(grid, seed, amplitude, smoothness)
-    V = _random_fields(grid, seed2, amplitude, smoothness)
+def eval_parallelogram(family, grid, U, V):
     rho_u, rho_v, rho_mean, rho_diff = _stacked(_stack_modular, family, grid,
                                                 U, V, (U + V) * 0.5, (U - V) * 0.5)
     return 0.5 * (rho_u + rho_v) - rho_mean - rho_diff, {}
 
 
-def eval_holder(family, grid, seed, seed2, amplitude, smoothness):
-    U = _random_fields(grid, seed, amplitude, smoothness)
-    V = _random_fields(grid, seed2, amplitude, smoothness)
+def eval_holder(family, grid, U, V):
     pairing = np.abs(_node_sums(grid.weights * (U * V)))
     bound = (2.0 * _stack_luxemburg_norm(family, grid, U)
              * _stack_conjugate_norm(family, grid, V))
     return bound - pairing, {"pairing": pairing, "bound": bound}
 
 
-def eval_norm_equivalences(family, grid, seed, amplitude, smoothness):
-    U = _random_fields(grid, seed, amplitude, smoothness)
+def eval_norm_equivalences(family, grid, U):
     n1, n2, n = _stack_sobolev_norms(family, grid, U)
     m = np.minimum(np.minimum(2.0 * n2 - n1, n1 - n2), np.minimum(2.0 * n - n1, 2.0 * n2 - n))
     return m, {"n1": n1, "n2": n2, "n": n}
 
 
-def eval_modular_convergence(family, grid, seed, amplitude, smoothness):
-    V = _random_fields(grid, seed, amplitude, smoothness)
+def eval_modular_convergence(family, grid, U):
     rhos = np.stack(_stacked(_stack_modular, family, grid,
-                             *(V * (2.0 ** -k) for k in range(_CONVERGENCE_STEPS + 1))), axis=1)
+                             *(U * (2.0 ** -k) for k in range(_CONVERGENCE_STEPS + 1))), axis=1)
     decreasing = np.min(rhos[:, :-1] - rhos[:, 1:], axis=1)
-    # scaling gives rho(2^-k v) <= 2^{-k phi0} rho(v)
+    # scaling gives rho(2^-k u) <= 2^{-k phi0} rho(u)
     vanish = 2.0 ** (-_CONVERGENCE_STEPS * family.phi0) * rhos[:, 0] * (1.0 + 1e-9) - rhos[:, -1]
     return np.minimum(decreasing, vanish), {"rho_first": rhos[:, 0], "rho_last": rhos[:, -1]}
 
@@ -238,10 +236,7 @@ def eval_reaction_envelopes(reaction, seed, n):
     return np.minimum(m_g, np.minimum(m_lo, m_hi)), {}
 
 
-def eval_gradient_check(family, reaction, grid, seed, seed2, amplitude,
-                        smoothness, lam):
-    U = _random_fields(grid, seed, amplitude, smoothness)
-    V = _random_fields(grid, seed2, amplitude, smoothness)
+def eval_gradient_check(family, reaction, grid, U, V, lam):
     _check_lam(lam)
     h = 1e-6
     dd = _node_sums(grid.weights * _stack_residual(family, reaction, grid, U, lam) * V)
@@ -309,14 +304,21 @@ class PropertyResult:
     worst_margin: float = np.inf
     witness: dict = field(default_factory=dict)
 
-    def absorb(self, margins: np.ndarray, witness: dict):
-        """Count the margins of one evaluation; a NaN margin is worse than
-        any number, and the first worst margin seen is the witness."""
-        margins = np.asarray(margins, dtype=float).ravel()
-        self.samples += margins.size
-        self.passes += int(np.sum(margins >= -self.slack))
-        index = int(np.argmin(margins))          # the first NaN, if any
-        worst = float(margins[index])
+    def absorb(self, margins, witness: dict):
+        """Count the margins of one evaluation, an array or a list of one
+        number (a field sample, counted without numpy); a NaN margin is
+        worse than any number, and the first worst margin seen is the
+        witness."""
+        if isinstance(margins, list) and len(margins) == 1:
+            index, worst = 0, float(margins[0])
+            self.samples += 1
+            self.passes += worst >= -self.slack
+        else:
+            margins = np.asarray(margins, dtype=float).ravel()
+            self.samples += margins.size
+            self.passes += int(np.sum(margins >= -self.slack))
+            index = int(np.argmin(margins))          # the first NaN, if any
+            worst = float(margins[index])
         if not self.witness or worst < self.worst_margin or (
                 math.isnan(worst) and not math.isnan(self.worst_margin)):
             self.worst_margin = worst
@@ -411,8 +413,9 @@ class _Property:
     without an exponent p when needs_p.  args are its per-sample arguments
     (_ARGS) in witness order, which is also the order they are drawn in.
     rule(n_samples) -> (fields, fixed): with fields > 0, that many samples
-    (each with its own args) are evaluated as one stack per grid; with
-    fields = 0, one call on one draw of args plus the fixed arguments.
+    per combination (each with its own args), evaluated on field stacks
+    built once per grid for all combinations; with fields = 0, one call on
+    one draw of args plus the fixed arguments.
     """
 
     slack: float
@@ -454,11 +457,41 @@ _PROPERTIES = {
 }
 
 
+# the arguments of a field property that _draw_stacks makes into its stacks
+_FIELD_KEYS = ("seed", "seed2", "amplitude", "smoothness")
+
+
+def _field_stacks(grid, seeds, amplitudes, smoothness):
+    """The field stacks of one column of seeds each, {"U": ...} or
+    {"U": ..., "V": ...}: row j of the i-th stack is random_function(grid,
+    seeds[i][j], amplitudes[j], smoothness[j]).  One _random_fields call
+    builds every row, and a row does not depend on the rest of the call."""
+    seeds = np.asarray(seeds)
+    fields = _random_fields(grid, seeds.ravel(), np.tile(amplitudes, len(seeds)),
+                            np.tile(smoothness, len(seeds)))
+    return dict(zip(("U", "V"), np.split(fields, len(seeds))))
+
+
+def _draw_stacks(prop, grid, draws):
+    """_field_stacks of the draws (or witnesses) of a field property."""
+    return _field_stacks(grid, [[args[key] for args in draws]
+                                for key in ("seed", "seed2") if key in prop.args],
+                         [args["amplitude"] for args in draws],
+                         [args["smoothness"] for args in draws])
+
+
 def _evaluator_args(prop, args, pools):
     """The evaluator's keyword arguments from a witness or a draw: the
-    table's keys, with object and grid indices resolved through pools."""
+    table's keys, with object and grid indices resolved through pools, and a
+    field property's seeds, amplitude and smoothness made into its stacks
+    of one field."""
     keys = (*prop.objects, *prop.args, *prop.rule(1)[1])
-    return {key: pools[key][args[key]] if key in pools else args[key] for key in keys}
+    fields = "grid" in keys
+    kwargs = {key: pools[key][args[key]] if key in pools else args[key]
+              for key in keys if not (fields and key in _FIELD_KEYS)}
+    if fields:
+        kwargs.update(_draw_stacks(prop, kwargs["grid"], [args]))
+    return kwargs
 
 
 def replay_witness(witness: dict, families, reactions, grids):
@@ -474,22 +507,33 @@ def replay_witness(witness: dict, families, reactions, grids):
 # the suite
 # ---------------------------------------------------------------------------
 
-def _absorb_field_samples(result, prop, draws, objects, grids):
-    """One evaluator call per grid on the stack of that grid's samples; the
-    samples are absorbed in draw order, each with its own witness."""
+def _absorb_field_samples(result, prop, runs, grids):
+    """Evaluate the field samples of every (objects, draws) run of one
+    property.  Per grid, one _draw_stacks call builds the fields of the
+    samples of every run on it, and the evaluator runs once per run on its
+    rows of the stacks.  The samples are absorbed in draw order, run by
+    run, each with its own witness."""
     name = result.name
-    margins, infos = np.empty(len(draws)), [None] * len(draws)
+    per_row = [key for key in prop.args if key not in _FIELD_KEYS and key != "grid"]
+    evaluated = [[None] * len(draws) for _, draws in runs]
     for gi, grid in enumerate(grids):
-        rows = [k for k, args in enumerate(draws) if args["grid"] == gi]
-        if not rows:
+        rows = [[k for k, args in enumerate(draws) if args["grid"] == gi] for _, draws in runs]
+        drawn = [draws[k] for (_, draws), ks in zip(runs, rows) for k in ks]
+        if not drawn:
             continue
-        per_row = {key: np.array([draws[k][key] for k in rows])
-                   for key in prop.args if key != "grid"}
-        margins[rows], info = EVALUATORS[name](**objects, grid=grid, **per_row)
-        for j, k in enumerate(rows):
-            infos[k] = {key: float(value[j]) for key, value in info.items()}
-    for k, args in enumerate(draws):
-        result.absorb(margins[k:k + 1], {"property": name, **args, **infos[k]})
+        stacks, end = _draw_stacks(prop, grid, drawn), 0
+        for (objects, draws), ks, out in zip(runs, rows, evaluated):
+            part, end = slice(end, end + len(ks)), end + len(ks)
+            margins, info = EVALUATORS[name](
+                **objects, grid=grid, **{key: S[part] for key, S in stacks.items()},
+                **{key: np.array([draws[k][key] for k in ks]) for key in per_row})
+            columns = {key: np.asarray(value, dtype=float).tolist()
+                       for key, value in info.items()}
+            for j, (k, margin) in enumerate(zip(ks, margins.tolist())):
+                out[k] = margin, {key: column[j] for key, column in columns.items()}
+    for (_, draws), out in zip(runs, evaluated):
+        for args, (margin, info) in zip(draws, out):
+            result.absorb([margin], {"property": name, **args, **info})
 
 
 def run_property_suite(families, reactions, grids, n_samples: int,
@@ -505,18 +549,21 @@ def run_property_suite(families, reactions, grids, n_samples: int,
     for name, prop in _PROPERTIES.items():
         result = PropertyResult(name, prop.slack)
         n_fields, fixed = prop.rule(n_samples)
+        runs = []                      # (objects, draws), drawn before any evaluation
         for index in itertools.product(*(range(len(pools[key])) for key in prop.objects)):
             at = dict(zip(prop.objects, index))
             objects = {key: pools[key][i] for key, i in at.items()}
             if prop.needs_p and objects["family"].p is None:
                 continue
-            draws = [{**at, **{key: _ARGS[key](rng, s, len(grids)) for key in prop.args},
-                      **fixed} for s in range(max(n_fields, 1))]
-            if n_fields:
-                _absorb_field_samples(result, prop, draws, objects, grids)
-            else:
-                margins, info = EVALUATORS[name](**_evaluator_args(prop, draws[0], pools))
-                result.absorb(margins, {"property": name, **draws[0], **info})
+            runs.append((objects, [{**at, **{key: _ARGS[key](rng, s, len(grids))
+                                             for key in prop.args}, **fixed}
+                                   for s in range(max(n_fields, 1))]))
+        if n_fields:
+            _absorb_field_samples(result, prop, runs, grids)
+        else:
+            for _, (args,) in runs:
+                margins, info = EVALUATORS[name](**_evaluator_args(prop, args, pools))
+                result.absorb(margins, {"property": name, **args, **info})
         if result.samples:
             results.append(result)
     ordered = sorted(results, key=lambda p: p.name)

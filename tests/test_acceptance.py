@@ -12,7 +12,7 @@ import pytest
 import orliczkit as ok
 from orliczkit.solver import _default_rho
 from orliczkit import bump_seed
-from orliczkit.verify import (eval_holder, eval_norm_modular,
+from orliczkit.verify import (_field_stacks, eval_holder, eval_norm_modular,
                               eval_norm_equivalences,
                               eval_sobolev_modular_bounds, eval_unit_ball,
                               eval_young)
@@ -36,9 +36,10 @@ def _worst_field_margin(evaluators, fam, grids, rng, n, seeds_per_sample=1):
 
     Sample s draws its seeds from rng in sample order and runs on
     grids[s % 2] with amplitude AMPS[s % 3] and smoothness s % 5.  The
-    samples of one grid are one stack, one call per evaluator; a sample's
-    margin does not depend on the rest of its stack, so this is the worst
-    margin of the one-field-at-a-time loop.
+    samples of one grid are one stack per seed column (U, and V for the
+    second seeds), built as the suite builds them, and one call per
+    evaluator; a sample's margin does not depend on the rest of its stack,
+    so this is the worst margin of the one-field-at-a-time loop.
     """
     seeds = np.array([[int(rng.integers(0, 2 ** 62)) for _ in range(seeds_per_sample)]
                       for _ in range(n)])
@@ -46,8 +47,9 @@ def _worst_field_margin(evaluators, fam, grids, rng, n, seeds_per_sample=1):
     worst = np.inf
     for g, grid in enumerate(grids):
         rows = s[s % 2 == g]
+        stacks = _field_stacks(grid, seeds[rows].T, np.take(AMPS, rows % 3), rows % 5)
         for evaluate in evaluators:
-            m, _ = evaluate(fam, grid, *seeds[rows].T, np.take(AMPS, rows % 3), rows % 5)
+            m, _ = evaluate(fam, grid, **stacks)
             worst = min(worst, float(np.min(m)))
     return worst
 

@@ -436,6 +436,23 @@ def test_phi_inv_beyond_range_raises_numerics_error():
             fam.phi_inv(0.0, 1e200)
 
 
+def test_phi_inv_step_brackets_an_overshooting_newton_step():
+    # phi = 3 t|t| + t: log phi is convex in z = log t, so a Newton step from
+    # below the root lands above it.  A step at a z above the root lowers the
+    # top of the bracket to that z; the next step, from far below, would land
+    # beyond that top, so it goes to the midpoint of the bracket instead
+    fam = ok.custom_family(lambda x, t: 3.0 * np.abs(t) * t + t,
+                           lambda x, t: np.abs(t) ** 3 + 0.5 * t * t, phi0=2.0, phi_sup=3.0)
+    x1, s = np.zeros(1), np.array([310.0])                  # the root is t = 10
+    lo, hi = (np.full(1, end) for end in families._PHI_INV_BRACKET)
+    above, below = np.log([20.0]), np.log([1e-3])
+    fam._phi_inv_step(x1, s, above, lo, hi)
+    assert (lo[0], hi[0]) == (families._PHI_INV_BRACKET[0], above[0])
+    step, _ = fam._phi_inv_step(x1, s, below, lo, hi)
+    assert (lo[0], hi[0]) == (below[0], above[0])
+    assert step[0] == 0.5 * (below[0] + above[0]) - below[0]
+
+
 def test_conjugate_power_closed_form(family_power_p2):
     # Phi = t^2 has conjugate s^2/4
     assert family_power_p2.conjugate(0.0, 2.0) == pytest.approx(1.0, rel=1e-12)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit import verify
+from orliczkit import cli, verify
 from orliczkit.errors import InputError
 from orliczkit.verify import PropertyResult, replay_witness, run_property_suite
 
@@ -102,7 +102,7 @@ def test_witness_replays_through_a_wrapped_evaluator(small_report, suite_inputs,
     monkeypatch.setitem(verify.EVALUATORS, "norm_homogeneity", wrapper)
     prop = small_report["norm_homogeneity"]
     assert replay_witness(prop.witness, *suite_inputs) == prop.worst_margin
-    assert calls == [["amplitude", "family", "grid", "scale", "seed", "smoothness"]]
+    assert calls == [["U", "family", "grid", "scale"]]
 
 
 def test_verify_inputs_keep_their_derived_constants():
@@ -148,6 +148,60 @@ def test_every_field_sample_replays_exactly(suite_inputs, monkeypatch):
     assert set(replayed) == {(name, fi, dim) for name in field
                              for fi in range(3) for dim in (1, 2)}
     assert sum(replayed.values()) == 9 * 3 * 8 + 3 * 3 * 2
+
+
+def test_suite_builds_one_field_stack_per_property_and_grid(suite_inputs, monkeypatch):
+    # the fields of one (property, grid) come from one _random_fields call
+    # across the property's objects, seed and seed2 rows together, made
+    # before that grid's evaluator calls; each row is its own random_function
+    families, reactions, grids = suite_inputs
+    events = []
+    build = verify._random_fields
+
+    def recording(grid, seeds, amplitudes, smoothness):
+        fields = build(grid, seeds, amplitudes, smoothness)
+        events.append((grid, seeds, amplitudes, smoothness, fields))
+        return fields
+
+    def naming(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_random_fields", recording)
+    for name, fn in list(verify.EVALUATORS.items()):
+        monkeypatch.setitem(verify.EVALUATORS, name, naming(name, fn))
+    run_property_suite(families, reactions, grids, n_samples=8, seed=2024)
+    calls, rows, pending = Counter(), Counter(), []
+    for event in events:
+        if not isinstance(event, str):
+            pending.append(event)
+            continue
+        for grid, seeds, amplitudes, smoothness, fields in pending:
+            calls[event, [g is grid for g in grids].index(True)] += 1
+            rows[event] += len(fields)
+            for row, *args in zip(fields, seeds, amplitudes, smoothness):
+                assert row.tobytes() == ok.random_function(grid, *args).values.tobytes(), event
+        pending.clear()
+    field = [name for name, prop in verify._PROPERTIES.items() if "grid" in prop.args]
+    assert len(field) == 10
+    assert calls == {(name, g): 1 for name in field for g in range(2)}
+    # families x samples (x 2 with seed2); family-reaction pairs x 2 samples x 2
+    pairs = ["triangle_inequality", "modular_parallelogram", "holder_inequality"]
+    assert rows == {**dict.fromkeys(field, 3 * 8), **dict.fromkeys(pairs, 3 * 8 * 2),
+                    "gradient_check": 9 * 2 * 2}
+
+
+def test_verify_invocations_in_one_process_write_the_same_json(tmp_path, capsys):
+    # nothing one run builds or draws carries over into the next
+    texts = []
+    for k in range(2):
+        path = tmp_path / f"report-{k}.json"
+        assert cli.main(["verify", "--samples", "5", "--seed", "0", "--out", str(path)]) == 0
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_ftc_reference_matches_adaptive_quadrature(suite_inputs):
@@ -233,6 +287,31 @@ def test_absorb_takes_the_first_nan_as_worst():
     result.absorb([-5.0, np.nan], {"property": "p", "later": True})
     assert (result.samples, result.passes) == (5, 2)
     assert result.witness == {"property": "p", "worst_index": 1}
+
+
+_BELOW_SLACK = float(np.nextafter(-1e-8, -1.0))
+
+
+@pytest.mark.parametrize("margins, passes, worst_index", [
+    ([1.0, -1e-8, 0.5, -1e-8], 4, 1),               # at -slack passes; a tie keeps the first
+    ([0.0, _BELOW_SLACK, -2.0, -2.0, 3.0], 2, 2),
+    ([0.0, -np.inf, -1e300, -np.inf], 1, 1),         # -inf fails and is worse than any number
+    ([2.0, np.nan, -np.inf, np.nan, -5.0], 1, 1),    # the first NaN is worse than -inf
+    ([-np.inf, np.nan], 0, 1),
+    ([np.nan], 0, 0),
+    ([-0.0], 1, 0),
+])
+def test_absorbing_one_sample_at_a_time_equals_one_array(margins, passes, worst_index):
+    # the suite absorbs each field sample as a list of one float; that path
+    # counts, and picks its witness, as the array path does
+    one, array = PropertyResult("p", 1e-8), PropertyResult("p", 1e-8)
+    for k, margin in enumerate(margins):
+        one.absorb([margin], {"property": "p", "sample": k})
+    array.absorb(np.array(margins), {"property": "p"})
+    assert (one.samples, one.passes) == (array.samples, array.passes) == (len(margins), passes)
+    assert repr(one.worst_margin) == repr(array.worst_margin) == repr(float(margins[worst_index]))
+    assert array.witness == {"property": "p", "worst_index": worst_index}
+    assert one.witness == {"property": "p", "sample": worst_index, "worst_index": 0}
 
 
 def test_nan_margins_fail_with_a_replayable_witness(suite_inputs):
