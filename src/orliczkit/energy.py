@@ -10,10 +10,12 @@ with directional derivative
                + integral a(x,|u|) u v  -  lam * integral g(x,u) v,
 
 where a(x,s) s = phi(x,s) (and a(x,0)*0 := 0, the removable singularity).
-All integrals use the grid module's trapezoid weights, and the gradient
-and its transpose come from the grid module, which alone knows the
-stencil.  ``residual`` assembles this weak form once, through the exact
-transpose of the gradient, and divides each partial derivative by its
+All integrals use the grid module's trapezoid weights, and the gradient,
+the weights and first coordinate of the points where its values live, and
+the weak divergence D^T (w_D .) / w come from the grid module, which alone
+knows the stencil.  ``residual`` assembles this weak form once, as that
+divergence of the flux (an exact transpose of the gradient) plus the
+pointwise terms, so each partial derivative is divided by its nodal
 quadrature weight, making the stationarity defect comparable across grids;
 its zeros are the discrete weak solutions.  ``_flux_secant`` evaluates
 a(x,s) for it and for the solver's Newton model, each with its own value
@@ -30,8 +32,9 @@ row; a row's value does not depend on the other rows.  ``energy`` and
 ``residual`` are the same code on a stack of one, and ``_ray_energies``
 gives J(t v) over a list of t as one stack for the solver's probes.  The
 energy runs a chunk of rows at a time, through the ``_young_sum`` of the
-spaces module, so a long stack on a fine grid holds the temporaries of one
-chunk only.
+spaces module, its growth integral over the nodal stack (u, x1, w), so a
+long stack on a fine grid holds the temporaries of one chunk only.  The
+energy layer passes x1 as the grid's ``_x1``, a column in 2-d.
 
 Three reaction families are built in, one entry each of the table
 ``_REACTIONS`` (q = q(x) is an exponent field):
@@ -69,8 +72,7 @@ import numpy as np
 from .errors import InputError
 from .exponents import ExponentField
 from .families import _batch_args, _maybe_scalar
-from .grid import (GridFunction, _col, _gradient_and_magnitude, _values_on,
-                   gradient_adjoint)
+from .grid import GridFunction, _col, _divergence, _gradient_and_magnitude, _values_on, _x1
 from .spaces import _stack_sobolev_modular, _young_sum
 
 __all__ = [
@@ -236,7 +238,7 @@ def _stack_energy(family, reaction, grid, U, lam):
     integrals run a chunk of rows at a time (``spaces._young_sum``), so a
     long stack on a fine grid holds the gradients, magnitudes and reaction
     values of one chunk only."""
-    growth = _young_sum(lambda V: reaction.G(grid.coords_first, V), grid, U, lambda g, V: (V,))
+    growth = _young_sum(reaction.G, grid, U, lambda g, V: ((V, _x1(g), g.weights),))
     return _stack_sobolev_modular(family, grid, U) - lam * growth
 
 
@@ -273,14 +275,13 @@ def _flux_secant(family, x1, s, at_zero):
 
 def _stack_residual(family, reaction, grid, U, lam):
     """The residual of each row of U at lam (a scalar or one value per row)."""
-    w, x1 = grid.weights, grid.coords_first
+    x1 = _x1(grid)
     gu, gmag = _gradient_and_magnitude(grid, U)
     # flux a(x,|grad u|) grad u, with a(x,0)*0 := 0
     flux = _flux_secant(family, x1, gmag, 0.0) * gu
-    grad_part = gradient_adjoint(w * flux, grid) / w
     # a(x,|u|) u = phi(x,u) by oddness
     point_part = np.asarray(family.phi(x1, U)) - _col(lam, grid) * np.asarray(reaction.g(x1, U))
-    return grad_part + point_part
+    return _divergence(grid, flux) + point_part
 
 
 def residual(config: EnergyConfig, u: GridFunction) -> GridFunction:

@@ -359,10 +359,10 @@ def _log_quotient_dphi0(fam, x1):
 
 def _series_args(fam, x1, t):
     """(p, |t|, p+) for a Phi with a series head: |t| with the shape of the
-    result (x1 and t broadcast), p(x1) on no more nodes than its values need,
-    as the series coefficients are computed on p's own shape: a 0-d array
-    for a constant field, and without the later axes along which x1 is
-    constant (a 2-d grid's coords_first gives its column)."""
+    result (x1 and t broadcast), and p(x1) on x1's own shape, as the series
+    coefficients are computed on p's shape, or a 0-d array for a constant
+    field.  So a caller passes x1 on no more points than its values need:
+    a 2-d grid's first coordinate as its column (``grid._x1``)."""
     at = np.abs(t)
     if x1.shape != at.shape:
         shape = np.broadcast_shapes(x1.shape, at.shape)
@@ -372,10 +372,6 @@ def _series_args(fam, x1, t):
     p_plus = field.p_plus
     if field.p_minus == p_plus:
         return np.asarray(p_plus), at, p_plus
-    for axis in range(1, x1.ndim):
-        first = x1[(slice(None),) * axis + (slice(0, 1),)]
-        if x1.shape[axis] > 1 and (x1 == first).all():
-            x1 = first
     return field(x1), at, p_plus
 
 
@@ -798,13 +794,16 @@ def _refined_sup(family):
 
 def _m_lower(family):
     """(M_lower,): the inf over t in [1e-4, 1e4] of Phi(x,t)/t^{p(x)},
-    shaved slightly."""
+    shaved slightly, and 0 when a ratio is not a number: for p(x) from
+    about 78 on, t^p overflows at t = 1e4 (and from about 100 on
+    underflows at t = 1e-4 along with Phi)."""
     ts = np.geomspace(1e-4, 1e4, 181)
     xs = sample_x1(family)
     p = family.p(xs)[:, None]
-    Phi = np.asarray(family.Phi(xs[:, None], ts[None, :]))
-    ratio = Phi / ts[None, :] ** p
-    return (max(0.0, float(np.min(ratio)) * (1.0 - 1e-6)),)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = np.asarray(family.Phi(xs[:, None], ts[None, :])) / ts[None, :] ** p
+    low = float(np.min(ratio))
+    return (0.0 if math.isnan(low) else max(0.0, low * (1.0 - 1e-6)),)
 
 
 _KERNELS = {

@@ -16,12 +16,17 @@ The discrete gradient D uses central differences with reflected ghost
 nodes, so the normal derivative vanishes identically at boundary nodes --
 that is how the zero-flux boundary condition enters every weak form built
 on top of this module.  This module is the only one that knows the
-stencil: ``_gradient_and_magnitude`` gives D v and |D v| of a stack of
-fields (the modulars, the energy and the Newton model read it), the
-adjoint D^T (``gradient_adjoint``, on one field or a stack) is provided
-explicitly so residual assembly is an exact transpose of the same stencil,
-``_metric_bands`` gives the band form of
-diag(w c) + D^T diag(w k) D for the 1-d Newton solve, and
+stencil and where D's values live: today on the nodes, so
+``DomainGrid.gradient_weights``, the weights of D's points, is the same
+array as ``weights``, and ``_x1`` gives the first coordinate of both.
+``_gradient_and_magnitude`` gives D v and |D v| of a stack of fields, and
+``_gradient_stack`` the triple (|D V|, x1, weights) of D's points that the
+modulars and the energy integrate.  The adjoint D^T (``gradient_adjoint``,
+on one field or a stack) is provided explicitly, so the weak divergence
+``_divergence`` = D^T (w_D f) / w, the one form that the residual and the
+2-d Newton product assemble, is an exact transpose of the same stencil:
+<D v, f>_{w_D} = <v, _divergence(f)>_w.  ``_metric_bands`` gives the band
+form of diag(w c) + D^T diag(w_D k) D for the 1-d Newton solve, and
 ``_neumann_modes`` the per-axis cosine eigenpairs of D^T W D that
 precondition the 2-d one.  ``bump_function`` covers the middle
 ``_BUMP_WIDTH`` of each axis.
@@ -120,6 +125,12 @@ class DomainGrid:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def gradient_weights(self) -> np.ndarray:
+        """The weights of the points where the values of D live: the nodes,
+        so ``weights`` itself."""
+        return self.weights
+
 
 def make_grid(dim: int, extents, nodes) -> DomainGrid:
     """Build a grid from ``dim``, its extents as one (lo, hi) pair per axis,
@@ -201,6 +212,15 @@ def _col(values, grid: DomainGrid) -> np.ndarray:
     return np.asarray(values).reshape((-1,) + (1,) * grid.dim)
 
 
+def _x1(grid: DomainGrid) -> np.ndarray:
+    """The nodes' first coordinate, shaped to broadcast against a stack of
+    fields: (n,) in 1-d, the column (n0, 1) in 2-d.  In 2-d the exponent and
+    the Phi series coefficients computed from it are then evaluated once
+    per grid row, not once per node."""
+    x1 = grid.coords_first
+    return x1 if grid.dim == 1 else x1[:, :1]
+
+
 def _node_sums(a: np.ndarray) -> np.ndarray:
     """Per-row sums of a stack (rows,) + grid.shape, in the order of the
     flattened nodes."""
@@ -259,6 +279,12 @@ def _gradient_and_magnitude(grid: DomainGrid, v: np.ndarray):
     return g, np.sqrt(np.sum(g * g, axis=0))
 
 
+def _gradient_stack(grid: DomainGrid, V: np.ndarray):
+    """(|D V|, x1, w_D) of a stack V of nodal fields: the magnitudes, and
+    the first coordinate and the weights of the points where they live."""
+    return _gradient_and_magnitude(grid, V)[1], _x1(grid), grid.gradient_weights
+
+
 def gradient(u: GridFunction) -> np.ndarray:
     """Per-component discrete gradient, shape (dim,) + grid.shape.
 
@@ -289,13 +315,20 @@ def gradient_adjoint(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
     return out
 
 
+def _divergence(grid: DomainGrid, flux: np.ndarray) -> np.ndarray:
+    """The weak divergence D^T (w_D flux) / w of a flux (dim,) + s at D's
+    points, s as in ``gradient_adjoint``: <D v, flux>_{w_D} equals
+    <v, _divergence(flux)>_w for every nodal v."""
+    return gradient_adjoint(grid.gradient_weights * flux, grid) / grid.weights
+
+
 def _metric_bands(grid: DomainGrid, c: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """diag(w c) + D^T diag(w k) D on a 1-d grid, in the upper band form of
-    ``scipy.linalg.solveh_banded``.  The central stencil skips the
+    """diag(w c) + D^T diag(w_D k) D on a 1-d grid, in the upper band form
+    of ``scipy.linalg.solveh_banded``.  The central stencil skips the
     neighbour and its boundary rows are zero, so the matrix is
     pentadiagonal with offsets 0 and +-2."""
     w = grid.weights
-    m = w[1:-1] * k[1:-1] / (2.0 * grid.spacing[0]) ** 2
+    m = grid.gradient_weights[1:-1] * k[1:-1] / (2.0 * grid.spacing[0]) ** 2
     bands = np.zeros((3, w.size))
     bands[2] = w * c
     bands[2, 2:] += m

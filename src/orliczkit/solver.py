@@ -4,13 +4,14 @@
 <a,b>_w = sum(w a b), in which the weight-normalized residual r is the
 gradient of the energy and H of ``_newton_model`` its exact Hessian.  Each
 trial is the Levenberg-Marquardt step (H + mu S) d = -r of a trust region in
-the discrete W^{1,2} metric S v = v + D^T (w D v) / w of the gradient D
+the discrete W^{1,2} metric S v = v + D^T (w_D D v) / w of the gradient D,
+w_D the weights of the points where D's values live
 (Conn, Gould & Toint, *Trust-Region Methods*, SIAM 2000, ch. 7; Neuberger,
 *Sobolev Gradients and Differential Equations*, LNM 1670, 1997).  The
-solver knows no stencil: D, D^T, |D u|, the 1-d bands and the cosine modes
-come from the grid module, and the flux secant a = phi(s)/s from the
-energy module.  A trial is one banded Cholesky factorization in 1-d; in
-2-d truncated CG preconditioned by
+solver knows no stencil: D, |D u|, the weak divergence D^T (w_D .) / w,
+w_D, the 1-d bands and the cosine modes come from the grid module, and the
+flux secant a = phi(s)/s from the energy module.  A trial is one banded
+Cholesky factorization in 1-d; in 2-d truncated CG preconditioned by
 P v = c_bar v + a_bar D^T (w D v) / w, the metric with two means of the
 model for its unit coefficients, which the grid's per-axis cosine modes
 diagonalize (the fast diagonalization method, ``_fast_diagonalization``).
@@ -72,8 +73,8 @@ from .energy import (EnergyConfig, _check_lam, _flux_secant, _ray_energies, _sta
                      energy, residual)
 from .errors import DomainError, InputError, _int_at_least
 from .families import power_family
-from .grid import (DomainGrid, GridFunction, _gradient, _gradient_and_magnitude, _metric_bands,
-                   _neumann_modes, _random_fields, bump_function, gradient_adjoint, integrate)
+from .grid import (DomainGrid, GridFunction, _divergence, _gradient, _gradient_and_magnitude,
+                   _metric_bands, _neumann_modes, _random_fields, bump_function, integrate)
 from .spaces import (_stack_luxemburg_norm, _stack_sobolev_norm, sobolev_modular,
                      sobolev_norm)
 
@@ -131,7 +132,7 @@ def _dot(w, a, b) -> float:
 
 def _newton_model(config: EnergyConfig, u: GridFunction):
     """Per-node coefficients of the Hessian H of the discrete energy at u,
-    H v = D^T (w K D v) / w + c v in the w-inner product, or None when one
+    H v = D^T (w_D K D v) / w + c v in the w-inner product, or None when one
     of them is not finite.
 
     c = phi'(|u|) - lam g'(u), and the flux tangent is
@@ -174,13 +175,13 @@ def _shifted_step(grid: DomainGrid, model, r, mu: float, modes):
     product; ``modes`` is None).  In 2-d it comes from CG preconditioned by
     ``_fast_diagonalization`` on the grid's ``modes``, with the weighted
     means c_bar = max(<c>_w + mu, 1e-3 mu + 1e-12), positive even where
-    c < 0, and a_bar = <(a + phi'(s)) / 2>_w + mu of the model.  CG stops
+    c < 0, and a_bar = <(a + phi'(s)) / 2>_{w_D} + mu of the model.  CG stops
     at |e|_w <= eta |r|_w on the unpreconditioned residual, eta =
     min(_ETA_MAX, sqrt(|r|_w)) (Eisenstat-Walker), and non-positive
     curvature shows an indefinite matrix.
     """
     c, radial = model[:2]
-    w = grid.weights
+    w, w_d = grid.weights, grid.gradient_weights
     products = 0
     if grid.dim == 1:
         from scipy.linalg import LinAlgError, solveh_banded  # deferred: import orliczkit loads no scipy
@@ -198,11 +199,11 @@ def _shifted_step(grid: DomainGrid, model, r, mu: float, modes):
         def apply(v):
             gv = _gradient(grid, v)
             flux = a_mu * gv + radial_n * np.sum(n * gv, axis=0)
-            return gradient_adjoint(w * flux, grid) / w + c_mu * v
+            return _divergence(grid, flux) + c_mu * v
 
         # weighted means <f>_w = sum(w f) / |Omega|
         c_bar = max(float(np.sum(w * c)) / grid.measure + mu, 1e-3 * mu + 1e-12)
-        a_bar = 0.5 * float(np.sum(w * (a + radial))) / grid.measure + mu
+        a_bar = 0.5 * float(np.sum(w_d * (a + radial))) / grid.measure + mu
         precondition = _fast_diagonalization(modes, w, c_bar, a_bar)
         d = np.zeros(r.shape)
         res = -r
@@ -224,7 +225,7 @@ def _shifted_step(grid: DomainGrid, model, r, mu: float, modes):
             rr = _dot(w, res, res)
         e = -res
     gd = _gradient(grid, d)
-    return (d, 0.5 * (mu * (_dot(w, d, d) + float(np.sum(w * gd * gd))) - _dot(w, r + e, d)),
+    return (d, 0.5 * (mu * (_dot(w, d, d) + _dot(w_d, gd, gd)) - _dot(w, r + e, d)),
             products)
 
 

@@ -6,11 +6,21 @@ mu -> rho(u/mu) continuous and strictly decreasing, so the infimum in the
 definition is attained at equality).  The Sobolev-level norm applies the
 same construction to the combined modular of |u| and |grad u|, and the
 conjugate norm to the conjugate Young function.  All three are one solve,
-``_unit_norm``, over a tuple of nodal magnitude fields and a Young function
+``_unit_norm``, over a tuple of magnitude stacks and a Young function
 Psi given with its derivative psi and the elasticity t psi'/psi: (Phi, phi)
 for the Luxemburg and Sobolev norms, (Phi*, phi_inv) for the conjugate norm
 (the conjugate's derivative is phi_inv, returned by
 ``conjugate_with_argmax``).
+
+A magnitude stack is a triple (a, x1, w): the magnitudes, and the first
+coordinate and the weights of the points where they live, so its integral
+is sum(w Psi(x1, a)).  |u| lives on the nodes, (|u|, ``grid._x1``,
+``grid.weights``); |grad u| on the points of the grid's gradient, whose
+triple ``grid._gradient_stack`` gives; this module assumes no stencil and
+no placement of D's values.  ``_integrals`` adds the Psi values of
+consecutive stacks that share one weights array node by node before it
+weights them, so while |grad u| lives on the nodes every sum keeps the
+order of one weighted sum of Psi(|u|) + Psi(|grad u|).
 
 Every modular and norm is computed on a stack of fields of one grid, with
 a leading batch axis: the ``_stack_*`` functions take an array of shape
@@ -20,8 +30,8 @@ depends on the other rows (Phi and phi are elementwise, sums run per row).
 A stack is evaluated a chunk of rows at a time (``grid._row_chunks``), and
 the magnitudes |U| and |grad U| are formed inside each chunk, so a long
 stack on a fine grid holds the temporaries of one chunk only.
-The first coordinate is passed to the family as a column in 2-d, so the
-exponent is evaluated once per grid row.
+The first coordinate of a stack is a column in 2-d, so the exponent is
+evaluated once per grid row.
 
 The unit-modular equation is solved by safeguarded Halley steps in log-log
 coordinates, one vector iteration for all rows.  With m = log mu, t = |u|/mu
@@ -62,7 +72,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-from .grid import GridFunction, _col, _gradient_and_magnitude, _node_sums, _row_chunks
+from .grid import GridFunction, _col, _gradient_stack, _node_sums, _row_chunks, _x1
 
 __all__ = [
     "modular", "luxemburg_norm", "conjugate_modular", "conjugate_norm",
@@ -125,28 +135,19 @@ def solve_unit_modular(rho, exp_lo: float, exp_hi: float, mu0=1.0) -> np.ndarray
                         f"(last scale {math.exp(m[live][0]):g})")
 
 
-def _x1(grid):
-    """The nodes' first coordinate, shaped to broadcast against a stack of
-    fields: (n,) in 1-d, the column (n0, 1) in 2-d.  In 2-d the exponent and
-    the Phi series coefficients computed from it are then evaluated once
-    per grid row, not once per node."""
-    x1 = grid.coords_first
-    return x1 if grid.dim == 1 else x1[:, :1]
-
-
 def _unit_norm(grid, U, mags, young, lo, hi):
     """The scales mu, one per row of U, at which the sum over the magnitude
-    stacks a in ``mags(grid, U)`` (each (rows,) + grid.shape) of integral
-    Psi(a/mu) equals 1; 0 for a row where every magnitude vanishes.
+    stacks (a, x1, w) in ``mags(grid, U)`` of the integrals sum(w Psi(x1,
+    a/mu)) equals 1; 0 for a row where every magnitude vanishes.
 
-    ``young(t, start)`` returns Psi(t) at the nodal magnitudes t and a
-    deferred ``later(rows)``, which returns, at the rows ``rows`` of t, psi,
-    the elasticity t psi'(t)/psi(t) (not used where t psi(t) = 0) and
-    None or a function of the column log(mu_prev/mu) that gives the
-    ``start`` of the next evaluation at those rows (for the conjugate, the
-    first log t of its phi_inv solve); ``start`` is None at a first
-    evaluation.  lo/hi are Psi's ratio bounds.  The magnitudes are formed per chunk of rows,
-    and each chunk is one ``_chunk_unit_norm``.
+    ``young(x1, t, start)`` returns Psi(x1, t) at the magnitudes t of a
+    stack and a deferred ``later(rows)``, which returns, at the rows
+    ``rows`` of t, psi, the elasticity t psi'(t)/psi(t) (not used where
+    t psi(t) = 0) and None or a function of the column log(mu_prev/mu) that
+    gives the ``start`` of the next evaluation at those rows (for the
+    conjugate, the first log t of its phi_inv solve); ``start`` is None at
+    a first evaluation.  lo/hi are Psi's ratio bounds.  The magnitudes are
+    formed per chunk of rows, and each chunk is one ``_chunk_unit_norm``.
     """
     mu = np.empty(len(U))
     for chunk in _row_chunks(len(U), grid.size):
@@ -161,19 +162,17 @@ def _chunk_unit_norm(grid, stack, young, lo, hi):
     still needs.  A derivative phase leaves, per magnitude stack, the start
     of the next evaluation, which takes it only if it evaluates exactly the
     rows that phase covered (as the solve does)."""
-    w = grid.weights
-    top = np.max([np.max(a, axis=tuple(range(1, a.ndim))) for a in stack], axis=0)
+    top = np.max([np.max(a, axis=tuple(range(1, a.ndim))) for a, _, _ in stack], axis=0)
     mu = np.zeros(top.shape)
     rows = np.flatnonzero(top > 0.0)
     if not rows.size:
         return mu
-    stack = tuple(a[rows] for a in stack)
+    stack = tuple((a[rows], x1, w) for a, x1, w in stack)
     carried = None      # (rows, their scales, per stack the start function)
 
     def rho(mu):
-        # values keeps the sum order of _young_sum, so R(1) equals the
-        # modular of the same Psi bit for bit; rows finished (NaN) are
-        # skipped
+        # R keeps the sum order of _young_sum, so R(1) equals the modular
+        # of the same Psi bit for bit; rows finished (NaN) are skipped
         nonlocal carried
         evaluated = ~np.isnan(mu)
         live = slice(None) if evaluated.all() else np.flatnonzero(evaluated)
@@ -183,15 +182,17 @@ def _chunk_unit_norm(grid, stack, young, lo, hi):
             shift = _col(np.log(carried[1] / mu[evaluated]), grid)
             starts = [None if f is None else f(shift) for f in carried[2]]
         carried = None
-        ts, laters, values = [], [], None
-        for a, start in zip(stack, starts):
-            t = a[live] / scale
-            Psi, later = young(t, start)
-            values = np.asarray(Psi) if values is None else values + Psi
-            ts.append(t)
-            laters.append(later)
+        parts = []      # per stack (t, w, later)
+
+        def terms():
+            for (a, x1, w), start in zip(stack, starts):
+                t = a[live] / scale
+                Psi, later = young(x1, t, start)
+                parts.append((t, w, later))
+                yield Psi, w
+
         R = np.full(mu.size, np.nan)
-        R[live] = _node_sums(w * values)
+        R[live] = _integrals(terms())
 
         def derivatives(keep):
             # (F', F'') at the rows of keep, all of them evaluated above
@@ -199,7 +200,7 @@ def _chunk_unit_norm(grid, stack, young, lo, hi):
             sub = keep[evaluated]
             sub = slice(None) if sub.all() else np.flatnonzero(sub)
             moment, moment2, nexts = 0.0, 0.0, []
-            for t, later in zip(ts, laters):
+            for t, w, later in parts:
                 psi, elasticity, next_start = later(sub)
                 wtpsi = w * t[sub]
                 wtpsi *= psi
@@ -222,26 +223,36 @@ def _chunk_unit_norm(grid, stack, young, lo, hi):
     return mu
 
 
+def _integrals(terms):
+    """Per-row integrals of the sum of the (values, weights) terms, each
+    values a stack (rows,) + shape: the values of consecutive terms that
+    share one weights array are added node by node, in order, before they
+    are weighted.  A term drawn from a generator is released once added."""
+    sums, values, weights = [], None, None
+    for Psi, w in terms:
+        if weights is not None and w is not weights:
+            sums.append(_node_sums(weights * values))
+        values, weights = (Psi if w is not weights else values + Psi), w
+    sums.append(_node_sums(weights * values))
+    return sum(sums[1:], sums[0])
+
+
 def _young_sum(Psi, grid, U, mags):
-    """integral of the sum of Psi(a) over the magnitude stacks a in
-    ``mags(grid, U)``, per row of U, formed per chunk of rows."""
-    w = grid.weights
+    """The sum over the magnitude stacks (a, x1, w) in ``mags(grid, U)`` of
+    the integrals sum(w Psi(x1, a)), per row of U, formed per chunk of rows."""
     out = np.empty(len(U))
-    for rows in _row_chunks(out.size, w.size):
-        values = None
-        for a in mags(grid, U[rows]):
-            values = np.asarray(Psi(a)) if values is None else values + Psi(a)
-        out[rows] = _node_sums(w * values)
+    for rows in _row_chunks(out.size, grid.weights.size):
+        out[rows] = _integrals((Psi(x1, a), w) for a, x1, w in mags(grid, U[rows]))
     return out
 
 
-def _phi_young(family, grid):
-    """young(t, start) of ``_unit_norm`` for Psi = Phi of the family: phi
-    and its elasticity, which takes the phi just evaluated, are deferred."""
-    x1 = _x1(grid)
+def _phi_young(family):
+    """young(x1, t, start) of ``_unit_norm`` for Psi = Phi of the family:
+    phi and its elasticity, which takes the phi just evaluated, are
+    deferred."""
     elasticity = family.kernel.phi_elasticity
 
-    def young(t, start=None):
+    def young(x1, t, start=None):
         def later(rows):
             at = t[rows]
             phi = family.phi(x1, at)
@@ -252,48 +263,36 @@ def _phi_young(family, grid):
     return young
 
 
-def _phi_norm(family, grid, U, mags):
-    """_unit_norm with Psi = Phi of the family."""
-    return _unit_norm(grid, U, mags, _phi_young(family, grid), family.phi0, family.phi_sup)
-
-
-def _phi_sum(family, grid, U, mags):
-    """integral of the sum of Phi(x, a) over the magnitude stacks a, per row."""
-    x1 = _x1(grid)
-    return _young_sum(lambda t: family.Phi(x1, t), grid, U, mags)
-
-
 # ---------------------------------------------------------------------------
 # stacks: U holds one nodal field of ``grid`` per row, shape (rows,) + shape,
-# and the magnitude stacks of a chunk of its rows are |U|, |grad U| or both
+# and the magnitude stacks (a, x1, w) of a chunk of its rows are the nodal
+# |U|, the |grad U| of ``grid._gradient_stack``, or both
 # ---------------------------------------------------------------------------
 
 def _abs(grid, U):
-    return (np.abs(U),)
+    return ((np.abs(U), _x1(grid), grid.weights),)
 
 
 def _abs_and_grad_abs(grid, U):
-    return (np.abs(U), _gradient_and_magnitude(grid, U)[1])
+    return _abs(grid, U) + (_gradient_stack(grid, U),)
 
 
 def _stack_modular(family, grid, U):
-    return _phi_sum(family, grid, U, _abs)
+    return _young_sum(family.Phi, grid, U, _abs)
 
 
 def _stack_luxemburg_norm(family, grid, U):
-    return _phi_norm(family, grid, U, _abs)
+    return _unit_norm(grid, U, _abs, _phi_young(family), family.phi0, family.phi_sup)
 
 
 def _stack_conjugate_modular(family, grid, U):
-    x1 = _x1(grid)
-    return _young_sum(lambda s: family.conjugate_with_argmax(x1, s)[0], grid, U, _abs)
+    return _young_sum(lambda x1, s: family.conjugate_with_argmax(x1, s)[0], grid, U, _abs)
 
 
 def _stack_conjugate_norm(family, grid, U):
-    x1 = _x1(grid)
     elasticity = family.kernel.phi_elasticity
 
-    def young(s, start=None):
+    def young(x1, s, start=None):
         conj, t_star = family.conjugate_with_argmax(x1, s, _start=start)
 
         def later(rows):
@@ -310,17 +309,18 @@ def _stack_conjugate_norm(family, grid, U):
 
 
 def _stack_sobolev_modular(family, grid, U):
-    return _phi_sum(family, grid, U, _abs_and_grad_abs)
+    return _young_sum(family.Phi, grid, U, _abs_and_grad_abs)
 
 
 def _stack_sobolev_norm(family, grid, U):
-    return _phi_norm(family, grid, U, _abs_and_grad_abs)
+    return _unit_norm(grid, U, _abs_and_grad_abs, _phi_young(family), family.phi0,
+                      family.phi_sup)
 
 
 def _stack_sobolev_norms(family, grid, U):
     """(n1, n2, n) per row; see sobolev_norms.  |U| and |grad U| are formed
     once per chunk of rows, and the chunk's three norm solves share them."""
-    young = _phi_young(family, grid)
+    young = _phi_young(family)
     nu, ng, n = np.empty((3, len(U)))
     for rows in _row_chunks(len(U), grid.size):
         a, g = _abs_and_grad_abs(grid, U[rows])

@@ -1,6 +1,7 @@
 """Pointwise family operations against closed-form and quadrature oracles."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -232,11 +233,9 @@ def test_log_Phi_result_has_the_broadcast_shape(request, name):
 
 @pytest.mark.parametrize("name", ["family_logquot_affine", "family_logweight"])
 def test_log_Phi_column_x_equals_full_shape_x_and_scalars(request, name):
-    # the series coefficients are built once per row of a column x (which a
-    # full-shape x constant along its rows reduces to) and once per node of
-    # a full-shape x that varies along its rows, in blocks of
-    # families._P_BLOCK exponents: every element equals its scalar call
-    # either way, bit for bit
+    # the series coefficients are built once per row of a column x and once
+    # per node of a full-shape x, in blocks of families._P_BLOCK exponents:
+    # every element equals its scalar call either way, bit for bit
     fam = request.getfixturevalue(name)
     cut = np.e - 1.0 if fam.alpha is None else 1.0 + fam.alpha
     rng = np.random.default_rng(17)
@@ -684,6 +683,20 @@ def test_logweight_phi_sup_is_estimate(family_logweight):
     assert "phi_sup" in family_logweight.estimated
     assert family_logweight.phi_sup > family_logweight.p.p_plus
     assert family_logweight.phi_sup == pytest.approx(LOGWEIGHT_PHI_SUP, rel=1e-14)
+
+
+@pytest.mark.parametrize("p, M_lower", [(77.0, 0.10872584154847262), (80.0, 0.0), (100.0, 0.0)])
+def test_log_quotient_family_of_a_large_exponent_builds_without_warnings(p, M_lower):
+    # under the suite's error::RuntimeWarning filter: from p = 78 on, t^p
+    # overflows at t = 1e4 in the M_lower estimate (from p = 100 on it also
+    # underflows at t = 1e-4, with Phi), and a ratio that is not a number
+    # gives M_lower = 0
+    fam = ok.log_quotient_family(ok.ExponentField.constant(p))
+    assert fam.M_lower == M_lower
+    u = ok.GridFunction.constant(ok.make_grid(1, [(0.0, 1.0)], [17]), 2.0)
+    norm = ok.luxemburg_norm(fam, u)
+    assert 0.0 < norm < math.inf
+    assert abs(ok.modular(fam, (1.0 / norm) * u) - 1.0) <= 1e-7
 
 
 def test_descriptors_are_frozen(family_logweight, all_reactions):

@@ -1,6 +1,10 @@
 """Grid construction, stencils, quadrature, and solution-file round trips."""
 
+import ast
+import math
 import tracemalloc
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ import orliczkit as ok
 from orliczkit import grid as grid_module
 from orliczkit.config import grid_from_kv, parse_kv_text
 from orliczkit.errors import InputError
-from orliczkit.grid import (DomainGrid, _gradient, _gradient_and_magnitude, _metric_bands,
-                            _neumann_modes, _random_fields, bump_function,
+from orliczkit.grid import (DomainGrid, _divergence, _gradient, _gradient_and_magnitude,
+                            _metric_bands, _neumann_modes, _random_fields, bump_function,
                             gradient, gradient_adjoint, gradient_magnitude,
                             integrate, load_function, quad_weights,
                             random_function, save_function)
@@ -230,10 +234,15 @@ def test_slice_stencil_matches_the_take_reference(rng, grid, rows):
                 == _take_random_fields(grid, seeds, 0.7, smoothness).tobytes())
     assert (random_function(grid, 3, 0.7, 2).values.tobytes()
             == _take_random_fields(grid, [3], 0.7, 2)[0].tobytes())
-    # <D v, f>_w = <v, D^T (w f) / w>_w, row by row
+    # <D v, f>_w = <v, D^T (w f) / w>_w, row by row, and the weak divergence
+    # is that D^T (w f) / w, bit for bit
     w = grid.weights
     lhs = np.sum((w * np.sum(_gradient(grid, v) * f, axis=0)).reshape(rows, -1), axis=1)
     rhs = np.sum((v * gradient_adjoint(w * f, grid)).reshape(rows, -1), axis=1)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+    div = _divergence(grid, f)
+    assert div.tobytes() == (gradient_adjoint(w * f, grid) / w).tobytes()
+    rhs = np.sum((w * v * div).reshape(rows, -1), axis=1)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -266,13 +275,24 @@ def test_neumann_modes_diagonalize_the_stencil(grid):
         np.testing.assert_allclose(V[:, -1] / V[0, -1], checkerboard, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 17), (-1.0, 2.5, 33)],
-                         ids=["17-nodes", "33-nodes"])
-def test_metric_bands_are_the_dense_metric(lo, hi, n):
-    # the upper band form of diag(w c) + D^T diag(w k) D, c of mixed sign,
+class _TripledGradientWeights(DomainGrid):
+    """A grid whose gradient weights are 3 times its nodal weights: a test
+    double for a gradient whose values live on points of their own."""
+
+    @cached_property
+    def gradient_weights(self):
+        return 3.0 * self.weights
+
+
+@pytest.mark.parametrize("lo, hi, n, scale", [
+    (0.0, 1.0, 17, 1.0), (-1.0, 2.5, 33, 1.0), (0.0, 1.0, 17, 3.0), (-1.0, 2.5, 33, 3.0),
+], ids=["17-nodes", "33-nodes", "17-nodes-tripled-gradient-weights",
+        "33-nodes-tripled-gradient-weights"])
+def test_metric_bands_are_the_dense_metric(lo, hi, n, scale):
+    # the upper band form of diag(w c) + D^T diag(w_D k) D, c of mixed sign,
     # against dense matrices; the first superdiagonal and the unused corner
     # of the band form are exactly 0
-    grid = ok.make_grid(1, [(lo, hi)], [n])
+    grid = (DomainGrid if scale == 1.0 else _TripledGradientWeights)(((lo, hi),), (n,))
     W, D = _dense_axis_stencil(lo, hi, n)
     x = grid.axis_coords(0)
     c, k = np.cos(3.0 * x) - 0.2, 1.5 + x * x
@@ -280,7 +300,7 @@ def test_metric_bands_are_the_dense_metric(lo, hi, n):
     assert bands.shape == (3, n)
     assert np.all(bands[1] == 0.0) and np.all(bands[0, :2] == 0.0)
     banded = np.diag(bands[2]) + np.diag(bands[0, 2:], 2) + np.diag(bands[0, 2:], -2)
-    dense = W @ np.diag(c) + D.T @ W @ np.diag(k) @ D
+    dense = W @ np.diag(c) + D.T @ (scale * W) @ np.diag(k) @ D
     np.testing.assert_allclose(banded, dense, rtol=0.0, atol=1e-13 * np.max(np.abs(dense)))
 
 
@@ -415,6 +435,8 @@ def test_grid_caches_are_per_grid_and_read_only():
     g = ok.make_grid(2, [(0.0, 1.0), (0.0, 2.0)], [5, 7])
     w, x1 = quad_weights(g), g.coords_first
     assert quad_weights(g) is w and g.coords_first is x1
+    # D's values live on the nodes: its weights are the nodal array itself
+    assert g.gradient_weights is w
     assert x1.shape == g.shape and np.array_equal(x1[:, 0], g.axis_coords(0))
     for arr in (w, x1):
         with pytest.raises(ValueError):
@@ -435,3 +457,94 @@ def test_stacks_equal_their_rows(grid_1d, grid_2d):
             u = random_function(g, *args)
             assert np.array_equal(stack[k], u.values)
             assert np.array_equal(mags[k], gradient_magnitude(u))
+
+
+def test_only_grid_calls_gradient_adjoint():
+    # the weak divergence D^T (w_D f) / w has one definition,
+    # grid._divergence: no other module of the library calls D^T itself
+    callers = set()
+    for path in sorted(Path(ok.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "gradient_adjoint":
+                    callers.add(path.name)
+    assert callers == {"grid.py"}
+
+
+@pytest.mark.parametrize("grid", [
+    ok.make_grid(1, [(0.0, 1.0)], [41]),
+    ok.make_grid(2, [(0.0, 1.0), (0.0, 1.5)], [17, 13]),
+], ids=["1d-41", "2d-17x13"])
+def test_every_gradient_pairing_reads_the_grids_gradient_weights(grid, family_logquot_affine,
+                                                                monkeypatch):
+    # on a grid whose gradient weights are 3 w, the energy, the residual, the
+    # Sobolev modular and norm and the Newton step (its system, its predicted
+    # decrease and, in 2-d, the flux mean of its preconditioner) follow the
+    # scaling, against sums built by hand on the nodal grid: the weights of
+    # D's points are read from the grid only
+    from orliczkit import solver
+    from orliczkit.solver import _newton_model, _shifted_step
+    from orliczkit.spaces import NORM_TOL
+
+    fam, lam = family_logquot_affine, 0.7
+    config = ok.EnergyConfig(fam, ok.power_sin_reaction(ok.ExponentField.affine(3.0, 1.0)), lam)
+    tripled = _TripledGradientWeights(grid.extents, grid.nodes)
+    w, x = grid.weights, grid.coords_first
+    values = 1.0 + _random_fields(grid, 5, 0.8, 1)[0]
+    u3 = ok.GridFunction(tripled, values)
+    gu, s = _gradient_and_magnitude(grid, values)
+
+    def integral(f):
+        return float(np.sum(w * f))
+
+    def sobolev_modular(scale):
+        return (integral(fam.Phi(x, np.abs(values) / scale))
+                + 3.0 * integral(fam.Phi(x, s / scale)))
+
+    np.testing.assert_allclose(ok.sobolev_modular(fam, u3), sobolev_modular(1.0), rtol=1e-14)
+    J = sobolev_modular(1.0) - lam * integral(config.reaction.G(x, values))
+    np.testing.assert_allclose(ok.energy(config, u3), J, rtol=1e-14)
+    norm = ok.sobolev_norm(fam, u3)
+    assert abs(sobolev_modular(norm) - 1.0) <= NORM_TOL + 1e-14
+    assert norm > ok.sobolev_norm(fam, ok.GridFunction(grid, values)) * (1.0 + 1e-3)
+
+    # the residual: its gradient part D^T (3 w a(|D u|) D u) / w triples
+    safe = np.where(s > 0.0, s, 1.0)
+    secant = np.where(s > 0.0, np.asarray(fam.phi(x, safe)) / safe, 0.0)
+    grad_part = gradient_adjoint(3.0 * w * secant * gu, grid) / w
+    point_part = np.asarray(fam.phi(x, values)) - lam * np.asarray(config.reaction.g(x, values))
+    r = ok.residual(config, u3).values
+    np.testing.assert_allclose(r, grad_part + point_part, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(grad_part)))
+
+    # the Newton step: (H + mu S) d = -r with the tripled pairing, to
+    # rounding in 1-d and to CG's forcing term in 2-d, and its prediction
+    mu = 1.0
+    model = _newton_model(config, u3)
+    c, radial = model[:2]
+    fast, a_bars = solver._fast_diagonalization, []
+
+    def recording(modes, weights, c_bar, a_bar):
+        a_bars.append(a_bar)
+        return fast(modes, weights, c_bar, a_bar)
+
+    monkeypatch.setattr(solver, "_fast_diagonalization", recording)
+    d, pred, _ = _shifted_step(tripled, model, r, mu,
+                               _neumann_modes(grid) if grid.dim == 2 else None)
+    gd = _gradient(grid, d)
+    if grid.dim == 1:
+        flux = (radial + mu) * gd
+    else:
+        a, n = model[2:]
+        flux = (a + mu) * gd + (radial - a) * n * np.sum(n * gd, axis=0)
+        assert a_bars == [pytest.approx(1.5 * integral(a + radial) / grid.measure + mu,
+                                        rel=1e-14)]
+    e = gradient_adjoint(3.0 * w * flux, grid) / w + (c + mu) * d + r
+    r_norm, e_norm = math.sqrt(integral(r * r)), math.sqrt(integral(e * e))
+    assert e_norm <= (1e-10 if grid.dim == 1 else min(0.5, math.sqrt(r_norm)) * 1.001) * r_norm
+    dd, gg, red = integral(d * d), integral(np.sum(gd * gd, axis=0)), integral((r + e) * d)
+    hand = 0.5 * (mu * (dd + 3.0 * gg) - red)
+    np.testing.assert_allclose(pred, hand, rtol=1e-12)
+    assert abs(pred - 0.5 * (mu * (dd + gg) - red)) > 1e6 * abs(pred - hand)
